@@ -3,10 +3,10 @@
 //!
 //! The paper's experiments stop at tens of databases; the shard layer
 //! exists so the selection engine keeps working when the mediated fleet
-//! grows by two orders of magnitude. This bench sweeps fleet sizes
-//! 20 / 200 / 2 000 databases × shard counts 1 / 2 / 8 and measures the
-//! **probe-free selection path** — scatter (per-shard estimates + RD
-//! derivation) → gather (global `E[Cor(DBk)]` merge) →
+//! grows by three orders of magnitude. This bench sweeps fleet sizes
+//! 20 / 200 / 2 000 / 20 000 databases × shard counts 1 / 2 / 8 and
+//! measures the **probe-free selection path** — scatter (per-shard
+//! estimates + RD derivation) → gather (global `E[Cor(DBk)]` merge) →
 //! [`ShardedMetasearcher::select_rd`] — because that is the work whose
 //! cost scales with fleet size on *every* request; adaptive probing
 //! cost scales with the probe budget, not the fleet, and is covered by
@@ -16,7 +16,7 @@
 //! checksum** (selected sets + expected-correctness bits folded over
 //! the query batch): the in-bench assert extends the cross-topology
 //! equivalence contract (`mp-core`'s `shard_equivalence` suite) to the
-//! 2 000-database fleet — partitioning may only change *where* the
+//! 20 000-database fleet — partitioning may only change *where* the
 //! work runs, never the answer.
 //!
 //! Databases are synthetic and deliberately tiny (4–43 documents over a
@@ -39,7 +39,7 @@ use mp_text::TermId;
 use mp_workload::Query;
 use serde::Serialize;
 
-const FLEET_SIZES: [usize; 3] = [20, 200, 2000];
+const FLEET_SIZES: [usize; 4] = [20, 200, 2000, 20_000];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 const RUNS: usize = 5;
 

@@ -304,7 +304,6 @@ pub fn run_serve(
             out
         });
     let wall = start.elapsed();
-    let errors = responses.iter().filter(|r| r.is_err()).count();
     let stats = server.stats();
     let qps = responses.len() as f64 / wall.as_secs_f64().max(1e-9);
 
@@ -318,8 +317,8 @@ pub fn run_serve(
         cache_cap,
     );
     out.push_str(&format!(
-        "ok {}, rejected {}, deadline-missed {}, shed {}\n",
-        stats.completed, stats.rejects, stats.deadline_misses, stats.sheds
+        "ok {}, rejected {}, invalid {}, deadline-missed {}, shed {}\n",
+        stats.completed, stats.rejects, stats.invalid, stats.deadline_misses, stats.sheds
     ));
     if batch_window.max(1) > 1 {
         out.push_str(&format!(
@@ -329,7 +328,6 @@ pub fn run_serve(
             stats.batched_requests
         ));
     }
-    debug_assert_eq!(errors, 0, "batch submission never rejects");
     out.push_str(&format!(
         "result cache: {} hits, {} misses, {} dedup joins; rd cache: {} hits, {} misses\n",
         stats.hits, stats.misses, stats.dedup_joins, stats.rd_hits, stats.rd_misses

@@ -1,12 +1,13 @@
 //! The `APro` adaptive probing algorithm (paper Section 5.3, Figure 11).
 //!
-//! Both per-step evaluations run on the parallel incremental engine:
-//! the policy's `select_db` scores candidates through
-//! [`crate::engine::usefulness_all`] (greedy), and the post-probe
-//! re-selection's [`best_set`] fans its per-database marginals across
-//! cores ([`crate::par`]). `APro` itself stays a straight-line loop —
-//! determinism and the paper's control flow are untouched by either
-//! optimisation.
+//! Both per-step evaluations run on fast exact kernels: the policy's
+//! `select_db` scores candidates through the parallel incremental
+//! engine ([`crate::engine::usefulness_all`], greedy), and the
+//! post-probe re-selection's [`best_set`] reads every marginal from one
+//! sweep over the merged RD support
+//! ([`crate::expected::topk_marginals`]). `APro` itself stays a
+//! straight-line loop — determinism and the paper's control flow are
+//! untouched by either optimisation.
 
 use crate::correctness::CorrectnessMetric;
 use crate::expected::RdState;

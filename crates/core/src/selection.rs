@@ -2,30 +2,24 @@
 //! RD-based method (paper Sections 2.2 and 3.3).
 
 use crate::correctness::CorrectnessMetric;
-use crate::expected::{expected_correctness, marginal_topk_prob};
-use crate::par::par_map_indexed;
+use crate::expected::{expected_correctness, topk_marginals};
 use mp_stats::float::total_cmp_desc;
 use mp_stats::Discrete;
 
-/// Below this many databases a marginal fan-out costs more in fork-join
-/// overhead than the `O(n · s̄ · k)` marginals themselves.
-const MARGINAL_PAR_MIN: usize = 32;
-
-/// Every database's marginal top-k probability, ranked descending with
-/// ties to the lower index — the shared first step of [`best_set`] and
-/// [`best_set_score_quick`]. The per-database marginals are independent,
-/// so they fan out across cores ([`par_map_indexed`]) once `n` is large
-/// enough to pay for the fork-join; order-preserving collection keeps the
-/// result bit-identical to the sequential evaluation.
-fn ranked_marginals(rds: &[Discrete], k: usize) -> Vec<(usize, f64)> {
-    let mut marginals: Vec<(usize, f64)> = par_map_indexed(rds.len(), MARGINAL_PAR_MIN, |i| {
-        marginal_topk_prob(rds, i, k)
-    })
-    .into_iter()
-    .enumerate()
-    .collect();
+/// The `k` largest marginal top-k probabilities as `(database, marginal)`,
+/// ranked descending with ties to the lower index — the shared first step
+/// of [`best_set`] and [`best_set_score_quick`]. Every marginal comes from
+/// one [`topk_marginals`] sweep.
+fn top_marginals(rds: &[Discrete], k: usize) -> Vec<(usize, f64)> {
+    let mut marginals: Vec<(usize, f64)> = topk_marginals(rds, k).into_iter().enumerate().collect();
     marginals.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
+    marginals.truncate(k);
     marginals
+}
+
+/// `E[Cor_p]` of the top-ranked set: the mean of its marginals.
+fn mean_marginal(top: &[(usize, f64)]) -> f64 {
+    (top.iter().map(|&(_, m)| m).sum::<f64>() / top.len() as f64).clamp(0.0, 1.0)
 }
 
 /// Baseline selection: rank databases by point estimate, descending,
@@ -53,8 +47,8 @@ pub fn baseline_select(estimates: &[f64], k: usize) -> Vec<usize> {
 pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<usize>, f64) {
     assert!(k >= 1 && k <= rds.len(), "k out of range");
     let _span = mp_obs::span!("selection.best_set");
-    let marginals = ranked_marginals(rds, k);
-    let mut set: Vec<usize> = marginals[..k].iter().map(|&(i, _)| i).collect();
+    let top = top_marginals(rds, k);
+    let mut set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
     set.sort_unstable();
 
     // k = 1 short-circuit: Cor_a and Cor_p coincide (paper Section 3.2
@@ -62,14 +56,11 @@ pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<u
     // argmax — its marginal *is* its expected correctness. This is the
     // hot case inside the greedy policy's usefulness evaluation.
     if k == 1 {
-        return (set, marginals[0].1);
+        return (set, top[0].1);
     }
 
     match metric {
-        CorrectnessMetric::Partial => {
-            let score = expected_correctness(rds, &set, metric);
-            (set, score)
-        }
+        CorrectnessMetric::Partial => (set, mean_marginal(&top)),
         CorrectnessMetric::Absolute => {
             let mut score = expected_correctness(rds, &set, metric);
             // First-improvement swap local search.
@@ -114,15 +105,12 @@ pub fn rd_based_select(rds: &[Discrete], k: usize, metric: CorrectnessMetric) ->
 /// the correctness semantics of the returned answer.
 pub fn best_set_score_quick(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> f64 {
     assert!(k >= 1 && k <= rds.len(), "k out of range");
-    let marginals = ranked_marginals(rds, k);
+    let top = top_marginals(rds, k);
     match metric {
-        // Partial: E[Cor_p] is the mean of the chosen marginals.
-        CorrectnessMetric::Partial => {
-            marginals[..k].iter().map(|&(_, m)| m).sum::<f64>() / k as f64
-        }
-        CorrectnessMetric::Absolute if k == 1 => marginals[0].1,
+        CorrectnessMetric::Partial => mean_marginal(&top),
+        CorrectnessMetric::Absolute if k == 1 => top[0].1,
         CorrectnessMetric::Absolute => {
-            let set: Vec<usize> = marginals[..k].iter().map(|&(i, _)| i).collect();
+            let set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
             expected_correctness(rds, &set, metric)
         }
     }

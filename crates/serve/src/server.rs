@@ -225,6 +225,10 @@ pub enum ServeError {
     Shed,
     /// The serving session shut down before the request ran.
     Closed,
+    /// Rejected at submit: the request cannot be answered as posed
+    /// (`k` outside `1..=n_databases`, or a threshold that is not a
+    /// finite value in `[0, 1]`). The payload says which.
+    InvalidRequest(&'static str),
 }
 
 impl std::fmt::Display for ServeError {
@@ -234,6 +238,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded before execution"),
             ServeError::Shed => write!(f, "shed by SLO scheduler (p99 over limit)"),
             ServeError::Closed => write!(f, "serving session closed"),
+            ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
 }
@@ -435,9 +440,28 @@ impl<'s> Client<'s> {
         )
     }
 
+    /// Rejects, before it reaches a worker, a request whose shape the
+    /// selection engine would reject by panicking, and counts it in
+    /// [`ServeStats::invalid`].
+    fn validate(&self, req: &ServeRequest) -> Result<(), ServeError> {
+        let why = if req.k == 0 {
+            "k must be at least 1"
+        } else if req.k > self.server.ms.n_databases() {
+            "k exceeds the number of databases"
+        } else if !(0.0..=1.0).contains(&req.threshold) {
+            "threshold must be a finite value in [0, 1]"
+        } else {
+            return Ok(());
+        };
+        self.server.stats.invalid();
+        Err(ServeError::InvalidRequest(why))
+    }
+
     /// Submits without blocking; a full queue is an [`ServeError::Overload`]
-    /// rejection (the admission-control path).
+    /// rejection (the admission-control path), and a malformed request an
+    /// [`ServeError::InvalidRequest`].
     pub fn try_submit(&self, req: ServeRequest) -> Result<Ticket, ServeError> {
+        self.validate(&req)?;
         let (job, ticket) = self.job(req);
         match self.queue.try_push(job) {
             Ok(()) => Ok(ticket),
@@ -464,8 +488,10 @@ impl<'s> Client<'s> {
     }
 
     /// Submits, waiting for queue space (back-pressure instead of
-    /// shedding); fails only when the session is closing.
+    /// shedding); fails only when the request is malformed
+    /// ([`ServeError::InvalidRequest`]) or the session is closing.
     pub fn submit(&self, req: ServeRequest) -> Result<Ticket, ServeError> {
+        self.validate(&req)?;
         let (job, ticket) = self.job(req);
         match self.queue.push_blocking(job) {
             Ok(()) => Ok(ticket),

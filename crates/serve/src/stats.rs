@@ -42,6 +42,8 @@ pub struct ServeStats {
     pub rd_misses: u64,
     /// Admission-control rejections (queue full → `Overload`).
     pub rejects: u64,
+    /// Requests rejected at submit as malformed (`InvalidRequest`).
+    pub invalid: u64,
     /// Requests dropped because their deadline had passed.
     pub deadline_misses: u64,
     /// Requests shed by the SLO scheduler: the rolling p99 violated the
@@ -94,6 +96,7 @@ pub(crate) struct StatsCore {
     rd_hits: StripedU64,
     rd_misses: StripedU64,
     rejects: StripedU64,
+    invalid: StripedU64,
     deadline_misses: StripedU64,
     sheds: StripedU64,
     batches: StripedU64,
@@ -120,6 +123,7 @@ impl StatsCore {
             rd_hits: StripedU64::new(),
             rd_misses: StripedU64::new(),
             rejects: StripedU64::new(),
+            invalid: StripedU64::new(),
             deadline_misses: StripedU64::new(),
             sheds: StripedU64::new(),
             batches: StripedU64::new(),
@@ -149,6 +153,11 @@ impl StatsCore {
     pub(crate) fn reject(&self) {
         self.rejects.incr();
         mp_obs::counter!("serve.rejects").incr();
+    }
+
+    pub(crate) fn invalid(&self) {
+        self.invalid.incr();
+        mp_obs::counter!("serve.invalid").incr();
     }
 
     pub(crate) fn deadline_miss(&self) {
@@ -250,6 +259,7 @@ impl StatsCore {
             rd_hits: self.rd_hits.get(),
             rd_misses: self.rd_misses.get(),
             rejects: self.rejects.get(),
+            invalid: self.invalid.get(),
             deadline_misses: self.deadline_misses.get(),
             sheds: self.sheds.get(),
             batches: self.batches.get(),
@@ -290,6 +300,7 @@ mod tests {
         core.complete(CacheStatus::Joined, 20);
         core.complete(CacheStatus::Bypass, 30);
         core.reject();
+        core.invalid();
         core.deadline_miss();
         core.shed();
         core.batch(3);
@@ -298,6 +309,7 @@ mod tests {
         assert_eq!(s.hits + s.misses + s.dedup_joins, s.completed);
         assert_eq!((s.hits, s.misses, s.dedup_joins), (1, 2, 1));
         assert_eq!((s.rejects, s.deadline_misses, s.sheds), (1, 1, 1));
+        assert_eq!(s.invalid, 1);
         assert_eq!((s.batches, s.batched_requests), (1, 3));
         assert_eq!(s.latency_count, 4);
         assert_eq!(s.latency_sum_us, 160);
