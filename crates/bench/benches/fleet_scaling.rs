@@ -7,7 +7,7 @@
 //! 20 / 200 / 2 000 / 20 000 databases × shard counts 1 / 2 / 8 and
 //! measures the **probe-free selection path** — scatter (per-shard
 //! estimates + RD derivation) → gather (global `E[Cor(DBk)]` merge) →
-//! [`ShardedMetasearcher::select_rd`] — because that is the work whose
+//! [`Metasearcher::select_rd`] — because that is the work whose
 //! cost scales with fleet size on *every* request; adaptive probing
 //! cost scales with the probe budget, not the fleet, and is covered by
 //! `apro_scaling`.
@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mp_core::{
-    CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, RelevancyDef, ShardAssignment,
-    ShardedMetasearcher,
+    CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher, RelevancyDef,
+    ShardAssignment,
 };
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
@@ -108,7 +108,7 @@ fn test_queries() -> Vec<Query> {
 /// Order-sensitive fold of the selection outcome: selected global
 /// indices in canonical order plus the exact `E[Cor]` bits. Equal
 /// checksums across shard counts ⇔ equal selections, bit-for-bit.
-fn selection_checksum(sharded: &ShardedMetasearcher, queries: &[Query], k: usize) -> u64 {
+fn selection_checksum(sharded: &Metasearcher, queries: &[Query], k: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
         h ^= v;
@@ -172,13 +172,13 @@ fn main() {
 
         let mut reference: Option<u64> = None;
         for &shards in &SHARD_COUNTS {
-            let sharded = ShardedMetasearcher::with_library(
-                &med,
-                Arc::new(IndependenceEstimator),
+            let sharded = Metasearcher::with_library(
+                med.clone(),
+                Box::new(IndependenceEstimator),
                 RelevancyDef::DocFrequency,
-                &library,
-                &ShardAssignment::RoundRobin(shards),
-            );
+                library.clone(),
+            )
+            .partitioned(&ShardAssignment::RoundRobin(shards));
             let plan = sharded.plan();
             let sizes: Vec<usize> = (0..plan.n_shards())
                 .map(|s| plan.members(s).len())

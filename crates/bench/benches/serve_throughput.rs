@@ -28,12 +28,12 @@
 //! the cold 4-worker rows fall under 0.7 — the signature of a
 //! cross-worker lock reappearing on the serve path.
 //!
-//! Two **sharded** cold rows (1 and 4 workers over a 4-shard
-//! scatter-gather backend) ride the same matrix and the same ≥ 0.7
-//! guard: the partitioned fleet answers bit-identically to the flat
-//! one (the shard layer's equivalence contract), so the rows isolate
-//! topology overhead and prove partitioning keeps the shared-nothing
-//! cold path lock-free.
+//! Two **sharded** cold rows (1 and 4 workers over the same fleet
+//! partitioned into 4 shards) ride the same matrix and the same ≥ 0.7
+//! guard: the partitioned metasearcher answers bit-identically to the
+//! one-shard one (the shard layer's equivalence contract), so the rows
+//! isolate topology overhead and prove partitioning keeps the
+//! shared-nothing cold path lock-free.
 //!
 //! The bench also emits a per-span self-time profile of the cold
 //! 4-worker pass (`repro_output/serve_obs_flame.txt`): mp-obs spans are
@@ -59,11 +59,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mp_core::{
-    IndependenceEstimator, Metasearcher, RelevancyDef, ShardAssignment, ShardedMetasearcher,
-};
+use mp_core::{IndependenceEstimator, Metasearcher, RelevancyDef, ShardAssignment};
 use mp_eval::{Testbed, TestbedConfig};
-use mp_serve::{Backend, ServeConfig, ServeRequest, Server};
+use mp_serve::{ServeConfig, ServeRequest, Server};
 use mp_workload::{OpenLoopConfig, Query};
 use serde::Serialize;
 
@@ -86,7 +84,7 @@ const BATCH_RUNS: usize = 3;
 #[derive(Serialize)]
 struct ScenarioReport {
     workers: usize,
-    /// Shards the fleet is partitioned across (1 ≙ the flat backend).
+    /// Shards the fleet is partitioned across.
     shards: usize,
     cache_cap: usize,
     /// Whether the inner `mp-core::par` fan-out was enabled for this
@@ -314,13 +312,15 @@ struct ThroughputReport {
     batched_cold_speedup: f64,
 }
 
-fn shared_metasearcher(tb: &Testbed) -> Arc<Metasearcher> {
+/// The testbed's metasearcher, its fleet partitioned into `shards`.
+fn shared_metasearcher(tb: &Testbed, shards: usize) -> Arc<Metasearcher> {
     Metasearcher::with_library(
         tb.mediator.clone(),
         Box::new(IndependenceEstimator),
         RelevancyDef::DocFrequency,
         tb.library.clone(),
     )
+    .partitioned(&ShardAssignment::ByNameFnv(shards))
     .shared()
 }
 
@@ -341,7 +341,7 @@ fn stream(queries: &[Query]) -> Vec<ServeRequest> {
 /// run, so cache-on rows pay their compulsory misses) and reports the
 /// median wall time.
 fn run_scenario(
-    backend: &Backend,
+    ms: &Arc<Metasearcher>,
     shards: usize,
     requests: &[ServeRequest],
     workers: usize,
@@ -353,7 +353,7 @@ fn run_scenario(
     let mut last_stats = None;
     // Warm-up run absorbs first-touch effects (lazy allocs, page-ins).
     for measured in [false, true, true, true, true, true] {
-        let server = Server::with_backend(backend.clone(), ServeConfig::new(workers, cache_cap));
+        let server = Server::new(Arc::clone(ms), ServeConfig::new(workers, cache_cap));
         let t = Instant::now();
         for r in server.serve_batch(requests.iter().cloned()) {
             let resp = r.expect("back-pressure submission never rejects");
@@ -496,7 +496,7 @@ fn write_flame_profile(ms: &Arc<Metasearcher>, requests: &[ServeRequest], worker
 
 fn main() {
     let tb = Testbed::build(TestbedConfig::tiny(SEED));
-    let ms = shared_metasearcher(&tb);
+    let ms = shared_metasearcher(&tb, 1);
     let queries: Vec<Query> = tb
         .split
         .test
@@ -508,21 +508,11 @@ fn main() {
     assert_eq!(queries.len(), UNIQUE, "testbed provides the unique set");
     let requests = stream(&queries);
 
-    let flat = Backend::Flat(Arc::clone(&ms));
-    // One sharded twin of the same fleet: the scatter-gather backend
-    // answers bit-identically (the shard layer's equivalence contract),
-    // so these rows measure pure topology overhead.
+    // The same fleet partitioned into shards answers bit-identically
+    // (the shard layer's equivalence contract), so these rows measure
+    // pure topology overhead.
     const SHARDS: usize = 4;
-    let sharded = Backend::Sharded(
-        ShardedMetasearcher::with_library(
-            &tb.mediator,
-            Arc::new(IndependenceEstimator),
-            RelevancyDef::DocFrequency,
-            &tb.library,
-            &ShardAssignment::ByNameFnv(SHARDS),
-        )
-        .shared(),
-    );
+    let sharded = shared_metasearcher(&tb, SHARDS);
 
     // Acceptance matrix (inner fan-out on) + cold-cache worker-scaling
     // sweep with the inner fan-out on vs forced off + cold sharded rows
@@ -544,8 +534,8 @@ fn main() {
     let mut scenarios: Vec<ScenarioReport> = matrix
         .iter()
         .map(|&(workers, cap, par, shards)| {
-            let backend = if shards == 1 { &flat } else { &sharded };
-            run_scenario(backend, shards, &requests, workers, cap, par)
+            let target = if shards == 1 { &ms } else { &sharded };
+            run_scenario(target, shards, &requests, workers, cap, par)
         })
         .collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

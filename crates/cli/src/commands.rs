@@ -221,7 +221,7 @@ pub fn run_serve(
     trace: bool,
     trace_dump: Option<&Path>,
 ) -> Result<String, StateError> {
-    use mp_serve::{Backend, PolicySpec, ServeConfig, ServeRequest, Server};
+    use mp_serve::{PolicySpec, ServeConfig, ServeRequest, Server};
 
     let st = state::load_state(dir)?;
     let library = st.library()?.clone();
@@ -240,36 +240,20 @@ pub fn run_serve(
         .cloned()
         .collect();
 
-    // `--shards 1` keeps the flat single-owner engine; anything larger
-    // partitions the fleet by FNV-hashed database name and serves over
-    // the scatter-gather backend (value-identical by the shard layer's
-    // equivalence contract).
+    // The fleet is partitioned by FNV-hashed database name; every shard
+    // count answers identically (the shard layer's equivalence contract).
     let shards = shards.max(1).min(st.testbed.mediator.len());
-    let backend = if shards > 1 {
-        Backend::Sharded(
-            mp_core::ShardedMetasearcher::with_library(
-                &st.testbed.mediator,
-                std::sync::Arc::new(mp_core::IndependenceEstimator),
-                RelevancyDef::DocFrequency,
-                &library,
-                &mp_core::ShardAssignment::ByNameFnv(shards),
-            )
-            .shared(),
-        )
-    } else {
-        Backend::Flat(
-            Metasearcher::with_library(
-                st.testbed.mediator.clone(),
-                Box::new(mp_core::IndependenceEstimator),
-                RelevancyDef::DocFrequency,
-                library,
-            )
-            .shared(),
-        )
-    };
+    let ms = Metasearcher::with_library(
+        st.testbed.mediator.clone(),
+        Box::new(mp_core::IndependenceEstimator),
+        RelevancyDef::DocFrequency,
+        library,
+    )
+    .partitioned(&mp_core::ShardAssignment::ByNameFnv(shards))
+    .shared();
     let tracing = trace || trace_dump.is_some();
-    let server = Server::with_backend(
-        backend,
+    let server = Server::new(
+        ms,
         ServeConfig {
             workers: workers.max(1),
             queue_cap: queue_cap.max(1),
@@ -457,8 +441,8 @@ mod tests {
         // hits or dedup joins.
         assert!(out.contains("result cache:"), "{out}");
 
-        // Same stream over a partitioned fleet: the scatter-gather
-        // backend serves the identical workload shape.
+        // Same stream over a partitioned fleet: the identical workload
+        // shape, at three shards.
         let sharded = run_serve(
             &dir, 2, 3, 64, 16, 1, None, 4, 3, 1, 0.8, "greedy", false, None,
         )

@@ -12,8 +12,8 @@
 //! `(database, actual)` sequence. Every request's outcome, probe trace,
 //! fused hits, and probe accounting are bit-identical to running
 //! [`crate::Metasearcher::search_with_rds`] per request in isolation
-//! (`tests/batch_equivalence.rs` pins this on flat and sharded
-//! backends). Grouping is fully deterministic: demands are dispatched
+//! (`tests/batch_equivalence.rs` pins this at shard counts 1, 2, 3
+//! and 8). Grouping is fully deterministic: demands are dispatched
 //! in ascending `(database, request)` order, never hash order.
 //!
 //! Databases whose answers depend on *global* probe order (failure
@@ -27,7 +27,7 @@ use crate::fusion::fuse;
 use crate::metasearcher::MetasearchResult;
 use crate::probing::{AproConfig, AproOutcome, AproSession, ProbePolicy};
 use crate::relevancy::RelevancyDef;
-use mp_hidden::{HiddenWebDatabase, SearchResponse};
+use mp_hidden::{Mediator, SearchResponse};
 use mp_stats::Discrete;
 use mp_text::TermId;
 use mp_workload::Query;
@@ -45,10 +45,10 @@ pub struct BatchQuery<'a> {
     pub policy: Box<dyn ProbePolicy>,
 }
 
-/// Runs the lock-step executor over `items`. `db_at` routes a global
-/// database index to its handle (flat mediator or sharded plan).
-pub(crate) fn search_batch_impl<'e>(
-    db_at: &dyn Fn(usize) -> &'e (dyn HiddenWebDatabase + 'e),
+/// Runs the lock-step executor over `items`, probing and dispatching
+/// through `mediator`.
+pub(crate) fn search_batch_impl(
+    mediator: &Mediator,
     def: RelevancyDef,
     probe_top_n: usize,
     fuse_limit: usize,
@@ -97,14 +97,14 @@ pub(crate) fn search_batch_impl<'e>(
             }
             if e - s == 1 {
                 let i = demands[s].1;
-                let actual = def.probe(db_at(db), queries[i], probe_top_n);
+                let actual = def.probe(mediator.db(db), queries[i], probe_top_n);
                 sessions[i].apply(db, actual);
             } else {
                 let shared: Vec<&[TermId]> = demands[s..e]
                     .iter()
                     .map(|&(_, i)| queries[i].terms())
                     .collect();
-                let actuals = def.probe_batch(db_at(db), &shared, probe_top_n);
+                let actuals = def.probe_batch(mediator.db(db), &shared, probe_top_n);
                 for (&(_, i), actual) in demands[s..e].iter().zip(actuals) {
                     sessions[i].apply(db, actual);
                 }
@@ -138,13 +138,13 @@ pub(crate) fn search_batch_impl<'e>(
         }
         if e - s == 1 {
             let (_, i, pos) = dispatch[s];
-            responses[i][pos] = Some((db, db_at(db).search(queries[i].terms(), top_n)));
+            responses[i][pos] = Some((db, mediator.db(db).search(queries[i].terms(), top_n)));
         } else {
             let shared: Vec<&[TermId]> = dispatch[s..e]
                 .iter()
                 .map(|&(_, i, _)| queries[i].terms())
                 .collect();
-            let answers = db_at(db).search_batch(&shared, top_n);
+            let answers = mediator.db(db).search_batch(&shared, top_n);
             for (&(_, i, pos), answer) in dispatch[s..e].iter().zip(answers) {
                 responses[i][pos] = Some((db, answer));
             }

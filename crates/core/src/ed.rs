@@ -156,19 +156,6 @@ impl EdLibrary {
         QueryType::classify(n_terms, estimate, &self.config.coverage_thresholds)
     }
 
-    /// The library restricted to `databases` (global indices), in the
-    /// given order. A shard of a partitioned fleet consults exactly the
-    /// slice of the global library its members own: because training
-    /// records each observation under one database only, slicing a
-    /// flat-trained library and training the shard in isolation produce
-    /// bit-identical EDs (pinned by the shard-layer tests).
-    pub fn subset(&self, databases: &[usize]) -> Self {
-        Self {
-            per_db: databases.iter().map(|&i| self.per_db[i].clone()).collect(),
-            config: self.config.clone(),
-        }
-    }
-
     /// Per-type sample counts for one database (diagnostics / reports).
     pub fn sample_counts(&self, db: usize) -> Vec<(QueryType, u64)> {
         let mut v: Vec<(QueryType, u64)> = self.per_db[db]
@@ -261,28 +248,6 @@ mod tests {
             coverage: 0,
         };
         assert!(lib.ed_or_fallback(0, qt).is_none());
-    }
-
-    #[test]
-    fn subset_reindexes_and_preserves_leaves() {
-        let mut lib = EdLibrary::empty(3, config());
-        lib.record(0, 2, 50.0, 100.0);
-        lib.record(2, 3, 10.0, 0.0);
-        let sub = lib.subset(&[2, 0]);
-        assert_eq!(sub.n_databases(), 2);
-        let low3 = QueryType {
-            arity: ArityBucket::ThreeUp,
-            coverage: 0,
-        };
-        let low2 = QueryType {
-            arity: ArityBucket::Two,
-            coverage: 0,
-        };
-        // Global db 2 is now local 0, global 0 is local 1; the EDs
-        // compare bit-for-bit against the originals.
-        assert_eq!(sub.ed(0, low3), lib.ed(2, low3));
-        assert_eq!(sub.ed(1, low2), lib.ed(0, low2));
-        assert!(sub.ed(0, low2).is_none());
     }
 
     #[test]

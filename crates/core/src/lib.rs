@@ -19,12 +19,12 @@
 //!    (Fig. 11) with the paper's greedy policy (Section 5.4) plus
 //!    random / by-estimate / max-uncertainty / exhaustive-optimal
 //!    comparison policies.
-//! 6. **The metasearcher facade** ([`metasearcher`], [`fusion`]) —
-//!    train-then-serve pipeline with certainty-controlled selection and
-//!    result fusion.
-//! 7. **The shard layer** ([`shard`]) — scatter-gather selection over a
-//!    partitioned fleet, bit-identical to the unsharded engine for
-//!    every topology.
+//! 6. **The metasearcher** ([`metasearcher`], [`fusion`]) — the one
+//!    engine: train-then-serve pipeline with certainty-controlled
+//!    selection and result fusion.
+//! 7. **The shard layer** ([`shard`]) — a partition of the metasearcher's
+//!    one fleet into member lists, with scatter-gather RD derivation
+//!    bit-identical at every shard count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,4 +60,4 @@ pub use probing::{apro, AproConfig, AproOutcome, GreedyPolicy, ProbePolicy};
 pub use query_type::QueryType;
 pub use relevancy::RelevancyDef;
 pub use selection::{baseline_select, best_set, rd_based_select};
-pub use shard::{Shard, ShardAssignment, ShardPlan, ShardScatter, ShardedMetasearcher};
+pub use shard::{ShardAssignment, ShardPlan};

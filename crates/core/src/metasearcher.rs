@@ -1,11 +1,13 @@
-//! The metasearcher facade: train once, then answer queries with
+//! The metasearcher: train once, then answer queries with
 //! certainty-controlled database selection and result fusion.
 //!
 //! Query-time selection ([`Metasearcher::select_rd`],
 //! [`Metasearcher::select_adaptive`], [`Metasearcher::search`]) runs on
 //! the parallel incremental evaluation engine ([`crate::engine`],
-//! [`crate::par`]); the facade adds no threading of its own, so results
-//! are identical with or without the `parallel` feature.
+//! [`crate::par`]); the only fan-out the facade adds is the shard
+//! scatter of [`Metasearcher::rds`] ([`crate::shard`]), so results are
+//! identical with or without the `parallel` feature and at every shard
+//! count.
 
 use crate::config::CoreConfig;
 use crate::correctness::CorrectnessMetric;
@@ -14,9 +16,10 @@ use crate::estimator::RelevancyEstimator;
 use crate::expected::RdState;
 use crate::fusion::{fuse, FusedHit};
 use crate::probing::{apro, AproConfig, AproOutcome, ProbePolicy};
-use crate::rd::derive_all_rds;
+use crate::rd::derive_db_rd;
 use crate::relevancy::RelevancyDef;
 use crate::selection::{baseline_select, best_set};
+use crate::shard::{ShardAssignment, ShardPlan};
 use mp_hidden::Mediator;
 use mp_stats::Discrete;
 use mp_workload::Query;
@@ -39,18 +42,24 @@ pub struct MetasearchResult {
     pub probes_used: usize,
 }
 
-/// A trained probabilistic metasearcher (paper Figure 1's middle box).
+/// A trained probabilistic metasearcher (paper Figure 1's middle box):
+/// one mediator, estimator, relevancy definition and ED library over
+/// the whole fleet, in global index order, plus the [`ShardPlan`] its
+/// RD derivation scatters over (one shard unless
+/// [`Self::partitioned`]).
 pub struct Metasearcher {
     mediator: Mediator,
     estimator: Box<dyn RelevancyEstimator>,
     def: RelevancyDef,
     library: EdLibrary,
+    plan: ShardPlan,
 }
 
 impl std::fmt::Debug for Metasearcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Metasearcher")
             .field("databases", &self.mediator.len())
+            .field("shards", &self.plan.n_shards())
             .field("estimator", &self.estimator.name())
             .field("relevancy", &self.def.to_string())
             .finish()
@@ -71,12 +80,7 @@ impl Metasearcher {
     ) -> Self {
         let library = EdLibrary::train(&mediator, estimator.as_ref(), def, train_queries, &config);
         mediator.reset_probes();
-        Self {
-            mediator,
-            estimator,
-            def,
-            library,
-        }
+        Self::with_library(mediator, estimator, def, library)
     }
 
     /// Assembles a metasearcher around a pre-trained library (used by
@@ -93,10 +97,23 @@ impl Metasearcher {
             "library does not cover the mediated databases"
         );
         Self {
+            plan: ShardPlan::new(&ShardAssignment::RoundRobin(1), &mediator),
             mediator,
             estimator,
             def,
             library,
+        }
+    }
+
+    /// Partitions the fleet under `assignment`: each shard derives its
+    /// members' RDs from the fleet's summaries and library, and probes
+    /// stay on the one mediator (see [`crate::shard`]). Every answer is
+    /// bit-identical at every partition.
+    #[must_use]
+    pub fn partitioned(self, assignment: &ShardAssignment) -> Self {
+        Self {
+            plan: ShardPlan::new(assignment, &self.mediator),
+            ..self
         }
     }
 
@@ -123,17 +140,48 @@ impl Metasearcher {
         self.def
     }
 
-    /// Point estimates `r̂(db_i, q)` for every database.
-    pub fn estimates(&self, query: &Query) -> Vec<f64> {
-        (0..self.mediator.len())
-            .map(|i| self.estimator.estimate(self.mediator.summary(i), query))
+    /// The partition RD derivation scatters over.
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
+    }
+
+    /// Probes served per shard since the last reset: the probe counters
+    /// of each shard's members, summed.
+    pub fn shard_probes(&self) -> Vec<u64> {
+        (0..self.plan.n_shards())
+            .map(|s| {
+                self.plan
+                    .members(s)
+                    .iter()
+                    .map(|&i| self.mediator.db(i).probe_count())
+                    .sum()
+            })
             .collect()
     }
 
-    /// The query's relevancy distributions across all databases.
-    // mp-lint: allow(L6): pure delegation to derive_all_rds, which asserts
+    /// Point estimates `r̂(db_i, q)` for every database.
+    pub fn estimates(&self, query: &Query) -> Vec<f64> {
+        self.estimates_of(0..self.mediator.len(), query)
+    }
+
+    fn estimates_of(&self, dbs: impl Iterator<Item = usize>, query: &Query) -> Vec<f64> {
+        dbs.map(|i| self.estimator.estimate(self.mediator.summary(i), query))
+            .collect()
+    }
+
+    /// The query's relevancy distributions across all databases, in
+    /// global index order: each shard estimates, then derives, its
+    /// members' RDs, and the gather reassembles them ([`crate::shard`]).
+    // mp-lint: allow(L6): every element comes from derive_rd, which asserts
     pub fn rds(&self, query: &Query) -> Vec<Discrete> {
-        derive_all_rds(&self.estimates(query), query, &self.library)
+        self.plan.scatter_gather(|members| {
+            let estimates = self.estimates_of(members.iter().copied(), query);
+            members
+                .iter()
+                .zip(estimates)
+                .map(|(&i, estimate)| derive_db_rd(estimate, i, query, &self.library))
+                .collect()
+        })
     }
 
     /// Baseline selection (pure estimate ranking, paper Section 2.2).
@@ -246,13 +294,7 @@ impl Metasearcher {
             );
         }
         let probe_top_n = self.library.config().probe_top_n;
-        crate::batch::search_batch_impl(
-            &|i| self.mediator.db(i),
-            self.def,
-            probe_top_n,
-            fuse_limit,
-            items,
-        )
+        crate::batch::search_batch_impl(&self.mediator, self.def, probe_top_n, fuse_limit, items)
     }
 }
 

@@ -59,11 +59,20 @@ where
 {
     #[cfg(feature = "parallel")]
     {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        if parallel_enabled() && threads > 1 && n >= min_chunk.max(2) {
+        // The core count is asked of the OS once per process, and only
+        // once a fork-join is on the table: the query reads cgroup
+        // limits and costs tens of microseconds, which a per-call
+        // lookup would charge to every sequential call too.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let threads = if parallel_enabled() && n >= min_chunk.max(2) {
+            let cores = *CORES.get_or_init(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            });
+            cores.min(n)
+        } else {
+            1
+        };
+        if threads > 1 {
             mp_obs::counter!("par.fanouts").incr();
             let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
             let chunk = n.div_ceil(threads);

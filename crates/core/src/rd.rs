@@ -28,9 +28,19 @@ pub fn derive_rd(estimate: f64, ed: Option<&ErrorDistribution>, config: &CoreCon
     rd
 }
 
-/// Derives the RDs of a query against every database in one call,
-/// classifying the query per database (classification is
+/// Derives the RD of a query on database `db` of `lib`, classifying the
+/// query for that database first (classification is
 /// database-dependent: paper Section 4.1).
+///
+/// `estimate` must be the estimator output for database `db`.
+// mp-lint: allow(L6): pure delegation to derive_rd, which asserts
+pub fn derive_db_rd(estimate: f64, db: usize, query: &Query, lib: &EdLibrary) -> Discrete {
+    let qt = lib.classify(query.len(), estimate);
+    derive_rd(estimate, lib.ed_or_fallback(db, qt), lib.config())
+}
+
+/// Derives the RDs of a query against every database in one call
+/// ([`derive_db_rd`] per database).
 ///
 /// `estimates[i]` must be the estimator output for database `i`.
 // mp-lint: allow(L6): every element comes from derive_rd, which asserts
@@ -43,10 +53,7 @@ pub fn derive_all_rds(estimates: &[f64], query: &Query, lib: &EdLibrary) -> Vec<
     estimates
         .iter()
         .enumerate()
-        .map(|(i, &est)| {
-            let qt = lib.classify(query.len(), est);
-            derive_rd(est, lib.ed_or_fallback(i, qt), lib.config())
-        })
+        .map(|(i, &est)| derive_db_rd(est, i, query, lib))
         .collect()
 }
 

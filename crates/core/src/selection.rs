@@ -185,7 +185,7 @@ mod tests {
 
     /// Exhaustive oracle over all k-subsets.
     fn brute_best(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> f64 {
-        fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        fn k_sets(n: usize, k: usize) -> Vec<Vec<usize>> {
             let mut out = Vec::new();
             let mut cur = Vec::new();
             fn rec(
@@ -208,7 +208,7 @@ mod tests {
             rec(0, n, k, &mut cur, &mut out);
             out
         }
-        subsets(rds.len(), k)
+        k_sets(rds.len(), k)
             .into_iter()
             .map(|s| crate::expected::expected_correctness(rds, &s, metric))
             .fold(0.0, f64::max)

@@ -14,15 +14,15 @@
 //!   satisfied flag, fused hits;
 //! * **probe accounting** is exactly equal per database: batching never
 //!   adds, saves, or reorders a probe's cost onto another database;
-//! * both hold on the **flat** and the **sharded** backend, across
-//!   shard counts {1, 2, 3, 8}.
+//! * both hold at every shard count {1, 2, 3, 8} of a partitioned
+//!   metasearcher.
 
 use std::sync::Arc;
 
 use mp_core::probing::GreedyPolicy;
 use mp_core::{
     AproConfig, BatchQuery, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator,
-    MetasearchResult, Metasearcher, RelevancyDef, ShardAssignment, ShardedMetasearcher,
+    MetasearchResult, Metasearcher, RelevancyDef, ShardAssignment,
 };
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
@@ -116,19 +116,6 @@ fn flat_probe_counts(ms: &Metasearcher) -> Vec<u64> {
         .collect()
 }
 
-fn sharded_probe_counts(sharded: &ShardedMetasearcher) -> Vec<u64> {
-    (0..sharded.n_databases())
-        .map(|g| {
-            let shard = &sharded.shards()[sharded.plan().shard_of(g)];
-            shard
-                .mediator()
-                .expect("owning shard is non-empty")
-                .db(sharded.plan().local_of(g))
-                .probe_count()
-        })
-        .collect()
-}
-
 fn apro_config(k: usize, threshold: f64) -> AproConfig {
     AproConfig {
         k,
@@ -184,8 +171,9 @@ fn assert_flat_equivalent(
     expected
 }
 
-/// Same comparison on the sharded backend: batched sharded execution vs
-/// the per-request flat engine, including owning-shard accounting.
+/// Same comparison on partitioned metasearchers: batched execution at
+/// every shard count vs the per-request one-shard engine, including
+/// per-database probe accounting.
 fn assert_sharded_equivalent(
     indexes: &[InvertedIndex],
     lib: &EdLibrary,
@@ -196,21 +184,14 @@ fn assert_sharded_equivalent(
 ) {
     for shards in SHARD_COUNTS {
         let assignment = ShardAssignment::RoundRobin(shards);
-        let sharded = ShardedMetasearcher::with_library(
-            &stack(indexes),
-            Arc::new(IndependenceEstimator),
-            RelevancyDef::DocFrequency,
-            lib,
-            &assignment,
-        );
-        let rd_source = flat_twin(indexes, lib);
-        let got = sharded.search_batch_with_rds(items(&rd_source, queries, config), 5);
+        let sharded = flat_twin(indexes, lib).partitioned(&assignment);
+        let got = sharded.search_batch_with_rds(items(&sharded, queries, config), 5);
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(expected).enumerate() {
             assert_eq!(g, e, "request {i} diverged batched at {shards} shards");
         }
         assert_eq!(
-            sharded_probe_counts(&sharded),
+            flat_probe_counts(&sharded),
             expected_counts,
             "probe counters diverged batched at {shards} shards"
         );
@@ -279,8 +260,8 @@ proptest::proptest! {
 
     /// Random fleets × random batches (sizes 1..7, queries drawn from a
     /// small pool so duplicates and partial overlaps occur naturally):
-    /// the batch executor replays per-request execution bit-for-bit on
-    /// flat and sharded backends.
+    /// the batch executor replays per-request execution bit-for-bit at
+    /// every shard count.
     #[test]
     fn random_batches_are_bit_identical(
         specs in proptest::collection::vec((0u8..=255, 0u8..=255), 2..7),

@@ -1,5 +1,5 @@
-//! Cross-topology equivalence: the sharded metasearcher is
-//! indistinguishable from the unsharded engine — bit-for-bit.
+//! Cross-topology equivalence: a partitioned metasearcher is
+//! indistinguishable from the one-shard engine — bit-for-bit.
 //!
 //! The suite builds *twin stacks* (two independent database fleets from
 //! identical deterministic inputs, so probe counters and injection RNGs
@@ -8,13 +8,13 @@
 //! asserts:
 //!
 //! * **RD vectors** replay bit-identically (scatter → gather equals the
-//!   flat derivation);
+//!   one-shard derivation);
 //! * **selections and probe sequences** replay exactly — the whole
 //!   [`AproOutcome`](mp_core::AproOutcome) (selected order, certainty
 //!   bits, per-probe trace, satisfied flag) compares equal, as does the
 //!   fused [`MetasearchResult`](mp_core::MetasearchResult);
-//! * **probe accounting** lands on the owning shard and sums to the
-//!   flat twin's per-database counters;
+//! * **probe accounting** is equal per database, and each shard's sum
+//!   is exactly its members' share;
 //! * **`ProbeBudget`s** (attempts / retries / failures / outages under
 //!   failure injection) stay exactly equal per database — topology is
 //!   invisible even to the injection layer.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use mp_core::probing::GreedyPolicy;
 use mp_core::{
     AproConfig, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher,
-    RelevancyDef, ShardAssignment, ShardedMetasearcher,
+    RelevancyDef, ShardAssignment,
 };
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb, UnreliableDb};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
@@ -123,36 +123,7 @@ fn flat_twin(indexes: &[InvertedIndex], lib: &EdLibrary) -> Metasearcher {
     )
 }
 
-fn sharded_twin(
-    indexes: &[InvertedIndex],
-    lib: &EdLibrary,
-    assignment: &ShardAssignment,
-) -> ShardedMetasearcher {
-    ShardedMetasearcher::with_library(
-        &stack(indexes),
-        Arc::new(IndependenceEstimator),
-        RelevancyDef::DocFrequency,
-        lib,
-        assignment,
-    )
-}
-
-/// Per-database probe counters of the sharded twin, reassembled into
-/// global index order through the plan (owning-shard accounting).
-fn sharded_probe_counts(sharded: &ShardedMetasearcher) -> Vec<u64> {
-    (0..sharded.n_databases())
-        .map(|g| {
-            let shard = &sharded.shards()[sharded.plan().shard_of(g)];
-            shard
-                .mediator()
-                .expect("owning shard is non-empty")
-                .db(sharded.plan().local_of(g))
-                .probe_count()
-        })
-        .collect()
-}
-
-fn flat_probe_counts(ms: &Metasearcher) -> Vec<u64> {
+fn probe_counts(ms: &Metasearcher) -> Vec<u64> {
     (0..ms.mediator().len())
         .map(|i| ms.mediator().db(i).probe_count())
         .collect()
@@ -166,9 +137,9 @@ fn assert_equivalent(
     config: &AproConfig,
 ) {
     let ms = flat_twin(indexes, lib);
-    let sharded = sharded_twin(indexes, lib, assignment);
+    let sharded = flat_twin(indexes, lib).partitioned(assignment);
     for q in test_queries() {
-        // RD vectors: scatter → gather equals the flat derivation.
+        // RD vectors: scatter → gather equals the one-shard derivation.
         assert_eq!(
             sharded.rds(&q),
             ms.rds(&q),
@@ -185,8 +156,8 @@ fn assert_equivalent(
     }
     // Probe accounting: identical per database, and the sharded side's
     // per-shard totals are exactly the owning shards' shares.
-    let flat_counts = flat_probe_counts(&ms);
-    let sharded_counts = sharded_probe_counts(&sharded);
+    let flat_counts = probe_counts(&ms);
+    let sharded_counts = probe_counts(&sharded);
     assert_eq!(sharded_counts, flat_counts, "probe counters diverged");
     let mut per_shard = vec![0u64; sharded.plan().n_shards()];
     for (g, &c) in sharded_counts.iter().enumerate() {
@@ -194,7 +165,7 @@ fn assert_equivalent(
     }
     assert_eq!(sharded.shard_probes(), per_shard);
     assert_eq!(
-        sharded.total_probes(),
+        sharded.shard_probes().iter().sum::<u64>(),
         ms.mediator().total_probes(),
         "fleet-wide probe totals diverged"
     );
@@ -213,7 +184,8 @@ proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
 
     /// Random fleets × random partitions × shards ∈ {1,2,3,8}: the
-    /// sharded metasearcher replays the unsharded engine bit-for-bit.
+    /// partitioned metasearcher replays the one-shard engine
+    /// bit-for-bit.
     #[test]
     fn random_partitions_are_bit_identical(
         specs in proptest::collection::vec((0u8..=255, 0u8..=255), 2..10),
@@ -281,13 +253,13 @@ proptest::proptest! {
             RelevancyDef::DocFrequency,
             lib.clone(),
         );
-        let sharded = ShardedMetasearcher::with_library(
-            &shard_med,
-            Arc::new(IndependenceEstimator),
+        let sharded = Metasearcher::with_library(
+            shard_med,
+            Box::new(IndependenceEstimator),
             RelevancyDef::DocFrequency,
-            &lib,
-            &ShardAssignment::RoundRobin(shards),
-        );
+            lib.clone(),
+        )
+        .partitioned(&ShardAssignment::RoundRobin(shards));
         for q in test_queries() {
             let mut p_flat = GreedyPolicy;
             let mut p_shard = GreedyPolicy;
@@ -350,36 +322,5 @@ fn adversarial_partitions_are_bit_identical() {
                 &apro_config(k, threshold, metric),
             );
         }
-    }
-}
-
-/// Shard-local training equals slicing a flat-trained library, fleet-
-/// and assignment-independent — so deployments can train where the
-/// data lives without a merge step.
-#[test]
-fn shard_local_training_matches_flat_training() {
-    let specs: Vec<(u8, u8)> = (0u8..6)
-        .map(|i| (29u8.wrapping_mul(i + 2), 7u8.wrapping_mul(i)))
-        .collect();
-    let indexes = build_indexes(&specs);
-    let flat_lib = library(&stack(&indexes));
-    for shards in SHARD_COUNTS {
-        let assignment = ShardAssignment::ByNameFnv(shards);
-        let sharded = ShardedMetasearcher::train(
-            &stack(&indexes),
-            Arc::new(IndependenceEstimator),
-            RelevancyDef::DocFrequency,
-            &train_queries(),
-            CoreConfig::default().with_threshold(10.0),
-            &assignment,
-        );
-        for (s, shard) in sharded.shards().iter().enumerate() {
-            assert_eq!(
-                shard.library(),
-                &flat_lib.subset(sharded.plan().members(s)),
-                "shard {s}/{shards} trained a different library slice"
-            );
-        }
-        assert_eq!(sharded.total_probes(), 0, "training must reset probes");
     }
 }

@@ -276,13 +276,14 @@ pub struct HistogramRow {
 impl HistogramRow {
     /// An upper bound on the `q`-quantile of the recorded values, read
     /// off the bucket counts: the bound of the first bucket where the
-    /// cumulative count reaches `q · count` (the overflow bucket
-    /// reports [`max`](Self::max), the tightest bound the row holds).
+    /// cumulative count reaches `q · count`, clamped to the observed
+    /// [`max`](Self::max) (the overflow bucket reports `max` itself).
     /// Returns 0 for an empty histogram; `q` is clamped to `[0, 1]`.
     ///
-    /// The estimate is conservative — never below the true quantile,
-    /// and off by at most one bucket width. Serving-layer p50/p99
-    /// readouts use this on the `LATENCY_US` bounds.
+    /// The estimate is never below the true quantile, never above the
+    /// observed max, monotone in `q`, and off by at most one bucket
+    /// width. Serving-layer p50/p99 readouts use this on the
+    /// `LATENCY_US` bounds.
     pub fn approx_quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -292,11 +293,9 @@ impl HistogramRow {
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
             if cum > 0 && cum as f64 >= target {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                };
+                // The chosen bucket is non-empty, so its bound clamped
+                // to the max is still at least the min.
+                return self.bounds.get(i).map_or(self.max, |&b| b.min(self.max));
             }
         }
         self.max

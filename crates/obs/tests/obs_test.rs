@@ -278,6 +278,7 @@ mod enabled {
 /// global lock).
 mod quantiles {
     use mp_obs::HistogramRow;
+    use proptest::prelude::*;
 
     fn row(bounds: &[u64], buckets: &[u64], min: u64, max: u64) -> HistogramRow {
         let count = buckets.iter().sum();
@@ -324,11 +325,11 @@ mod quantiles {
         assert_eq!(only_overflow.approx_quantile(0.99), 900);
 
         // Out-of-range q clamps instead of panicking or skipping
-        // buckets; a bounded bucket reports its bound even when the
-        // true max is smaller (conservative by design).
+        // buckets; a bounded bucket whose bound exceeds the observed max
+        // reports the max instead (a quantile never exceeds the max).
         let r = row(&[10, 100], &[5, 5, 0], 1, 60);
         assert_eq!(r.approx_quantile(-3.0), 10);
-        assert_eq!(r.approx_quantile(7.5), 100);
+        assert_eq!(r.approx_quantile(7.5), 60);
     }
 
     #[test]
@@ -351,6 +352,54 @@ mod quantiles {
                 "q={q}: estimate {} below true value {v}",
                 r.approx_quantile(q)
             );
+        }
+    }
+
+    /// A row holding `values` exactly as the live histogram records
+    /// them: inclusive upper bounds, then the overflow bucket.
+    fn row_of(bounds: &[u64], values: &[u64]) -> HistogramRow {
+        let mut buckets = vec![0u64; bounds.len() + 1];
+        for &v in values {
+            buckets[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += 1;
+        }
+        let min = values.iter().copied().min().unwrap_or(0);
+        let max = values.iter().copied().max().unwrap_or(0);
+        row(bounds, &buckets, min, max)
+    }
+
+    /// The exact `q`-quantile under the estimator's rank convention:
+    /// the smallest sample whose 1-based rank reaches `q · n`.
+    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+        let target = q.clamp(0.0, 1.0) * sorted.len() as f64;
+        let rank = (1..=sorted.len())
+            .find(|&r| r as f64 >= target)
+            .unwrap_or(sorted.len());
+        sorted[rank - 1]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// For random samples on random bounds and any q ≤ q′:
+        /// exact q-quantile ≤ approx(q) ≤ approx(q′) ≤ max.
+        #[test]
+        fn approx_quantile_is_bracketed_by_exact_and_max(
+            values in proptest::collection::vec(0u64..20_000, 1..80),
+            raw_bounds in proptest::collection::vec(1u64..20_000, 0..8),
+            q in 0.0f64..=1.0,
+            dq in 0.0f64..=1.0,
+        ) {
+            let mut bounds = raw_bounds;
+            bounds.sort_unstable();
+            bounds.dedup();
+            let r = row_of(&bounds, &values);
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let q_hi = (q + dq).min(1.0);
+            let (lo, hi) = (r.approx_quantile(q), r.approx_quantile(q_hi));
+            prop_assert!(exact_quantile(&sorted, q) <= lo, "exact above approx at q={}", q);
+            prop_assert!(lo <= hi, "approx not monotone: {} > {} for {} <= {}", lo, hi, q, q_hi);
+            prop_assert!(hi <= r.max, "approx {} above the max {}", hi, r.max);
         }
     }
 }

@@ -163,11 +163,14 @@ fn approx_quantile_empty_row_is_zero() {
 
 #[test]
 fn approx_quantile_single_bucket_reports_its_bound() {
-    // Everything in one finite bucket: every quantile is that bound.
+    // Everything in one finite bucket: every quantile is that bound,
+    // clamped to the observed max when the max sits below it.
     let single = row(&[10], &[4, 0], 7);
-    assert_eq!(single.approx_quantile(0.0), 10);
-    assert_eq!(single.approx_quantile(0.5), 10);
-    assert_eq!(single.approx_quantile(1.0), 10);
+    assert_eq!(single.approx_quantile(0.0), 7);
+    assert_eq!(single.approx_quantile(0.5), 7);
+    assert_eq!(single.approx_quantile(1.0), 7);
+    let full = row(&[10], &[4, 0], 10);
+    assert_eq!(full.approx_quantile(0.5), 10);
 }
 
 #[test]

@@ -65,7 +65,7 @@ mod stats;
 pub use cache::{CacheOutcome, Claim, FlightWaiter, Lease, LruCache, ShardedCache};
 pub use queue::{BoundedQueue, TryPushError};
 pub use server::{
-    Backend, CacheKey, CacheStatus, Client, PolicySpec, ServeConfig, ServeError, ServeRequest,
+    CacheKey, CacheStatus, Client, PolicySpec, ServeConfig, ServeError, ServeRequest,
     ServeResponse, Server, Ticket,
 };
 pub use stats::ServeStats;

@@ -33,12 +33,11 @@ pub(crate) fn run_scoped<R>(server: &Server, driver: impl FnOnce(&Client<'_>) ->
     let workers = server.config().workers.max(1);
     // Pre-size each worker's thread-local retrieval scratch for the
     // largest mediated collection, so no serve-path query ever grows
-    // (= reallocates) the dense accumulator mid-request. The target is
-    // computed by the backend so it spans *every* shard of a
-    // partitioned fleet — any worker may serve any shard's probes.
-    // Databases hiding their size fall back to lazy growth on first
-    // contact.
-    let warm_docs = server.backend().max_size_hint();
+    // (= reallocates) the dense accumulator mid-request. The one fleet
+    // mediator spans every shard of a partitioned metasearcher, and
+    // any worker may serve any shard's probes. Databases hiding their
+    // size fall back to lazy growth on first contact.
+    let warm_docs = server.metasearcher().mediator().max_size_hint();
     let window = server.config().batch_window.max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use mp_core::probing::{
     ByEstimatePolicy, GreedyPolicy, ProbePolicy, RandomPolicy, UncertaintyPolicy,
 };
-use mp_core::{AproConfig, CorrectnessMetric, MetasearchResult, Metasearcher, ShardedMetasearcher};
+use mp_core::{AproConfig, CorrectnessMetric, MetasearchResult, Metasearcher};
 use mp_stats::Discrete;
 use mp_workload::Query;
 
@@ -446,7 +446,7 @@ impl<'s> Client<'s> {
     fn validate(&self, req: &ServeRequest) -> Result<(), ServeError> {
         let why = if req.k == 0 {
             "k must be at least 1"
-        } else if req.k > self.server.ms.n_databases() {
+        } else if req.k > self.server.ms.mediator().len() {
             "k exceeds the number of databases"
         } else if !(0.0..=1.0).contains(&req.threshold) {
             "threshold must be a finite value in [0, 1]"
@@ -505,79 +505,10 @@ impl<'s> Client<'s> {
     }
 }
 
-/// The selection engine behind a [`Server`]: one flat facade or a
-/// partitioned fleet. The two answer every request bit-identically
-/// (the shard layer's cross-topology equivalence contract), so the
-/// serving tier treats the choice as a deployment knob, not a semantic
-/// one — caches, dedup, and stats are backend-agnostic. Cloning is
-/// cheap: both variants hold the engine behind an `Arc`.
-#[derive(Clone)]
-pub enum Backend {
-    /// The unsharded [`Metasearcher`] facade.
-    Flat(Arc<Metasearcher>),
-    /// The scatter-gather [`ShardedMetasearcher`] over a partitioned
-    /// fleet, probes routed to the owning shard.
-    Sharded(Arc<ShardedMetasearcher>),
-}
-
-impl Backend {
-    // mp-lint: allow(L6): pure dispatch — both engines assert normalization at derivation
-    fn rds(&self, query: &Query) -> Vec<Discrete> {
-        match self {
-            Backend::Flat(ms) => ms.rds(query),
-            Backend::Sharded(sms) => sms.rds(query),
-        }
-    }
-
-    fn search_with_rds(
-        &self,
-        query: &Query,
-        rds: Vec<Discrete>,
-        config: AproConfig,
-        policy: &mut dyn mp_core::probing::ProbePolicy,
-        fuse_limit: usize,
-    ) -> MetasearchResult {
-        match self {
-            Backend::Flat(ms) => ms.search_with_rds(query, rds, config, policy, fuse_limit),
-            Backend::Sharded(sms) => sms.search_with_rds(query, rds, config, policy, fuse_limit),
-        }
-    }
-
-    fn search_batch_with_rds(
-        &self,
-        items: Vec<mp_core::BatchQuery<'_>>,
-        fuse_limit: usize,
-    ) -> Vec<MetasearchResult> {
-        match self {
-            Backend::Flat(ms) => ms.search_batch_with_rds(items, fuse_limit),
-            Backend::Sharded(sms) => sms.search_batch_with_rds(items, fuse_limit),
-        }
-    }
-
-    /// The fleet-wide scratch warm target: the largest advertised
-    /// database size across *every* shard. The pool once read a single
-    /// global mediator here — a latent single-owner assumption that
-    /// would under-warm workers serving multi-shard fleets.
-    pub fn max_size_hint(&self) -> usize {
-        match self {
-            Backend::Flat(ms) => ms.mediator().max_size_hint(),
-            Backend::Sharded(sms) => sms.max_size_hint(),
-        }
-    }
-
-    /// Total databases behind this backend.
-    pub fn n_databases(&self) -> usize {
-        match self {
-            Backend::Flat(ms) => ms.mediator().len(),
-            Backend::Sharded(sms) => sms.n_databases(),
-        }
-    }
-}
-
 /// A concurrent, cache-backed serving front-end over a shared
-/// [`Metasearcher`] (or its sharded twin — see [`Backend`]).
+/// [`Metasearcher`] (partitioned or not: answers are identical).
 pub struct Server {
-    ms: Backend,
+    ms: Arc<Metasearcher>,
     config: ServeConfig,
     results: ShardedCache<CacheKey, MetasearchResult>,
     rds: ShardedCache<Query, Vec<Discrete>>,
@@ -592,18 +523,6 @@ pub struct Server {
 impl Server {
     /// Builds a server over a shared trained facade.
     pub fn new(ms: Arc<Metasearcher>, config: ServeConfig) -> Self {
-        Self::with_backend(Backend::Flat(ms), config)
-    }
-
-    /// Builds a server over a partitioned fleet (see [`Backend`]):
-    /// responses stay bit-identical to [`Server::new`] over the
-    /// unsharded twin at every worker count.
-    pub fn new_sharded(sms: Arc<ShardedMetasearcher>, config: ServeConfig) -> Self {
-        Self::with_backend(Backend::Sharded(sms), config)
-    }
-
-    /// Builds a server over an explicit backend.
-    pub fn with_backend(ms: Backend, config: ServeConfig) -> Self {
         let shards = config.cache_shards.max(1);
         Self {
             results: ShardedCache::new(config.cache_cap, shards),
@@ -616,18 +535,9 @@ impl Server {
         }
     }
 
-    /// The selection engine behind this server.
-    pub fn backend(&self) -> &Backend {
+    /// The shared metasearcher.
+    pub fn metasearcher(&self) -> &Arc<Metasearcher> {
         &self.ms
-    }
-
-    /// The shared flat metasearcher; `None` when the backend is
-    /// sharded (use [`Server::backend`] for backend-agnostic access).
-    pub fn metasearcher(&self) -> Option<&Arc<Metasearcher>> {
-        match &self.ms {
-            Backend::Flat(ms) => Some(ms),
-            Backend::Sharded(_) => None,
-        }
     }
 
     /// The serving configuration.

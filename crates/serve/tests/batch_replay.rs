@@ -1,12 +1,12 @@
-//! Batched-vs-sequential twin replay across the window × workers ×
-//! backend matrix.
+//! Batched-vs-sequential twin replay across the shards × window ×
+//! workers matrix.
 //!
 //! `mp-core`'s `batch_equivalence` suite proves the lock-step batch
 //! executor replays per-request execution bit-for-bit *in isolation*;
 //! this suite proves the serving tier preserves that through queues,
 //! batch-draining worker pools, in-batch dedup, and caches. For
-//! batch windows ∈ {2, 8} × workers ∈ {1, 4}, on flat and sharded
-//! backends, with caching off and on:
+//! shards ∈ {1, 3} × batch windows ∈ {2, 8} × workers ∈ {1, 4}, with
+//! caching off and on:
 //!
 //! * every served response's [`MetasearchResult`] equals the sequential
 //!   flat twin's direct `search` answer exactly (`PartialEq` compares
@@ -22,13 +22,13 @@
 //! transparent over databases whose answers are pure functions of
 //! `(database, query)` — the caveat `mp_core::batch` documents. The
 //! per-request path keeps its injection-exactness coverage in
-//! `shard_replay.rs`.
+//! `retry_budget.rs`.
 
 use std::sync::Arc;
 
 use mp_core::{
     AproConfig, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher,
-    RelevancyDef, ShardAssignment, ShardedMetasearcher,
+    RelevancyDef, ShardAssignment,
 };
 use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
@@ -39,6 +39,7 @@ const K: usize = 1;
 const THRESHOLD: f64 = 0.9;
 const FUSE_LIMIT: usize = 10;
 
+const SHARD_COUNTS: [usize; 2] = [1, 3];
 const WINDOWS: [usize; 2] = [2, 8];
 const WORKER_COUNTS: [usize; 2] = [1, 4];
 
@@ -165,60 +166,32 @@ fn serve_stream(server: &Server, stream: &[Query]) -> Vec<mp_core::MetasearchRes
 fn batched_serving_replays_sequential_flat_twin_exactly() {
     let fx = fixture();
     let (baseline, base_counts) = sequential_baseline(&fx);
-    for window in WINDOWS {
-        for workers in WORKER_COUNTS {
-            // Cache off: every request computes (duplicates included),
-            // so probe accounting is comparable request-for-request.
-            let (handles, mediator) = clean_stack(&fx);
-            let ms = Metasearcher::with_library(
-                mediator,
-                Box::new(IndependenceEstimator),
-                RelevancyDef::DocFrequency,
-                fx.library.clone(),
-            )
-            .shared();
-            let server = Server::new(ms, ServeConfig::new(workers, 0).with_batch_window(window));
-            let served = serve_stream(&server, &fx.stream);
-            assert_eq!(
-                served, baseline,
-                "served results diverged at window {window} × {workers} workers"
-            );
-            assert_eq!(
-                probe_counts(&handles),
-                base_counts,
-                "probe accounting diverged at window {window} × {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_serving_replays_over_sharded_backends() {
-    let fx = fixture();
-    let (baseline, base_counts) = sequential_baseline(&fx);
-    for shards in [1usize, 3] {
-        for workers in WORKER_COUNTS {
-            let (handles, mediator) = clean_stack(&fx);
-            let sharded = ShardedMetasearcher::with_library(
-                &mediator,
-                Arc::new(IndependenceEstimator),
-                RelevancyDef::DocFrequency,
-                &fx.library,
-                &ShardAssignment::RoundRobin(shards),
-            )
-            .shared();
-            let server =
-                Server::new_sharded(sharded, ServeConfig::new(workers, 0).with_batch_window(8));
-            let served = serve_stream(&server, &fx.stream);
-            assert_eq!(
-                served, baseline,
-                "served results diverged at {shards} shards × {workers} workers"
-            );
-            assert_eq!(
-                probe_counts(&handles),
-                base_counts,
-                "probe accounting diverged at {shards} shards × {workers} workers"
-            );
+    for shards in SHARD_COUNTS {
+        for window in WINDOWS {
+            for workers in WORKER_COUNTS {
+                // Cache off: every request computes (duplicates
+                // included), so probe accounting is comparable
+                // request-for-request.
+                let (handles, mediator) = clean_stack(&fx);
+                let ms = Metasearcher::with_library(
+                    mediator,
+                    Box::new(IndependenceEstimator),
+                    RelevancyDef::DocFrequency,
+                    fx.library.clone(),
+                )
+                .partitioned(&ShardAssignment::RoundRobin(shards))
+                .shared();
+                let server =
+                    Server::new(ms, ServeConfig::new(workers, 0).with_batch_window(window));
+                let served = serve_stream(&server, &fx.stream);
+                let at = format!("{shards} shards × window {window} × {workers} workers");
+                assert_eq!(served, baseline, "served results diverged at {at}");
+                assert_eq!(
+                    probe_counts(&handles),
+                    base_counts,
+                    "probe accounting diverged at {at}"
+                );
+            }
         }
     }
 }

@@ -209,7 +209,10 @@ fn flight_ids_are_stable_across_runs() {
     assert_eq!(key(&first), key(&second));
 
     // The deadline-missed flight keeps the same id, and its redacted
-    // waterfall replays byte-for-byte.
+    // waterfall replays byte-for-byte. The queue-depth notes record how
+    // far the single worker had drained when the late request was
+    // pushed and popped — thread timing, not schedule — so their values
+    // are masked; both notes must still be present.
     let missed_json = |server: &Server| {
         let mut f = server
             .flight_recorder()
@@ -218,6 +221,17 @@ fn flight_ids_are_stable_across_runs() {
             .find(|f| f.reason == FlightReason::DeadlineMissed)
             .expect("miss recorded");
         f.trace.redact_timings();
+        for note in [
+            "serve.queue_depth_at_submit",
+            "serve.queue_depth_at_dequeue",
+        ] {
+            assert!(f.trace.has_event(note), "{note} missing: {:?}", f.trace);
+        }
+        for e in &mut f.trace.events {
+            if e.name.starts_with("serve.queue_depth_") {
+                e.value = 0;
+            }
+        }
         f.trace.to_json()
     };
     assert_eq!(missed_json(&first), missed_json(&second));

@@ -1,21 +1,21 @@
 //! Satellite (e): retry-budget accounting stays exact under a serving
-//! workload.
+//! workload, at every shard count.
 //!
 //! Two *twin* stacks of flaky databases ([`UnreliableDb`] with retries,
 //! identical seeds) answer the same query stream — one through the
-//! serving layer (1 worker: strict FIFO replay), one through direct
-//! sequential [`Metasearcher::search`] calls. Failure injection is
-//! deterministic in (seed, call sequence), so the per-database
-//! [`ProbeBudget`] counters must agree *exactly*, and turning the
-//! result cache on must not add a single physical probe for repeated
-//! queries.
+//! serving layer, one through direct sequential
+//! [`Metasearcher::search`] calls. Failure injection is deterministic in
+//! (seed, query, attempt), so the per-database [`ProbeBudget`] counters
+//! must agree *exactly* whatever the worker count and however the
+//! served twin's fleet is partitioned, and turning the result cache on
+//! must not add a single physical probe for repeated queries.
 
 use std::sync::Arc;
 
 use mp_core::probing::GreedyPolicy;
 use mp_core::{
     AproConfig, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher,
-    RelevancyDef,
+    RelevancyDef, ShardAssignment,
 };
 use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
 use mp_hidden::{
@@ -79,10 +79,10 @@ fn fixture() -> Fixture {
     }
 }
 
-/// One flaky twin: every database wrapped with identically-seeded
-/// injection, handles kept so budgets stay observable after the
-/// mediator takes ownership.
-fn flaky_twin(fx: &Fixture) -> (Arc<Metasearcher>, Vec<Arc<UnreliableDb>>) {
+/// One flaky twin, its fleet partitioned round-robin into `shards`:
+/// every database wrapped with identically-seeded injection, handles
+/// kept so budgets stay observable after the mediator takes ownership.
+fn flaky_twin(fx: &Fixture, shards: usize) -> (Arc<Metasearcher>, Vec<Arc<UnreliableDb>>) {
     let mut wrappers = Vec::new();
     let mut dbs: Vec<Arc<dyn HiddenWebDatabase>> = Vec::new();
     for (i, base) in fx.inner.iter().enumerate() {
@@ -105,6 +105,7 @@ fn flaky_twin(fx: &Fixture) -> (Arc<Metasearcher>, Vec<Arc<UnreliableDb>>) {
         RelevancyDef::DocFrequency,
         fx.library.clone(),
     )
+    .partitioned(&ShardAssignment::RoundRobin(shards))
     .shared();
     (ms, wrappers)
 }
@@ -128,7 +129,7 @@ fn served_probe_budgets_replay_the_sequential_run_exactly() {
 
     // Twin A: through the serving layer, 1 worker, caches off — a
     // strict FIFO replay of the stream.
-    let (ms_a, wrappers_a) = flaky_twin(&fx);
+    let (ms_a, wrappers_a) = flaky_twin(&fx, 1);
     ms_a.mediator().reset_probes();
     let server = Server::new(Arc::clone(&ms_a), ServeConfig::new(1, 0));
     let responses = server.serve_batch(
@@ -143,7 +144,7 @@ fn served_probe_budgets_replay_the_sequential_run_exactly() {
         .sum();
 
     // Twin B: direct sequential calls, same order, same parameters.
-    let (ms_b, wrappers_b) = flaky_twin(&fx);
+    let (ms_b, wrappers_b) = flaky_twin(&fx, 1);
     let mut expected = Vec::new();
     for q in &fx.queries {
         let mut policy = GreedyPolicy;
@@ -182,19 +183,22 @@ fn served_probe_budgets_replay_the_sequential_run_exactly() {
     }
 }
 
-/// Failure-injection twin-replay across worker counts: with the
-/// counter-keyed injection stream, a probe's outcome is a pure function
-/// of (database seed, query, attempt index) — never of which worker ran
-/// it or when. So at *every* worker count the served results must be
-/// bit-identical to the sequential replay and the per-database
-/// [`ProbeBudget`] counters (attempts, retries, failures, outages) must
-/// match it exactly, even though workers interleave probes arbitrarily.
+/// Failure-injection twin-replay across shard and worker counts: with
+/// the counter-keyed injection stream, a probe's outcome is a pure
+/// function of (database seed, query, attempt index) — never of which
+/// worker or shard ran it or when. So at *every* shards × workers cell
+/// the served results must be bit-identical to the sequential one-shard
+/// replay and the per-database [`ProbeBudget`] counters (attempts,
+/// retries, failures, outages) must match it exactly, even though
+/// workers interleave probes arbitrarily. Every attempt is a physical
+/// probe (pinned above), so equal attempts are equal per-database probe
+/// counts.
 #[test]
 fn twin_replay_is_bit_identical_and_budget_exact_at_every_worker_count() {
     let fx = fixture();
 
     // Sequential reference replay.
-    let (ms_seq, wrappers_seq) = flaky_twin(&fx);
+    let (ms_seq, wrappers_seq) = flaky_twin(&fx, 1);
     let mut expected = Vec::new();
     for q in &fx.queries {
         let mut policy = GreedyPolicy;
@@ -208,63 +212,79 @@ fn twin_replay_is_bit_identical_and_budget_exact_at_every_worker_count() {
         "workload is hostile"
     );
 
-    for workers in [1usize, 2, 4, 8] {
-        let (ms, wrappers) = flaky_twin(&fx);
-        let server = Server::new(Arc::clone(&ms), ServeConfig::new(workers, 0));
-        let responses = server.serve_batch(
-            fx.queries
-                .iter()
-                .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD)),
-        );
-        for (i, resp) in responses.into_iter().enumerate() {
-            let resp = resp.expect("back-pressure submission never rejects");
+    for shards in [1usize, 2, 3, 8] {
+        for workers in [1usize, 2, 4, 8] {
+            let (ms, wrappers) = flaky_twin(&fx, shards);
+            let server = Server::new(Arc::clone(&ms), ServeConfig::new(workers, 0));
+            let responses = server.serve_batch(
+                fx.queries
+                    .iter()
+                    .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD)),
+            );
+            let at = format!("{shards} shards × {workers} workers");
+            for (i, resp) in responses.into_iter().enumerate() {
+                let resp = resp.expect("back-pressure submission never rejects");
+                assert_eq!(
+                    resp.result, expected[i],
+                    "query {i} diverged from sequential replay at {at}"
+                );
+            }
             assert_eq!(
-                resp.result, expected[i],
-                "query {i} diverged from sequential replay at {workers} workers"
+                budgets(&wrappers),
+                expected_budgets,
+                "probe budgets diverged from sequential replay at {at}"
             );
         }
-        assert_eq!(
-            budgets(&wrappers),
-            expected_budgets,
-            "probe budgets diverged from sequential replay at {workers} workers"
-        );
     }
 }
 
 #[test]
 fn result_cache_spends_zero_extra_probes_on_repeats() {
     let fx = fixture();
+    let n = fx.queries.len();
 
     // Twin A: unique stream, caches off.
-    let (ms_a, wrappers_a) = flaky_twin(&fx);
+    let (ms_a, wrappers_a) = flaky_twin(&fx, 1);
     let server_a = Server::new(Arc::clone(&ms_a), ServeConfig::new(1, 0));
-    for r in server_a.serve_batch(
-        fx.queries
-            .iter()
-            .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD)),
-    ) {
-        r.expect("no rejection");
-    }
+    let single_pass: Vec<_> = server_a
+        .serve_batch(
+            fx.queries
+                .iter()
+                .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD)),
+        )
+        .into_iter()
+        .map(|r| r.expect("no rejection").result)
+        .collect();
 
-    // Twin B: the same stream played three times, result cache on.
-    // Repeats must be answered from the cache without touching the
-    // flaky databases, so the budgets match the single-pass twin.
-    let (ms_b, wrappers_b) = flaky_twin(&fx);
-    let server_b = Server::new(Arc::clone(&ms_b), ServeConfig::new(1, 256));
-    for r in server_b.serve_batch((0..3).flat_map(|_| {
-        fx.queries
-            .iter()
-            .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD))
-    })) {
-        r.expect("no rejection");
+    // Twin B: the same stream played three times, result cache on, one
+    // worker over one shard and four workers over three. Repeats must be
+    // answered from the cache (or by joining the leader's flight)
+    // without touching the flaky databases, so the budgets match the
+    // single-pass twin and every pass hands back twin A's answers.
+    for (shards, workers) in [(1usize, 1usize), (3, 4)] {
+        let (ms_b, wrappers_b) = flaky_twin(&fx, shards);
+        let server_b = Server::new(Arc::clone(&ms_b), ServeConfig::new(workers, 256));
+        let responses = server_b.serve_batch((0..3).flat_map(|_| {
+            fx.queries
+                .iter()
+                .map(|q| ServeRequest::new(q.clone(), K, THRESHOLD))
+        }));
+        let at = format!("{shards} shards × {workers} workers");
+        for (i, r) in responses.into_iter().enumerate() {
+            let result = r.expect("no rejection").result;
+            assert_eq!(result, single_pass[i % n], "stream position {i} at {at}");
+        }
+        assert_eq!(
+            budgets(&wrappers_a),
+            budgets(&wrappers_b),
+            "cached repeats must not probe at {at}"
+        );
+        let stats = server_b.stats();
+        assert_eq!(stats.misses, n as u64, "one computation per key at {at}");
+        assert_eq!(stats.hits + stats.dedup_joins, 2 * n as u64);
+        if workers == 1 {
+            // A single worker drains FIFO: every repeat is a plain hit.
+            assert_eq!(stats.hits, 2 * n as u64);
+        }
     }
-
-    assert_eq!(
-        budgets(&wrappers_a),
-        budgets(&wrappers_b),
-        "cached repeats must not probe"
-    );
-    let stats = server_b.stats();
-    assert_eq!(stats.misses, fx.queries.len() as u64);
-    assert_eq!(stats.hits, 2 * fx.queries.len() as u64);
 }

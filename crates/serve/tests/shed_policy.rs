@@ -178,23 +178,29 @@ mod obs_gated {
     }
 
     /// Recovery: once the window forgets the regression, the same
-    /// tight-deadline request computes again.
+    /// tight-deadline request computes again. Each request is served
+    /// alone on a recovered window: a computed request's own latency
+    /// enters the window, so requests queued back to back behind it
+    /// would shed or not depending on how long it took.
     #[test]
     fn sheds_stop_when_the_window_recovers() {
         mp_obs::set_enabled(true);
         let (ms, queries) = metasearcher();
         let server = Server::new(ms, ServeConfig::new(1, 0).with_shed_p99_ms(Some(5)));
         stage_regression(&server);
-        // Advance the rolling window past its horizon: the staged
-        // regression ages out and p99 returns to 0.
-        for _ in 0..16 {
-            server.tick_window();
-        }
-        let responses = server.serve_batch(queries.iter().map(|q| {
-            ServeRequest::new(q.clone(), K, THRESHOLD).with_deadline(Duration::from_millis(50))
-        }));
-        for r in responses {
-            r.expect("recovered window sheds nothing");
+        for q in &queries {
+            // Advance the rolling window past its horizon: the staged
+            // regression (and the previous request) ages out and p99
+            // returns to 0.
+            for _ in 0..16 {
+                server.tick_window();
+            }
+            let responses = server
+                .serve_batch([ServeRequest::new(q.clone(), K, THRESHOLD)
+                    .with_deadline(Duration::from_millis(50))]);
+            for r in responses {
+                r.expect("recovered window sheds nothing");
+            }
         }
         assert_eq!(server.stats().sheds, 0);
     }

@@ -289,7 +289,7 @@ fn golden_pin_of_three_representative_queries() {
 }
 
 /// Renders the golden-pin lines for one search answer (shared by the
-/// flat and sharded pins so the two snapshots are byte-comparable).
+/// flat and sharded pins, which both compare against one snapshot).
 fn render_golden(
     rendered: &mut String,
     qi: usize,
@@ -325,26 +325,16 @@ fn render_golden(
 }
 
 /// Sharded golden pin: the same three representative queries answered
-/// through the scatter-gather shard layer (3 shards, FNV-keyed), with
-/// its own snapshot fixture — which must *also* be byte-identical to
-/// the flat pin's fixture, making the cross-topology equivalence
-/// visible at the golden-artifact level. Regenerate deliberately with:
-///
-/// ```text
-/// MP_BLESS=1 cargo test --test end_to_end golden_pin
-/// ```
+/// by the metasearcher partitioned into 3 FNV-keyed shards must render
+/// byte-identically to the flat pin's snapshot, making the
+/// cross-topology equivalence visible at the golden-artifact level.
+/// There is no separate snapshot to bless: `end_to_end_golden.txt` is
+/// the only fixture.
 #[test]
 fn golden_pin_sharded_replays_the_flat_snapshot() {
-    use mp_core::{ShardAssignment, ShardedMetasearcher};
-
     let (ms, split, _model) = build_metasearcher(5);
-    let sharded = ShardedMetasearcher::with_library(
-        ms.mediator(),
-        Arc::new(IndependenceEstimator),
-        RelevancyDef::DocFrequency,
-        ms.library(),
-        &ShardAssignment::ByNameFnv(3),
-    );
+    let sharded = ms.partitioned(&ShardAssignment::ByNameFnv(3));
+    assert_eq!(sharded.plan().n_shards(), 3);
     let mut rendered = String::new();
     for &qi in &[0usize, 7, 19] {
         let query = &split.test.queries()[qi];
@@ -363,31 +353,17 @@ fn golden_pin_sharded_replays_the_flat_snapshot() {
         render_golden(&mut rendered, qi, query, &result);
     }
 
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let fixture = dir.join("end_to_end_golden_sharded.txt");
-    if std::env::var_os("MP_BLESS").is_some() {
-        std::fs::create_dir_all(&dir).expect("fixture directory is creatable");
-        std::fs::write(&fixture, &rendered).expect("fixture file is writable");
-        return;
-    }
-    let expected = std::fs::read_to_string(&fixture).unwrap_or_else(|_| {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/end_to_end_golden.txt");
+    let flat = std::fs::read_to_string(&fixture).unwrap_or_else(|_| {
         panic!(
-            "missing snapshot {} — run with MP_BLESS=1 to create it",
+            "missing snapshot {} — bless it through golden_pin_of_three_representative_queries",
             fixture.display()
         )
     });
     assert_eq!(
-        rendered, expected,
-        "sharded end-to-end results drifted from the golden snapshot \
-         (re-bless with MP_BLESS=1 if the change is intended)"
-    );
-    // Cross-topology at the artifact level: the sharded snapshot is
-    // byte-identical to the flat pin's snapshot.
-    let flat = std::fs::read_to_string(dir.join("end_to_end_golden.txt"))
-        .expect("flat golden snapshot exists");
-    assert_eq!(
         rendered, flat,
-        "sharded golden snapshot diverged from the flat golden snapshot"
+        "sharded end-to-end results diverged from the flat golden snapshot"
     );
 }
 
