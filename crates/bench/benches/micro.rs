@@ -81,9 +81,9 @@ fn bench_greedy(c: &mut Criterion) {
         b.iter(|| black_box(policy.gain_per_cost(&state, 0, 1, CorrectnessMetric::Absolute)))
     });
 
-    // The full per-step candidate scan on the incremental parallel
-    // engine vs the reference evaluation it replaces.
-    c.bench_function("greedy/select_db_engine_n20", |b| {
+    // The full per-step candidate scan as one sweep vs the reference
+    // evaluation per candidate.
+    c.bench_function("greedy/select_db_sweep_n20", |b| {
         b.iter(|| {
             black_box(mp_core::engine::usefulness_all(
                 &state,

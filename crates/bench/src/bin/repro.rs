@@ -156,8 +156,7 @@ fn lint_preflight() {
 /// which is exactly the regression CI should catch.
 const HOT_PATH_SPANS: &[&str] = &[
     "engine.usefulness_all",
-    "engine.base_dp",
-    "engine.scan",
+    "engine.sweep",
     "selection.best_set",
     "apro.run",
     "hidden.search",

@@ -63,8 +63,9 @@ impl CorrectnessMetric {
 ///
 /// This single helper defines the tie-break **everywhere** it matters —
 /// the golden top-k, the exact beat-probabilities behind `E[Cor]`
-/// (`expected::prob_beats`), and the probing engine's hypothetical-probe
-/// patches — so the realized relevancies always induce one consistent
+/// (`expected::prob_beats`), and the merged-support order that both the
+/// selection sweep and the probing engine's sweep walk — so the
+/// realized relevancies always induce one consistent
 /// total order and the exact formulas stay aligned with the Monte-Carlo
 /// oracle.
 ///

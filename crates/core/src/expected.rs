@@ -130,9 +130,9 @@ impl RdState {
 /// the library-wide rank order ([`crate::correctness::rank_order`]):
 /// `j` beats `(v, i)` at value `u` iff `(j, u)` ranks ahead of `(v, i)`,
 /// i.e. `u > v`, or `u = v` and `j < i`. Shared by the exact formulas
-/// here and by the probing engine's leave-one-out patches, so every
-/// consumer breaks ties identically to [`crate::correctness::golden_topk`].
-pub(crate) fn prob_beats(rds: &[Discrete], j: usize, v: f64, i: usize) -> f64 {
+/// here, so every consumer breaks ties identically to
+/// [`crate::correctness::golden_topk`].
+fn prob_beats(rds: &[Discrete], j: usize, v: f64, i: usize) -> f64 {
     debug_assert_ne!(j, i);
     let d = &rds[j];
     // A tie at `v` counts as a win for `j` exactly when the rank order
@@ -208,19 +208,11 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> V
     let mut none = zero.clone();
     none.as_mut()[0] = 1.0;
     let mut tree = vec![none.clone(); 2 * size];
-    // The merged support as `(value, database, mass, behind)`, where
-    // `behind` is the mass of the database's lower points. Before the
-    // sweep every rival is behind with its full mass.
-    let mut order = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
-    for (i, rd) in rds.iter().enumerate() {
-        let mut behind = 0.0;
-        for &(v, p) in rd.points() {
-            order.push((v, i, p, behind));
-            behind += p;
-        }
-        set_rival(tree[size + i].as_mut(), behind, 0.0);
+    // Before the sweep every rival is behind with its full mass.
+    let (order, total) = merged_support(rds);
+    for (i, &mass) in total.iter().enumerate() {
+        set_rival(tree[size + i].as_mut(), mass, 0.0);
     }
-    order.sort_unstable_by(|a, b| rank_order(a.1, a.0, b.1, b.0));
     for x in (1..size).rev() {
         refresh(&mut tree, x);
     }
@@ -253,9 +245,32 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> V
     marginals
 }
 
+/// One point of the merged RD support: `(value, database, mass,
+/// behind)`, where `behind` is the mass of the database's lower points.
+pub(crate) type SupportPoint = (f64, usize, f64, f64);
+
+/// The merged support of all RDs, sorted by
+/// [`crate::correctness::rank_order`], and each database's total mass:
+/// what every rival has behind before a sweep starts. Both sweeps over
+/// the support ([`topk_marginals`] and the greedy engine's) read it.
+pub(crate) fn merged_support(rds: &[Discrete]) -> (Vec<SupportPoint>, Vec<f64>) {
+    let mut order = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
+    let mut total = Vec::with_capacity(rds.len());
+    for (i, rd) in rds.iter().enumerate() {
+        let mut behind = 0.0;
+        for &(v, p) in rd.points() {
+            order.push((v, i, p, behind));
+            behind += p;
+        }
+        total.push(behind);
+    }
+    order.sort_unstable_by(|a, b| rank_order(a.1, a.0, b.1, b.0));
+    (order, total)
+}
+
 /// Writes one rival's "ranks ahead" pmf into its leaf: `behind` at
 /// count 0 and `ahead` at count 1, which is dropped when `k = 1`.
-fn set_rival(leaf: &mut [f64], behind: f64, ahead: f64) {
+pub(crate) fn set_rival(leaf: &mut [f64], behind: f64, ahead: f64) {
     leaf[0] = behind;
     if let Some(slot) = leaf.get_mut(1) {
         *slot = ahead;
@@ -272,7 +287,7 @@ fn refresh<C: AsRef<[f64]> + AsMut<[f64]>>(tree: &mut [C], x: usize) {
 /// `out` = the distribution of the sum of two independent counts,
 /// truncated to the counts `0..k` (mass at `k` or more is dropped: only
 /// `P(≤ k − 1)` is ever read).
-fn conv(a: &[f64], b: &[f64], out: &mut [f64]) {
+pub(crate) fn conv(a: &[f64], b: &[f64], out: &mut [f64]) {
     for (c, o) in out.iter_mut().enumerate() {
         *o = a[..=c]
             .iter()

@@ -3,8 +3,8 @@
 //!
 //! Query-time selection ([`Metasearcher::select_rd`],
 //! [`Metasearcher::select_adaptive`], [`Metasearcher::search`]) runs on
-//! the parallel incremental evaluation engine ([`crate::engine`],
-//! [`crate::par`]); the only fan-out the facade adds is the shard
+//! one-pass sweeps over the merged RD support ([`crate::engine`],
+//! [`crate::expected`]); the only fan-out the facade adds is the shard
 //! scatter of [`Metasearcher::rds`] ([`crate::shard`]), so results are
 //! identical with or without the `parallel` feature and at every shard
 //! count.

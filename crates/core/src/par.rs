@@ -1,6 +1,9 @@
 //! The parallel evaluation layer: a tiny order-preserving fork-join map
-//! used to fan the APro hot loops — greedy per-candidate usefulness
-//! scans and per-database marginal computations — across cores.
+//! that fans independent items across cores — `OptimalPolicy`'s
+//! per-candidate expectimax subtrees, the greedy engine's per-candidate
+//! reference fallback (absolute metric, `k > 1`), the searches of the
+//! selected databases, the shards of a scatter, and the experiment
+//! harness's queries.
 //!
 //! Gated behind the `parallel` feature (on by default). The sequential
 //! fallback is **bit-identical**: both paths evaluate the same closure

@@ -1,10 +1,9 @@
 //! The `APro` adaptive probing algorithm (paper Section 5.3, Figure 11).
 //!
-//! Both per-step evaluations run on fast exact kernels: the policy's
-//! `select_db` scores candidates through the parallel incremental
-//! engine ([`crate::engine::usefulness_all`], greedy), and the
-//! post-probe re-selection's [`best_set`] reads every marginal from one
-//! sweep over the merged RD support
+//! Both per-step evaluations run on exact sweeps over the merged RD
+//! support: the greedy policy's `select_db` scores every candidate in
+//! one pass ([`crate::engine::usefulness_all`]), and the post-probe
+//! re-selection's [`best_set`] reads every marginal from one pass
 //! ([`crate::expected::topk_marginals`]). `APro` itself stays a
 //! straight-line loop — determinism and the paper's control flow are
 //! untouched by either optimisation.
@@ -172,8 +171,13 @@ impl<'s> AproSession<'s> {
 
     /// Lands the probe answer for the database `next_probe` selected:
     /// collapses its RD and re-evaluates the best set.
+    ///
+    /// # Panics
+    /// Panics unless `db` is the database `next_probe` handed out and
+    /// has not been applied yet: any other probe would land one the
+    /// policy never chose, and its `ProbeRecord` would misreport it.
     pub fn apply(&mut self, db: usize, actual: f64) {
-        debug_assert_eq!(
+        assert_eq!(
             self.pending,
             Some(db),
             "applied probe must match the selected database"
@@ -347,6 +351,35 @@ mod tests {
         let (sel1, _) = out.after_probes(1).unwrap();
         assert_eq!(sel1, &[1]);
         assert!(out.after_probes(99).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "applied probe must match the selected database")]
+    fn apply_of_another_database_panics() {
+        let mut state = paper_state();
+        let mut policy = GreedyPolicy;
+        let mut session = AproSession::begin(&mut state, &mut policy, cfg(1, 0.9));
+        let db = session.next_probe().expect("0.85 < 0.9 needs a probe");
+        session.apply(1 - db, 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "applied probe must match the selected database")]
+    fn apply_with_nothing_pending_panics() {
+        let mut state = paper_state();
+        let mut policy = GreedyPolicy;
+        let mut session = AproSession::begin(&mut state, &mut policy, cfg(1, 0.9));
+        session.apply(0, 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "apply the previous probe before selecting the next")]
+    fn next_probe_twice_without_apply_panics() {
+        let mut state = paper_state();
+        let mut policy = GreedyPolicy;
+        let mut session = AproSession::begin(&mut state, &mut policy, cfg(1, 0.9));
+        session.next_probe();
+        session.next_probe();
     }
 
     #[test]

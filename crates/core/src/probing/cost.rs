@@ -20,6 +20,7 @@
 //! budget-level lookahead over the probe sequence.
 
 use crate::correctness::CorrectnessMetric;
+use crate::engine;
 use crate::expected::RdState;
 use crate::probing::apro::{apro, AproConfig, AproOutcome};
 use crate::probing::greedy::GreedyPolicy;
@@ -80,7 +81,9 @@ impl ProbeCosts {
 /// ```
 ///
 /// The marginal-value-per-dollar rule — the natural generalization of
-/// the paper's greedy policy to heterogeneous costs.
+/// the paper's greedy policy to heterogeneous costs. `select_db` scores
+/// every candidate's usefulness in one [`engine::usefulness_all`] scan,
+/// as [`GreedyPolicy`] does.
 #[derive(Debug)]
 pub struct CostAwareGreedyPolicy {
     costs: ProbeCosts,
@@ -92,7 +95,8 @@ impl CostAwareGreedyPolicy {
         Self { costs }
     }
 
-    /// The per-cost gain score of probing database `i`.
+    /// The per-cost gain score of probing database `i`, from the
+    /// reference usefulness evaluation.
     pub fn gain_per_cost(
         &self,
         state: &RdState,
@@ -118,13 +122,9 @@ impl ProbePolicy for CostAwareGreedyPolicy {
             "cost vector does not cover the databases"
         );
         let current = best_set_score_quick(state.rds(), k, metric);
-        state
-            .unprobed()
+        engine::usefulness_all(state, k, metric)
             .into_iter()
-            .map(|i| {
-                let gain = (GreedyPolicy::usefulness(state, i, k, metric) - current).max(0.0);
-                (i, gain / self.costs.cost(i))
-            })
+            .map(|(i, usefulness)| (i, (usefulness - current).max(0.0) / self.costs.cost(i)))
             .max_by(|a, b| {
                 a.1.partial_cmp(&b.1)
                     .expect("scores are finite")
@@ -199,6 +199,7 @@ pub fn apro_with_costs(
 mod tests {
     use super::*;
     use mp_stats::Discrete;
+    use proptest::prelude::*;
 
     fn d(pairs: &[(f64, f64)]) -> Discrete {
         Discrete::from_weighted(pairs).unwrap()
@@ -332,6 +333,50 @@ mod tests {
             let g1 = cheap.gain_per_cost(&state, i, 1, CorrectnessMetric::Absolute);
             let g4 = dear.gain_per_cost(&state, i, 1, CorrectnessMetric::Absolute);
             assert!((g1 - 4.0 * g4).abs() < 1e-12, "db{i}");
+        }
+    }
+
+    fn arb_state() -> impl Strategy<Value = RdState> {
+        proptest::collection::vec(
+            proptest::collection::vec((0.0f64..50.0, 0.05f64..1.0), 1..5),
+            2..7,
+        )
+        .prop_map(|dbs| {
+            RdState::new(
+                dbs.into_iter()
+                    .map(|pts| Discrete::from_weighted(&pts).unwrap())
+                    .collect(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_uniform_costs_pick_as_useful_as_greedy(
+            state in arb_state(),
+            k_raw in 1usize..4,
+            probed in 0usize..3
+        ) {
+            let mut state = state;
+            for db in 0..probed.min(state.len() - 1) {
+                let v = state.rds()[db].mean();
+                state.probe(db, v);
+            }
+            let k = k_raw.min(state.len());
+            for metric in [CorrectnessMetric::Absolute, CorrectnessMetric::Partial] {
+                let greedy = GreedyPolicy.select_db(&state, k, metric).unwrap();
+                let mut costed = CostAwareGreedyPolicy::new(ProbeCosts::uniform(state.len()));
+                let pick = costed.select_db(&state, k, metric).unwrap();
+                let u_greedy = GreedyPolicy::usefulness(&state, greedy, k, metric);
+                let u_pick = GreedyPolicy::usefulness(&state, pick, k, metric);
+                prop_assert!(
+                    (u_greedy - u_pick).abs() < 1e-12,
+                    "{:?} k={}: greedy db{} ({}) vs cost-aware db{} ({})",
+                    metric, k, greedy, u_greedy, pick, u_pick
+                );
+            }
         }
     }
 }

@@ -15,8 +15,8 @@
 //! [`GreedyPolicy::usefulness`] is the *reference* evaluation (a cloned
 //! state re-probed per outcome). [`GreedyPolicy::select_db`] — the hot
 //! path APro hits once per probe — instead scores all candidates through
-//! [`crate::engine`]: the same quantities via incremental leave-one-out
-//! Poisson-binomial patches, fanned across cores.
+//! [`crate::engine::usefulness_all`]: the same quantities from one sweep
+//! over the merged RD support, on one thread.
 
 use crate::correctness::CorrectnessMetric;
 use crate::engine;
@@ -30,8 +30,8 @@ pub struct GreedyPolicy;
 impl GreedyPolicy {
     /// The expected usefulness of probing database `i` — the reference
     /// evaluation (exposed for the worked-example tests, diagnostics,
-    /// and the cost-aware policy's per-candidate gains; `select_db` uses
-    /// the equivalent incremental engine).
+    /// and the cost-aware policy's single-candidate `gain_per_cost`;
+    /// `select_db` uses the equivalent one-pass engine).
     pub fn usefulness(state: &RdState, i: usize, k: usize, metric: CorrectnessMetric) -> f64 {
         engine::naive_usefulness(state, i, k, metric)
     }

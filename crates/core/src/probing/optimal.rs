@@ -89,8 +89,8 @@ impl ProbePolicy for OptimalPolicy {
             return None;
         }
         // Each candidate's expectimax subtree is independent, so the
-        // top-level scan fans across cores like the greedy engine's;
-        // index-ordered collection keeps the argmin deterministic.
+        // top-level scan fans across cores; index-ordered collection
+        // keeps the argmin deterministic.
         let this = &*self;
         crate::par::par_map_indexed(unprobed.len(), 2, |c| {
             let i = unprobed[c];

@@ -1,8 +1,7 @@
 //! L6 — pmf-constructor audit.
 //!
 //! Every non-test function that *returns a distribution by value* —
-//! `Discrete`, `ErrorDistribution`, `PoissonBinomial`,
-//! `IncrementalPoissonBinomial`, plain or wrapped
+//! `Discrete`, `ErrorDistribution`, `PoissonBinomial`, plain or wrapped
 //! (`Option<Discrete>`, `Result<Discrete, _>`, `Vec<Discrete>`,
 //! `-> Self` inside an `impl` of one of these) — must contain a
 //! normalization `debug_assert` in its body: `debug_assert!(…)` /
@@ -31,12 +30,7 @@ use crate::lexer::TokKind;
 use crate::syntax::FnDecl;
 
 /// Types whose by-value constructors are audited.
-pub const DIST_TYPES: &[&str] = &[
-    "Discrete",
-    "ErrorDistribution",
-    "PoissonBinomial",
-    "IncrementalPoissonBinomial",
-];
+pub const DIST_TYPES: &[&str] = &["Discrete", "ErrorDistribution", "PoissonBinomial"];
 
 const HINT: &str = "call .debug_assert_normalized() on the value before returning \
                     (or add an explicit normalization debug_assert!)";

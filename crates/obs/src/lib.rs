@@ -56,9 +56,9 @@
 //! ## Span taxonomy
 //!
 //! Names are dot-separated, `subsystem.verb`-shaped, and documented in
-//! DESIGN.md §9 — e.g. `engine.usefulness_all` / `engine.base_dp` /
-//! `engine.scan`, `selection.best_set`, `apro.run`, `hidden.search`,
-//! `index.build`, `eval.testbed.build`. The repro binary's
+//! DESIGN.md §9 — e.g. `engine.usefulness_all` / `engine.sweep`,
+//! `selection.best_set`, `apro.run`, `hidden.search`, `index.build`,
+//! `eval.testbed.build`. The repro binary's
 //! `--obs-verify` flag fails CI when a registered hot-path span records
 //! zero hits (dead instrumentation).
 //!

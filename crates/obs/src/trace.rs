@@ -552,7 +552,7 @@ mod tests {
         let mut t = Trace::new(TraceId(7));
         t.total_ns = 1234;
         t.events.push(TraceEvent {
-            name: "engine.scan",
+            name: "engine.sweep",
             kind: TraceEventKind::Span,
             start_ns: 100,
             dur_ns: 50,
@@ -568,7 +568,7 @@ mod tests {
         assert!(redacted.contains("\"total_ns\":0"));
         assert!(!redacted.contains("\"start_ns\":100"));
         // Structure survives redaction.
-        assert!(t.has_event("engine.scan"));
+        assert!(t.has_event("engine.sweep"));
         assert_eq!(t.find("probe.retry").map(|e| e.value), Some(2));
     }
 

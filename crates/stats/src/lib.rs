@@ -14,8 +14,8 @@
 //!   to validate sampling sizes (Section 4.2: 10 bins, 9 degrees of
 //!   freedom).
 //! * [`PoissonBinomial`] — exact distribution of the number of successes
-//!   of independent, non-identical Bernoulli trials; powers the exact
-//!   `P(db ∈ top-k)` computation in `mp-core`.
+//!   of independent, non-identical Bernoulli trials; the per-database
+//!   oracle behind `mp-core`'s exact `P(db ∈ top-k)` sweeps.
 //! * [`sampling`] — Zipf and alias-method categorical samplers for the
 //!   synthetic corpus generator.
 //! * [`online`] — Welford-style streaming summary statistics.
@@ -44,5 +44,5 @@ pub use chi2::{chi2_cdf, pearson_chi2_test, Chi2Outcome};
 pub use discrete::Discrete;
 pub use histogram::{BinSpec, Histogram};
 pub use online::OnlineStats;
-pub use poisson_binomial::{IncrementalPoissonBinomial, PoissonBinomial};
+pub use poisson_binomial::PoissonBinomial;
 pub use sampling::{AliasSampler, Zipf};

@@ -2,17 +2,19 @@
 //!
 //! Given independent Bernoulli trials with success probabilities
 //! `p_1, …, p_n`, the Poisson-binomial distribution describes the number
-//! of successes. `mp-core` uses it to compute, exactly, the probability
-//! that *at most `k − 1` other databases outrank a candidate database* —
-//! the heart of the expected partial correctness `E[Cor_p(DBk)]`
-//! (paper Eq. 6): database `i` is in the true top-k iff fewer than `k`
-//! of the `n − 1` other databases beat it.
+//! of successes. Database `i` is in the true top-k iff fewer than `k` of
+//! the `n − 1` other databases beat it, so the probability that *at most
+//! `k − 1` other databases outrank it* is the heart of the expected
+//! partial correctness `E[Cor_p(DBk)]` (paper Eq. 6). `mp-core`'s
+//! per-database oracle `marginal_topk_prob` reads it through
+//! [`at_most`]; its sweeps over the merged RD support compute the same
+//! counts as truncated pmfs.
 //!
 //! The DP is the textbook `O(n²)` convolution, which is exact and far
 //! cheaper than the naive `O(2^n)` enumeration; for the paper's `n = 20`
 //! databases it is effectively free.
 
-use crate::float::{exact_one, exact_zero};
+use crate::float::exact_zero;
 use serde::{Deserialize, Serialize};
 
 /// The exact distribution of the number of successes among independent,
@@ -88,219 +90,6 @@ impl PoissonBinomial {
     /// The full probability mass function, index = success count.
     pub fn pmf_slice(&self) -> &[f64] {
         &self.pmf
-    }
-}
-
-/// An *incremental* Poisson-binomial accumulator: the same exact DP as
-/// [`PoissonBinomial`], but mutable — trials can be pushed, removed, and
-/// swapped in `O(n)` each instead of rebuilding the whole `O(n²)` DP.
-///
-/// This is the engine behind `mp-core`'s greedy-probing fast path: the
-/// per-database "how many rivals beat me" distribution is built once per
-/// state, then each hypothetical probe of database `h` only *patches*
-/// `h`'s beat-probability — a leave-one-out [`Self::remove`] followed by
-/// re-inserting a 0/1 trial — rather than recomputing the full DP.
-///
-/// Removal is a stable deconvolution of the pmf by one Bernoulli factor:
-/// with `f` the current pmf and `q = 1 − p`,
-///
-/// ```text
-/// f[j] = g[j]·q + g[j−1]·p
-/// ```
-///
-/// is solved forward (`g[j] = (f[j] − g[j−1]·p)/q`) when `p ≤ ½` and
-/// backward (`g[j−1] = (f[j] − g[j]·q)/p`) when `p > ½`, so the divisor
-/// is always ≥ ½ and the recurrence never amplifies rounding error.
-/// `p ∈ {0, 1}` are exact shifts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalPoissonBinomial {
-    /// `pmf[j] = P(exactly j successes)`, `j = 0..=n`.
-    pmf: Vec<f64>,
-    /// The success probability of each live trial, in insertion order.
-    probs: Vec<f64>,
-}
-
-impl Default for IncrementalPoissonBinomial {
-    // mp-lint: allow(L6): pure delegation — `Self::new` runs the normalization debug_assert
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IncrementalPoissonBinomial {
-    /// An empty accumulator (zero trials: `P(0 successes) = 1`).
-    pub fn new() -> Self {
-        let acc = Self {
-            pmf: vec![1.0],
-            probs: Vec::new(),
-        };
-        acc.debug_assert_normalized();
-        acc
-    }
-
-    /// Debug-build check that the pmf is a probability vector
-    /// (non-negative, summing to 1 within `1e-9`) — lint rule L6.
-    pub fn debug_assert_normalized(&self) {
-        debug_assert!(
-            self.pmf.iter().all(|&p| p >= 0.0)
-                && (self.pmf.iter().sum::<f64>() - 1.0).abs() <= 1e-9,
-            "IncrementalPoissonBinomial pmf must be non-negative and sum to 1"
-        );
-    }
-
-    /// Builds the accumulator from `probs` by successive pushes; the
-    /// resulting pmf is identical to [`PoissonBinomial::new`]'s.
-    pub fn from_probs(probs: &[f64]) -> Self {
-        let mut acc = Self {
-            pmf: Vec::with_capacity(probs.len() + 1),
-            probs: Vec::new(),
-        };
-        acc.pmf.push(1.0);
-        for &p in probs {
-            acc.push(p);
-        }
-        acc.debug_assert_normalized();
-        acc
-    }
-
-    /// Folds in one more trial with success probability `p`. `O(n)`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]` or non-finite.
-    pub fn push(&mut self, p: f64) {
-        assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "Bernoulli probability out of range: {p}"
-        );
-        self.pmf.push(0.0);
-        let m = self.pmf.len() - 1;
-        for j in (0..=m).rev() {
-            let stay = if j < m { self.pmf[j] * (1.0 - p) } else { 0.0 };
-            let from_below = if j > 0 { self.pmf[j - 1] * p } else { 0.0 };
-            self.pmf[j] = stay + from_below;
-        }
-        self.probs.push(p);
-    }
-
-    /// Removes the trial at `index` (indices shift down, as in
-    /// `Vec::remove`) and returns its probability. `O(n)`.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds.
-    pub fn remove(&mut self, index: usize) -> f64 {
-        let p = self.probs.remove(index);
-        let n = self.pmf.len() - 1;
-        let mut out = Vec::with_capacity(n);
-        deconvolve(&self.pmf, p, &mut out);
-        self.pmf = out;
-        p
-    }
-
-    /// Replaces the trial at `index` with probability `p_new`, returning
-    /// the old probability. `O(n)` — one deconvolution + one fold, with
-    /// no reallocation of the trials vector.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds or `p_new` is invalid.
-    pub fn swap(&mut self, index: usize, p_new: f64) -> f64 {
-        assert!(
-            p_new.is_finite() && (0.0..=1.0).contains(&p_new),
-            "Bernoulli probability out of range: {p_new}"
-        );
-        let old = self.probs[index];
-        let n = self.pmf.len() - 1;
-        let mut out = Vec::with_capacity(n + 1);
-        deconvolve(&self.pmf, old, &mut out);
-        // Fold the replacement back in (same downward pass as `push`).
-        out.push(0.0);
-        let m = out.len() - 1;
-        for j in (0..=m).rev() {
-            let stay = if j < m { out[j] * (1.0 - p_new) } else { 0.0 };
-            let from_below = if j > 0 { out[j - 1] * p_new } else { 0.0 };
-            out[j] = stay + from_below;
-        }
-        self.pmf = out;
-        self.probs[index] = p_new;
-        old
-    }
-
-    /// Writes the pmf of the distribution *without* the trial at `index`
-    /// into `out` (length `n`), leaving the accumulator untouched — the
-    /// leave-one-out query the greedy fast path issues per candidate.
-    /// `O(n)`, no allocation beyond `out`'s capacity.
-    pub fn excluding_into(&self, index: usize, out: &mut Vec<f64>) {
-        deconvolve(&self.pmf, self.probs[index], out);
-    }
-
-    /// Number of live trials `n`.
-    pub fn trials(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The live trial probabilities, in insertion order.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// `P(exactly j successes)`; zero for `j > n`.
-    pub fn pmf(&self, j: usize) -> f64 {
-        self.pmf.get(j).copied().unwrap_or(0.0)
-    }
-
-    /// `P(at most j successes)`.
-    pub fn cdf(&self, j: usize) -> f64 {
-        let hi = j.min(self.pmf.len() - 1);
-        self.pmf[..=hi].iter().sum::<f64>().min(1.0)
-    }
-
-    /// Expected number of successes.
-    pub fn mean(&self) -> f64 {
-        self.pmf
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| j as f64 * p)
-            .sum()
-    }
-
-    /// The full probability mass function, index = success count.
-    pub fn pmf_slice(&self) -> &[f64] {
-        &self.pmf
-    }
-}
-
-/// Divides the Poisson-binomial pmf `f` (over `n` trials) by the
-/// Bernoulli factor `p`, writing the `n − 1`-trial pmf into `out`.
-///
-/// Direction is chosen so the divisor is `max(p, 1 − p) ≥ ½`; each term
-/// is clamped to `[0, 1]` to absorb last-ulp drift (the true values are
-/// probabilities, so clamping never moves an exact result).
-fn deconvolve(f: &[f64], p: f64, out: &mut Vec<f64>) {
-    let n = f.len() - 1;
-    assert!(n >= 1, "cannot remove a trial from an empty accumulator");
-    out.clear();
-    if exact_zero(p) {
-        // The trial never fired: f already is g with a trailing zero.
-        out.extend_from_slice(&f[..n]);
-    } else if exact_one(p) {
-        // The trial always fired: g is f shifted down by one success.
-        out.extend_from_slice(&f[1..]);
-    } else if p <= 0.5 {
-        let q = 1.0 - p;
-        let mut prev = 0.0;
-        for &fj in &f[..n] {
-            let g = ((fj - prev * p) / q).clamp(0.0, 1.0);
-            out.push(g);
-            prev = g;
-        }
-    } else {
-        out.resize(n, 0.0);
-        let q = 1.0 - p;
-        let mut next = 0.0;
-        for j in (0..n).rev() {
-            let g = ((f[j + 1] - next * q) / p).clamp(0.0, 1.0);
-            out[j] = g;
-            next = g;
-        }
     }
 }
 
@@ -413,79 +202,6 @@ mod tests {
         PoissonBinomial::new(&[1.5]);
     }
 
-    #[test]
-    fn incremental_push_is_bitwise_identical_to_batch() {
-        // `from_probs` folds trials in the same order with the same
-        // arithmetic as the batch DP, so the pmfs are *equal*, not just
-        // close.
-        let probs = [0.12, 0.7, 0.33, 0.51, 0.08, 0.95, 0.0, 1.0];
-        let inc = IncrementalPoissonBinomial::from_probs(&probs);
-        let batch = PoissonBinomial::new(&probs);
-        assert_eq!(inc.pmf_slice(), batch.pmf_slice());
-        assert_eq!(inc.trials(), 8);
-        assert!((inc.mean() - batch.mean()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn remove_inverts_push() {
-        let base = [0.2, 0.5, 0.81, 0.4];
-        for (idx, _) in base.iter().enumerate() {
-            let mut inc = IncrementalPoissonBinomial::from_probs(&base);
-            let removed = inc.remove(idx);
-            assert_eq!(removed, base[idx]);
-            let mut rest = base.to_vec();
-            rest.remove(idx);
-            let want = PoissonBinomial::new(&rest);
-            for j in 0..=rest.len() {
-                assert!(
-                    (inc.pmf(j) - want.pmf(j)).abs() < 1e-12,
-                    "idx={idx} j={j}: {} vs {}",
-                    inc.pmf(j),
-                    want.pmf(j)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn remove_handles_degenerate_trials() {
-        // p = 0 and p = 1 take the exact shift paths.
-        let mut inc = IncrementalPoissonBinomial::from_probs(&[0.0, 1.0, 0.6]);
-        assert_eq!(inc.remove(1), 1.0);
-        assert_eq!(inc.remove(0), 0.0);
-        let want = PoissonBinomial::new(&[0.6]);
-        for j in 0..=1 {
-            assert!((inc.pmf(j) - want.pmf(j)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn swap_replaces_one_trial() {
-        let mut inc = IncrementalPoissonBinomial::from_probs(&[0.2, 0.9, 0.4]);
-        let old = inc.swap(1, 0.05);
-        assert_eq!(old, 0.9);
-        assert_eq!(inc.probs(), &[0.2, 0.05, 0.4]);
-        let want = PoissonBinomial::new(&[0.2, 0.05, 0.4]);
-        for j in 0..=3 {
-            assert!((inc.pmf(j) - want.pmf(j)).abs() < 1e-12, "j={j}");
-        }
-    }
-
-    #[test]
-    fn excluding_into_leaves_accumulator_untouched() {
-        let probs = [0.3, 0.7, 0.55];
-        let inc = IncrementalPoissonBinomial::from_probs(&probs);
-        let snapshot = inc.clone();
-        let mut buf = Vec::new();
-        inc.excluding_into(2, &mut buf);
-        assert_eq!(inc, snapshot);
-        let want = PoissonBinomial::new(&[0.3, 0.7]);
-        assert_eq!(buf.len(), 3);
-        for (j, &g) in buf.iter().enumerate() {
-            assert!((g - want.pmf(j)).abs() < 1e-12, "j={j}");
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_dp_matches_brute_force(
@@ -514,68 +230,6 @@ mod tests {
         ) {
             let pb = PoissonBinomial::new(&probs);
             prop_assert!((at_most(&probs, limit) - pb.cdf(limit)).abs() < 1e-9);
-        }
-
-        #[test]
-        fn prop_incremental_ops_match_from_scratch(
-            // Each op: (selector, raw probability, index seed). The raw
-            // probability is widened past [0, 1] and clamped so the
-            // degenerate p ∈ {0, 1} trials get real coverage.
-            ops in proptest::collection::vec(
-                (0u8..6, -0.25f64..1.25, 0usize..64),
-                1..14
-            )
-        ) {
-            let mut inc = IncrementalPoissonBinomial::new();
-            let mut shadow: Vec<f64> = Vec::new();
-            for (sel, raw, idx_seed) in ops {
-                let p = raw.clamp(0.0, 1.0);
-                // Bias toward push (4/6) so sequences actually grow.
-                match sel {
-                    4 if !shadow.is_empty() => {
-                        let idx = idx_seed % shadow.len();
-                        let removed = inc.remove(idx);
-                        prop_assert_eq!(removed, shadow.remove(idx));
-                    }
-                    5 if !shadow.is_empty() => {
-                        let idx = idx_seed % shadow.len();
-                        let old = inc.swap(idx, p);
-                        prop_assert_eq!(old, shadow[idx]);
-                        shadow[idx] = p;
-                    }
-                    _ => {
-                        inc.push(p);
-                        shadow.push(p);
-                    }
-                }
-                let scratch = PoissonBinomial::new(&shadow);
-                prop_assert_eq!(inc.trials(), shadow.len());
-                for j in 0..=shadow.len() {
-                    prop_assert!(
-                        (inc.pmf(j) - scratch.pmf(j)).abs() < 1e-12,
-                        "j={}: incremental {} vs scratch {} (trials {:?})",
-                        j, inc.pmf(j), scratch.pmf(j), shadow
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn prop_excluding_matches_removed_rebuild(
-            probs in proptest::collection::vec(0.0f64..=1.0, 1..20),
-            idx_seed in 0usize..64
-        ) {
-            let idx = idx_seed % probs.len();
-            let inc = IncrementalPoissonBinomial::from_probs(&probs);
-            let mut buf = Vec::new();
-            inc.excluding_into(idx, &mut buf);
-            let mut rest = probs.clone();
-            rest.remove(idx);
-            let want = PoissonBinomial::new(&rest);
-            prop_assert_eq!(buf.len(), probs.len());
-            for (j, &g) in buf.iter().enumerate() {
-                prop_assert!((g - want.pmf(j)).abs() < 1e-12, "j={}", j);
-            }
         }
 
         #[test]
