@@ -1,37 +1,28 @@
-//! Fleet-size × shard-count scaling of the scatter-gather selection
-//! path.
+//! Fleet-size scaling of the probe-free selection path.
 //!
-//! The paper's experiments stop at tens of databases; the shard layer
-//! exists so the selection engine keeps working when the mediated fleet
-//! grows by three orders of magnitude. This bench sweeps fleet sizes
-//! 20 / 200 / 2 000 / 20 000 databases × shard counts 1 / 2 / 8 and
-//! measures the **probe-free selection path** — scatter (per-shard
-//! estimates + RD derivation) → gather (global `E[Cor(DBk)]` merge) →
-//! [`Metasearcher::select_rd`] — because that is the work whose
-//! cost scales with fleet size on *every* request; adaptive probing
-//! cost scales with the probe budget, not the fleet, and is covered by
-//! `apro_scaling`.
-//!
-//! Every row at a given fleet size must agree on a **selection
-//! checksum** (selected sets + expected-correctness bits folded over
-//! the query batch): the in-bench assert extends the cross-topology
-//! equivalence contract (`mp-core`'s `shard_equivalence` suite) to the
-//! 20 000-database fleet — partitioning may only change *where* the
-//! work runs, never the answer.
+//! The paper's experiments stop at tens of databases. This bench sweeps
+//! fleet sizes 20 / 200 / 2 000 / 20 000 databases and measures the
+//! **probe-free selection path** — estimates + RD derivation →
+//! `E[Cor(DBk)]` selection, i.e. [`Metasearcher::select_rd`] — because
+//! that is the work whose cost scales with fleet size on *every*
+//! request; adaptive probing cost scales with the probe budget, not the
+//! fleet, and is covered by `apro_scaling`. Each row records a
+//! **selection checksum** (selected sets + expected-correctness bits
+//! folded over the query batch), so a change that moves any answer
+//! shows up in the report.
 //!
 //! Databases are synthetic and deliberately tiny (4–43 documents over a
 //! 4-term vocabulary, varied per-database term correlations): the axis
-//! under test is *how many* databases the scatter/gather machinery
-//! spans, not how big each one is. The report is merged into the
-//! `fleet_scaling` section of `BENCH_apro.json`; CI uploads it as an
-//! artifact next to the other sections.
+//! under test is *how many* databases selection spans, not how big each
+//! one is. The report is merged into the `fleet_scaling` section of
+//! `BENCH_apro.json`; CI uploads it as an artifact next to the other
+//! sections.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use mp_core::{
     CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher, RelevancyDef,
-    ShardAssignment,
 };
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
@@ -40,7 +31,6 @@ use mp_workload::Query;
 use serde::Serialize;
 
 const FLEET_SIZES: [usize; 4] = [20, 200, 2000, 20_000];
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 const RUNS: usize = 5;
 
 fn t(i: u32) -> TermId {
@@ -48,8 +38,8 @@ fn t(i: u32) -> TermId {
 }
 
 /// Deterministic tiny corpora, varied sizes and term correlations per
-/// database (same recipe as the `shard_equivalence` suite, scaled out
-/// to thousands of databases).
+/// database (the `batch_equivalence` suite's recipe, scaled out to
+/// thousands of databases).
 fn build_indexes(n: usize) -> Vec<InvertedIndex> {
     (0..n)
         .map(|d| {
@@ -105,17 +95,17 @@ fn test_queries() -> Vec<Query> {
     ]
 }
 
-/// Order-sensitive fold of the selection outcome: selected global
-/// indices in canonical order plus the exact `E[Cor]` bits. Equal
-/// checksums across shard counts ⇔ equal selections, bit-for-bit.
-fn selection_checksum(sharded: &Metasearcher, queries: &[Query], k: usize) -> u64 {
+/// Order-sensitive fold of the selection outcome: selected indices in
+/// canonical order plus the exact `E[Cor]` bits. Equal checksums ⇔
+/// equal selections, bit-for-bit.
+fn selection_checksum(ms: &Metasearcher, queries: &[Query], k: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
     for q in queries {
-        let (selected, expected) = sharded.select_rd(q, k, CorrectnessMetric::Partial);
+        let (selected, expected) = ms.select_rd(q, k, CorrectnessMetric::Partial);
         for g in selected {
             mix(g as u64);
         }
@@ -124,23 +114,17 @@ fn selection_checksum(sharded: &Metasearcher, queries: &[Query], k: usize) -> u6
     h
 }
 
-/// One (fleet size, shard count) cell.
+/// One fleet-size cell.
 #[derive(Serialize)]
 struct FleetCell {
     databases: usize,
-    shards: usize,
-    /// Databases in the largest / smallest shard (round-robin, so the
-    /// spread is at most 1 — recorded to make the partition auditable).
-    max_shard_databases: usize,
-    min_shard_databases: usize,
     runs: usize,
-    /// Median wall nanoseconds for one full scatter → gather → select
-    /// pass over the query batch.
+    /// Median wall nanoseconds for one full estimate → RD → select pass
+    /// over the query batch.
     wall_ns: f64,
     /// Median per-query selection latency, microseconds.
     us_per_query: f64,
-    /// Selection checksum — identical across every shard count at the
-    /// same fleet size (asserted in-bench).
+    /// Selection checksum.
     checksum: String,
 }
 
@@ -170,64 +154,42 @@ fn main() {
         );
         med.reset_probes();
 
-        let mut reference: Option<u64> = None;
-        for &shards in &SHARD_COUNTS {
-            let sharded = Metasearcher::with_library(
-                med.clone(),
-                Box::new(IndependenceEstimator),
-                RelevancyDef::DocFrequency,
-                library.clone(),
-            )
-            .partitioned(&ShardAssignment::RoundRobin(shards));
-            let plan = sharded.plan();
-            let sizes: Vec<usize> = (0..plan.n_shards())
-                .map(|s| plan.members(s).len())
-                .collect();
+        let ms = Metasearcher::with_library(
+            med,
+            Box::new(IndependenceEstimator),
+            RelevancyDef::DocFrequency,
+            library,
+        );
 
-            let mut walls = Vec::with_capacity(RUNS);
-            // Warm-up pass absorbs first-touch allocations.
-            for measured in [false, true, true, true, true, true] {
-                let start = Instant::now();
-                for q in &queries {
-                    criterion::black_box(sharded.select_rd(q, k, CorrectnessMetric::Partial));
-                }
-                if measured {
-                    walls.push(start.elapsed().as_nanos() as f64);
-                }
+        let mut walls = Vec::with_capacity(RUNS);
+        // Warm-up pass absorbs first-touch allocations.
+        for measured in [false, true, true, true, true, true] {
+            let start = Instant::now();
+            for q in &queries {
+                criterion::black_box(ms.select_rd(q, k, CorrectnessMetric::Partial));
             }
-            let (_, wall_ns, _, _) = criterion::summarize(&walls);
-
-            let checksum = selection_checksum(&sharded, &queries, k);
-            // The scale-out extension of the equivalence contract: at a
-            // fixed fleet size, topology never changes the selection.
-            match reference {
-                None => reference = Some(checksum),
-                Some(r) => assert_eq!(
-                    checksum, r,
-                    "selection diverged across topologies at {n} databases, {shards} shards"
-                ),
+            if measured {
+                walls.push(start.elapsed().as_nanos() as f64);
             }
-
-            let us_per_query = wall_ns / 1e3 / queries.len() as f64;
-            eprintln!(
-                "fleet_scaling databases={n} shards={shards}: \
-                 {us_per_query:.1} µs/query (checksum {checksum:016x})"
-            );
-            cells.push(FleetCell {
-                databases: n,
-                shards,
-                max_shard_databases: sizes.iter().copied().max().unwrap_or(0),
-                min_shard_databases: sizes.iter().copied().min().unwrap_or(0),
-                runs: RUNS,
-                wall_ns,
-                us_per_query,
-                checksum: format!("{checksum:016x}"),
-            });
         }
+        let (_, wall_ns, _, _) = criterion::summarize(&walls);
+
+        let checksum = selection_checksum(&ms, &queries, k);
+        let us_per_query = wall_ns / 1e3 / queries.len() as f64;
+        eprintln!(
+            "fleet_scaling databases={n}: {us_per_query:.1} µs/query (checksum {checksum:016x})"
+        );
+        cells.push(FleetCell {
+            databases: n,
+            runs: RUNS,
+            wall_ns,
+            us_per_query,
+            checksum: format!("{checksum:016x}"),
+        });
     }
 
     let report = FleetReport {
-        bench: "scatter-gather selection, fleet size × shard count".to_string(),
+        bench: "probe-free selection, fleet size".to_string(),
         k,
         queries: queries.len(),
         cells,

@@ -11,11 +11,8 @@
 //! workers add whatever overlap the machine actually has.
 //!
 //! Beyond the acceptance matrix, the bench measures a cold-cache
-//! **worker-scaling** sweep (1 / 2 / 4 workers) twice: once with the
-//! inner `mp-core::par` fan-out enabled and once with it forced off via
-//! [`mp_core::par::set_parallel_enabled`] (the runtime equivalent of
-//! building without the `parallel` feature). Each scenario records a
-//! `scaling_efficiency` — `qps / (min(workers, cores) × qps of the
+//! **worker-scaling** sweep (1 / 2 / 4 workers). Each scenario records
+//! a `scaling_efficiency` — `qps / (min(workers, cores) × qps of the
 //! matching 1-worker row)`, clamped to `[0, 1]` — next to the raw
 //! un-normalized `raw_qps_ratio`. The divisor is
 //! **hardware-normalized**: on a machine with fewer cores than workers,
@@ -25,15 +22,8 @@
 //! Efficiency 1.0 means the workers extract everything the cores offer
 //! (ratios past 1.0 are median noise, so the fraction is clamped and
 //! the raw ratio reported separately); the CI guard fails the bench if
-//! the cold 4-worker rows fall under 0.7 — the signature of a
+//! the cold 4-worker row falls under 0.7 — the signature of a
 //! cross-worker lock reappearing on the serve path.
-//!
-//! Two **sharded** cold rows (1 and 4 workers over the same fleet
-//! partitioned into 4 shards) ride the same matrix and the same ≥ 0.7
-//! guard: the partitioned metasearcher answers bit-identically to the
-//! one-shard one (the shard layer's equivalence contract), so the rows
-//! isolate topology overhead and prove partitioning keeps the
-//! shared-nothing cold path lock-free.
 //!
 //! The bench also emits a per-span self-time profile of the cold
 //! 4-worker pass (`repro_output/serve_obs_flame.txt`): mp-obs spans are
@@ -53,13 +43,14 @@
 //! limit) to record the shed rate under overload.
 //!
 //! The report is merged into the `serve_throughput` section of
-//! `BENCH_apro.json` at the repository root; the `apro_scaling` and
-//! `retrieval_kernel` benches own the file's other sections.
+//! `BENCH_apro.json` at the repository root (the `apro_scaling` and
+//! `retrieval_kernel` benches own the file's other sections) before
+//! any guard fires, so a failing run still records its readings.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mp_core::{IndependenceEstimator, Metasearcher, RelevancyDef, ShardAssignment};
+use mp_core::{IndependenceEstimator, Metasearcher, RelevancyDef};
 use mp_eval::{Testbed, TestbedConfig};
 use mp_serve::{ServeConfig, ServeRequest, Server};
 use mp_workload::{OpenLoopConfig, Query};
@@ -84,12 +75,7 @@ const BATCH_RUNS: usize = 3;
 #[derive(Serialize)]
 struct ScenarioReport {
     workers: usize,
-    /// Shards the fleet is partitioned across.
-    shards: usize,
     cache_cap: usize,
-    /// Whether the inner `mp-core::par` fan-out was enabled for this
-    /// row (`false` ≙ the `parallel` feature compiled out).
-    inner_parallel: bool,
     runs: usize,
     /// Median wall nanoseconds for the whole batch.
     wall_ns: f64,
@@ -97,9 +83,9 @@ struct ScenarioReport {
     qps: f64,
     /// `min(1, qps / (min(workers, cores) × qps of the matching
     /// 1-worker row))` — the matching row shares this row's cache
-    /// capacity and `inner_parallel` setting, and the divisor is capped
-    /// at the machine's core count (surplus workers cannot add
-    /// throughput, but a shared lock would make them *subtract* it).
+    /// capacity, and the divisor is capped at the machine's core count
+    /// (surplus workers cannot add throughput, but a shared lock would
+    /// make them *subtract* it).
     /// 1.0 means the workers extract full linear scaling from the
     /// available cores. The value is **clamped at 1.0**: an efficiency
     /// is a fraction of the linear ideal, and measured ratios above it
@@ -312,15 +298,14 @@ struct ThroughputReport {
     batched_cold_speedup: f64,
 }
 
-/// The testbed's metasearcher, its fleet partitioned into `shards`.
-fn shared_metasearcher(tb: &Testbed, shards: usize) -> Arc<Metasearcher> {
+/// The testbed's metasearcher.
+fn shared_metasearcher(tb: &Testbed) -> Arc<Metasearcher> {
     Metasearcher::with_library(
         tb.mediator.clone(),
         Box::new(IndependenceEstimator),
         RelevancyDef::DocFrequency,
         tb.library.clone(),
     )
-    .partitioned(&ShardAssignment::ByNameFnv(shards))
     .shared()
 }
 
@@ -342,13 +327,10 @@ fn stream(queries: &[Query]) -> Vec<ServeRequest> {
 /// median wall time.
 fn run_scenario(
     ms: &Arc<Metasearcher>,
-    shards: usize,
     requests: &[ServeRequest],
     workers: usize,
     cache_cap: usize,
-    inner_parallel: bool,
 ) -> ScenarioReport {
-    mp_core::par::set_parallel_enabled(inner_parallel);
     let mut walls = Vec::with_capacity(RUNS);
     let mut last_stats = None;
     // Warm-up run absorbs first-touch effects (lazy allocs, page-ins).
@@ -365,13 +347,11 @@ fn run_scenario(
             last_stats = Some(server.stats());
         }
     }
-    mp_core::par::set_parallel_enabled(true);
     let (_, wall_ns, _, _) = criterion::summarize(&walls);
     let stats = last_stats.expect("at least one measured run");
     let qps = requests.len() as f64 / (wall_ns / 1e9);
     eprintln!(
-        "serve_throughput workers={workers} shards={shards} cache_cap={cache_cap} \
-         inner_parallel={inner_parallel}: \
+        "serve_throughput workers={workers} cache_cap={cache_cap}: \
          {:.1} ms/batch, {qps:.0} q/s (hits {} misses {} joins {})",
         wall_ns / 1e6,
         stats.hits,
@@ -380,9 +360,7 @@ fn run_scenario(
     );
     ScenarioReport {
         workers,
-        shards,
         cache_cap,
-        inner_parallel,
         runs: RUNS,
         wall_ns,
         qps,
@@ -395,26 +373,24 @@ fn run_scenario(
 }
 
 /// Fills `scaling_efficiency` and `raw_qps_ratio` for every row from
-/// its matching 1-worker row (same cache capacity and `inner_parallel`
-/// setting). The efficiency is hardware-normalized —
-/// `qps / (min(workers, cores) × base)` — and clamped to `[0, 1]`:
-/// values above 1.0 are measurement noise, not super-linear scaling,
-/// and reporting them as "efficiency" misreads the normalizer. The raw
-/// (un-normalized, un-clamped) qps ratio is kept alongside so the
-/// underlying measurement is never lost to the clamp.
+/// its matching 1-worker row (same cache capacity). The efficiency is
+/// hardware-normalized — `qps / (min(workers, cores) × base)` — and
+/// clamped to `[0, 1]`: values above 1.0 are measurement noise, not
+/// super-linear scaling, and reporting them as "efficiency" misreads
+/// the normalizer. The raw (un-normalized, un-clamped) qps ratio is
+/// kept alongside so the underlying measurement is never lost to the
+/// clamp.
 fn fill_scaling_efficiency(scenarios: &mut [ScenarioReport], cores: usize) {
-    let singles: Vec<(usize, usize, bool, f64)> = scenarios
+    let singles: Vec<(usize, f64)> = scenarios
         .iter()
         .filter(|s| s.workers == 1)
-        .map(|s| (s.shards, s.cache_cap, s.inner_parallel, s.qps))
+        .map(|s| (s.cache_cap, s.qps))
         .collect();
     for s in scenarios.iter_mut() {
         let base = singles
             .iter()
-            .find(|&&(sh, cap, par, _)| {
-                sh == s.shards && cap == s.cache_cap && par == s.inner_parallel
-            })
-            .map(|&(_, _, _, qps)| qps)
+            .find(|&&(cap, _)| cap == s.cache_cap)
+            .map(|&(_, qps)| qps)
             .expect("every matrix row has a matching 1-worker baseline row");
         s.raw_qps_ratio = s.qps / base;
         s.scaling_efficiency = (s.qps / (s.workers.min(cores) as f64 * base)).min(1.0);
@@ -496,7 +472,7 @@ fn write_flame_profile(ms: &Arc<Metasearcher>, requests: &[ServeRequest], worker
 
 fn main() {
     let tb = Testbed::build(TestbedConfig::tiny(SEED));
-    let ms = shared_metasearcher(&tb, 1);
+    let ms = shared_metasearcher(&tb);
     let queries: Vec<Query> = tb
         .split
         .test
@@ -508,61 +484,19 @@ fn main() {
     assert_eq!(queries.len(), UNIQUE, "testbed provides the unique set");
     let requests = stream(&queries);
 
-    // The same fleet partitioned into shards answers bit-identically
-    // (the shard layer's equivalence contract), so these rows measure
-    // pure topology overhead.
-    const SHARDS: usize = 4;
-    let sharded = shared_metasearcher(&tb, SHARDS);
-
-    // Acceptance matrix (inner fan-out on) + cold-cache worker-scaling
-    // sweep with the inner fan-out on vs forced off + cold sharded rows
-    // (the cold 4-worker sharded row sits under the same ≥ 0.7 scaling
-    // guard as the flat one: partitioning must not reintroduce a
-    // cross-worker lock).
-    let matrix = [
-        (1usize, 0usize, true, 1usize),
-        (1, 1024, true, 1),
-        (2, 0, true, 1),
-        (4, 0, true, 1),
-        (4, 1024, true, 1),
-        (1, 0, false, 1),
-        (2, 0, false, 1),
-        (4, 0, false, 1),
-        (1, 0, true, SHARDS),
-        (4, 0, true, SHARDS),
-    ];
+    // Acceptance matrix + cold-cache worker-scaling sweep, keyed by
+    // (workers, cache capacity).
+    let matrix = [(1usize, 0usize), (1, 1024), (2, 0), (4, 0), (4, 1024)];
     let mut scenarios: Vec<ScenarioReport> = matrix
         .iter()
-        .map(|&(workers, cap, par, shards)| {
-            let target = if shards == 1 { &ms } else { &sharded };
-            run_scenario(target, shards, &requests, workers, cap, par)
-        })
+        .map(|&(workers, cap)| run_scenario(&ms, &requests, workers, cap))
         .collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     fill_scaling_efficiency(&mut scenarios, cores);
     for s in &scenarios {
         eprintln!(
-            "serve_throughput workers={} shards={} cache_cap={} inner_parallel={}: \
-             scaling efficiency {:.2} ({cores} cores)",
-            s.workers, s.shards, s.cache_cap, s.inner_parallel, s.scaling_efficiency
-        );
-    }
-
-    // Scaling-regression guard: a cold 4-worker row falling under 0.7
-    // means surplus workers are *losing* throughput to a cross-worker
-    // lock on the serve path (the defect this bench re-measures). The
-    // serve-bench CI job relies on this assert firing.
-    for s in scenarios
-        .iter()
-        .filter(|s| s.workers == 4 && s.cache_cap == 0)
-    {
-        assert!(
-            s.scaling_efficiency >= 0.7,
-            "cold scaling regression: 4-worker (shards={}, inner_parallel={}) efficiency \
-             {:.2} < 0.7 on {cores} cores — a shared lock is back on the cold path",
-            s.shards,
-            s.inner_parallel,
-            s.scaling_efficiency
+            "serve_throughput workers={} cache_cap={}: scaling efficiency {:.2} ({cores} cores)",
+            s.workers, s.cache_cap, s.scaling_efficiency
         );
     }
 
@@ -575,18 +509,14 @@ fn main() {
 
     let baseline = scenarios
         .iter()
-        .find(|s| s.workers == 1 && s.shards == 1 && s.cache_cap == 0 && s.inner_parallel)
+        .find(|s| s.workers == 1 && s.cache_cap == 0)
         .expect("baseline scenario present");
     let candidate = scenarios
         .iter()
-        .find(|s| s.workers == 4 && s.shards == 1 && s.cache_cap > 0 && s.inner_parallel)
+        .find(|s| s.workers == 4 && s.cache_cap > 0)
         .expect("candidate scenario present");
     let speedup = candidate.qps / baseline.qps;
     eprintln!("serve_throughput speedup (4w cached vs 1w cold): {speedup:.1}x");
-    assert!(
-        speedup >= 2.0,
-        "acceptance: cached serving must be >= 2x the cold baseline, got {speedup:.2}x"
-    );
 
     // Open-loop batched/shed matrix. Recording is enabled so the SLO
     // row's rolling p99 (obs-gated) sees real latencies; the window-1
@@ -602,12 +532,6 @@ fn main() {
         run_batch_scenario(&ms, &open, 4, 8, None, 0),
         run_batch_scenario(&ms, &open_deadlined, 4, 8, Some(1), 30),
     ];
-
-    // Term-sharing acceptance guard: under the skewed open-loop
-    // workload, batched cold execution must clear ≥ 1.3× the
-    // unbatched single-worker cold throughput. A fall below means the
-    // batch kernel stopped sharing traversals (or batch formation
-    // broke) — the perf contract of this matrix.
     let unbatched = open_loop
         .iter()
         .find(|s| s.workers == 1 && s.batch_window == 1)
@@ -621,11 +545,6 @@ fn main() {
         "serve_throughput batched cold speedup (window 8 vs 1, 1 worker): \
          {batched_cold_speedup:.2}x"
     );
-    assert!(
-        batched_cold_speedup >= 1.3,
-        "acceptance: batched cold serving must be >= 1.3x unbatched under the skewed \
-         open-loop workload, got {batched_cold_speedup:.2}x"
-    );
     let shed_row = open_loop
         .iter()
         .find(|s| s.shed_p99_ms.is_some())
@@ -635,6 +554,11 @@ fn main() {
         shed_row.shed_rate, shed_row.sheds, shed_row.arrivals
     );
 
+    let cold_four = scenarios
+        .iter()
+        .find(|s| s.workers == 4 && s.cache_cap == 0)
+        .expect("cold 4-worker scenario present")
+        .scaling_efficiency;
     let report = ThroughputReport {
         bench: "server queries/sec, repeated-query workload".to_string(),
         unique_queries: UNIQUE,
@@ -656,4 +580,30 @@ fn main() {
     )
     .expect("BENCH_apro.json written");
     eprintln!("wrote {path} (section serve_throughput)");
+
+    // The guards run only after the report is written, so a failing run
+    // still leaves its readings behind; the serve-bench CI job relies on
+    // them firing.
+    //
+    // Scaling regression: the cold 4-worker row falling under 0.7 means
+    // surplus workers are *losing* throughput to a cross-worker lock on
+    // the serve path (the defect this bench re-measures).
+    assert!(
+        cold_four >= 0.7,
+        "cold scaling regression: 4-worker efficiency {cold_four:.2} < 0.7 on {cores} cores \
+         — a shared lock is back on the cold path"
+    );
+    assert!(
+        speedup >= 2.0,
+        "acceptance: cached serving must be >= 2x the cold baseline, got {speedup:.2}x"
+    );
+    // Term-sharing acceptance: under the skewed open-loop workload,
+    // batched cold execution must clear ≥ 1.3× the unbatched
+    // single-worker cold throughput. A fall below means the batch
+    // kernel stopped sharing traversals (or batch formation broke).
+    assert!(
+        batched_cold_speedup >= 1.3,
+        "acceptance: batched cold serving must be >= 1.3x unbatched under the skewed \
+         open-loop workload, got {batched_cold_speedup:.2}x"
+    );
 }

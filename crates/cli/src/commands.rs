@@ -208,7 +208,6 @@ pub fn run_suggest(dir: &Path, n: usize) -> Result<String, StateError> {
 pub fn run_serve(
     dir: &Path,
     workers: usize,
-    shards: usize,
     cache_cap: usize,
     queue_cap: usize,
     batch_window: usize,
@@ -240,16 +239,12 @@ pub fn run_serve(
         .cloned()
         .collect();
 
-    // The fleet is partitioned by FNV-hashed database name; every shard
-    // count answers identically (the shard layer's equivalence contract).
-    let shards = shards.max(1).min(st.testbed.mediator.len());
     let ms = Metasearcher::with_library(
         st.testbed.mediator.clone(),
         Box::new(mp_core::IndependenceEstimator),
         RelevancyDef::DocFrequency,
         library,
     )
-    .partitioned(&mp_core::ShardAssignment::ByNameFnv(shards))
     .shared();
     let tracing = trace || trace_dump.is_some();
     let server = Server::new(
@@ -292,12 +287,11 @@ pub fn run_serve(
     let qps = responses.len() as f64 / wall.as_secs_f64().max(1e-9);
 
     let mut out = format!(
-        "served {} queries ({} unique × {}) with {} worker(s), {} shard(s), cache cap {}\n",
+        "served {} queries ({} unique × {}) with {} worker(s), cache cap {}\n",
         responses.len(),
         unique.len(),
         repeat.max(1),
         workers.max(1),
-        shards,
         cache_cap,
     );
     out.push_str(&format!(
@@ -431,33 +425,20 @@ mod tests {
         run_train(&dir).unwrap();
 
         let out = run_serve(
-            &dir, 2, 1, 64, 16, 1, None, 4, 3, 1, 0.8, "greedy", false, None,
+            &dir, 2, 64, 16, 1, None, 4, 3, 1, 0.8, "greedy", false, None,
         )
         .unwrap();
         assert!(out.contains("served 12 queries (4 unique × 3)"), "{out}");
-        assert!(out.contains("1 shard(s)"), "{out}");
         assert!(out.contains("queries/s"), "{out}");
         // 4 unique queries played 3 times: at most 4 misses, the rest
         // hits or dedup joins.
         assert!(out.contains("result cache:"), "{out}");
 
-        // Same stream over a partitioned fleet: the identical workload
-        // shape, at three shards.
-        let sharded = run_serve(
-            &dir, 2, 3, 64, 16, 1, None, 4, 3, 1, 0.8, "greedy", false, None,
-        )
-        .unwrap();
-        assert!(
-            sharded.contains("served 12 queries (4 unique × 3)"),
-            "{sharded}"
-        );
-        assert!(sharded.contains("3 shard(s)"), "{sharded}");
-
         // Batched draining over the same stream: identical workload
         // shape, plus the batching stats line (batches may be zero if
         // the workers outpace the driver — the line always prints).
         let batched = run_serve(
-            &dir, 2, 1, 64, 16, 4, None, 4, 3, 1, 0.8, "greedy", false, None,
+            &dir, 2, 64, 16, 4, None, 4, 3, 1, 0.8, "greedy", false, None,
         )
         .unwrap();
         assert!(
@@ -469,7 +450,6 @@ mod tests {
         let bad = run_serve(
             &dir,
             2,
-            1,
             64,
             16,
             1,
@@ -497,7 +477,6 @@ mod tests {
         let dump = dir.join("trace.json");
         let out = run_serve(
             &dir,
-            1,
             1,
             64,
             16,

@@ -16,7 +16,7 @@ commands:
   query    --state DIR --text \"words…\" [--k N] [--threshold T]
            [--policy greedy|random|by-estimate|max-uncertainty]
   eval     --state DIR [--k N]
-  serve    --state DIR [--workers N] [--shards S] [--cache-cap C] [--queue-cap Q]
+  serve    --state DIR [--workers N] [--cache-cap C] [--queue-cap Q]
            [--batch-window W] [--shed-p99-ms MS]
            [--n UNIQUE] [--repeat R] [--k N] [--threshold T]
            [--policy greedy|random|by-estimate|max-uncertainty]
@@ -53,7 +53,6 @@ struct Opts {
     threshold: f64,
     policy: String,
     workers: usize,
-    shards: usize,
     cache_cap: usize,
     queue_cap: usize,
     batch_window: usize,
@@ -79,7 +78,6 @@ impl Default for Opts {
             threshold: 0.9,
             policy: "greedy".to_string(),
             workers: 4,
-            shards: 1,
             cache_cap: 1024,
             queue_cap: 64,
             batch_window: 1,
@@ -124,7 +122,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), Strin
             "--workers" => {
                 opts.workers = value()?.parse().map_err(|e| format!("bad workers: {e}"))?
             }
-            "--shards" => opts.shards = value()?.parse().map_err(|e| format!("bad shards: {e}"))?,
             "--cache-cap" => {
                 opts.cache_cap = value()?
                     .parse()
@@ -189,7 +186,6 @@ fn main() -> ExitCode {
         "serve" => commands::run_serve(
             &state,
             opts.workers,
-            opts.shards,
             opts.cache_cap,
             opts.queue_cap,
             opts.batch_window,

@@ -12,9 +12,9 @@
 //! `(database, actual)` sequence. Every request's outcome, probe trace,
 //! fused hits, and probe accounting are bit-identical to running
 //! [`crate::Metasearcher::search_with_rds`] per request in isolation
-//! (`tests/batch_equivalence.rs` pins this at shard counts 1, 2, 3
-//! and 8). Grouping is fully deterministic: demands are dispatched
-//! in ascending `(database, request)` order, never hash order.
+//! (`tests/batch_equivalence.rs` pins this). Grouping is fully
+//! deterministic: demands are dispatched in ascending
+//! `(database, request)` order, never hash order.
 //!
 //! Databases whose answers depend on *global* probe order (failure
 //! injection keyed off shared counters) see a different interleaving

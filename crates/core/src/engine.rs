@@ -38,7 +38,6 @@
 
 use crate::correctness::CorrectnessMetric;
 use crate::expected::{conv, merged_support, set_rival, RdState};
-use crate::par::par_map_indexed;
 use crate::selection::best_set_score_quick;
 
 /// The most `f64`s of `(A, B)` bucket rows one pass of the sweep holds
@@ -65,13 +64,13 @@ pub fn usefulness_all(state: &RdState, k: usize, metric: CorrectnessMetric) -> V
     mp_obs::histogram!("engine.candidates", mp_obs::bounds::POW2)
         .record(u64::try_from(candidates.len()).unwrap_or(u64::MAX));
     if !sweep_applies(state, k, metric) {
-        // Reference evaluation per candidate, parallel across candidates.
+        // Reference evaluation per candidate.
         let _ref_span = mp_obs::span!("engine.reference");
         mp_obs::counter!("engine.reference_fallbacks").incr();
-        return par_map_indexed(candidates.len(), 2, |c| {
-            let h = candidates[c];
-            (h, naive_usefulness(state, h, k, metric))
-        });
+        return candidates
+            .into_iter()
+            .map(|h| (h, naive_usefulness(state, h, k, metric)))
+            .collect();
     }
     let _sweep_span = mp_obs::span!("engine.sweep");
     let rds = state.rds();

@@ -22,9 +22,10 @@
 //! 6. **The metasearcher** ([`metasearcher`], [`fusion`]) — the one
 //!    engine: train-then-serve pipeline with certainty-controlled
 //!    selection and result fusion.
-//! 7. **The shard layer** ([`shard`]) — a partition of the metasearcher's
-//!    one fleet into member lists, with scatter-gather RD derivation
-//!    bit-identical at every shard count.
+//!
+//! The crate spawns no threads: every call runs on its caller's thread,
+//! and the callers (mp-serve's worker pool, mp-eval's per-query map)
+//! own all concurrency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,14 +40,12 @@ pub mod estimator;
 pub mod expected;
 pub mod fusion;
 pub mod metasearcher;
-pub mod par;
 pub mod persist;
 pub mod probing;
 pub mod query_type;
 pub mod rd;
 pub mod relevancy;
 pub mod selection;
-pub mod shard;
 
 pub use batch::BatchQuery;
 pub use config::CoreConfig;
@@ -60,4 +59,3 @@ pub use probing::{apro, AproConfig, AproOutcome, GreedyPolicy, ProbePolicy};
 pub use query_type::QueryType;
 pub use relevancy::RelevancyDef;
 pub use selection::{baseline_select, best_set, rd_based_select};
-pub use shard::{ShardAssignment, ShardPlan};

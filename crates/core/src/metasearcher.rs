@@ -4,10 +4,7 @@
 //! Query-time selection ([`Metasearcher::select_rd`],
 //! [`Metasearcher::select_adaptive`], [`Metasearcher::search`]) runs on
 //! one-pass sweeps over the merged RD support ([`crate::engine`],
-//! [`crate::expected`]); the only fan-out the facade adds is the shard
-//! scatter of [`Metasearcher::rds`] ([`crate::shard`]), so results are
-//! identical with or without the `parallel` feature and at every shard
-//! count.
+//! [`crate::expected`]), sequentially on the caller's thread.
 
 use crate::config::CoreConfig;
 use crate::correctness::CorrectnessMetric;
@@ -16,10 +13,9 @@ use crate::estimator::RelevancyEstimator;
 use crate::expected::RdState;
 use crate::fusion::{fuse, FusedHit};
 use crate::probing::{apro, AproConfig, AproOutcome, ProbePolicy};
-use crate::rd::derive_db_rd;
+use crate::rd::derive_all_rds;
 use crate::relevancy::RelevancyDef;
 use crate::selection::{baseline_select, best_set};
-use crate::shard::{ShardAssignment, ShardPlan};
 use mp_hidden::Mediator;
 use mp_stats::Discrete;
 use mp_workload::Query;
@@ -44,22 +40,18 @@ pub struct MetasearchResult {
 
 /// A trained probabilistic metasearcher (paper Figure 1's middle box):
 /// one mediator, estimator, relevancy definition and ED library over
-/// the whole fleet, in global index order, plus the [`ShardPlan`] its
-/// RD derivation scatters over (one shard unless
-/// [`Self::partitioned`]).
+/// the whole fleet, in index order.
 pub struct Metasearcher {
     mediator: Mediator,
     estimator: Box<dyn RelevancyEstimator>,
     def: RelevancyDef,
     library: EdLibrary,
-    plan: ShardPlan,
 }
 
 impl std::fmt::Debug for Metasearcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Metasearcher")
             .field("databases", &self.mediator.len())
-            .field("shards", &self.plan.n_shards())
             .field("estimator", &self.estimator.name())
             .field("relevancy", &self.def.to_string())
             .finish()
@@ -97,23 +89,10 @@ impl Metasearcher {
             "library does not cover the mediated databases"
         );
         Self {
-            plan: ShardPlan::new(&ShardAssignment::RoundRobin(1), &mediator),
             mediator,
             estimator,
             def,
             library,
-        }
-    }
-
-    /// Partitions the fleet under `assignment`: each shard derives its
-    /// members' RDs from the fleet's summaries and library, and probes
-    /// stay on the one mediator (see [`crate::shard`]). Every answer is
-    /// bit-identical at every partition.
-    #[must_use]
-    pub fn partitioned(self, assignment: &ShardAssignment) -> Self {
-        Self {
-            plan: ShardPlan::new(assignment, &self.mediator),
-            ..self
         }
     }
 
@@ -140,48 +119,18 @@ impl Metasearcher {
         self.def
     }
 
-    /// The partition RD derivation scatters over.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Probes served per shard since the last reset: the probe counters
-    /// of each shard's members, summed.
-    pub fn shard_probes(&self) -> Vec<u64> {
-        (0..self.plan.n_shards())
-            .map(|s| {
-                self.plan
-                    .members(s)
-                    .iter()
-                    .map(|&i| self.mediator.db(i).probe_count())
-                    .sum()
-            })
-            .collect()
-    }
-
     /// Point estimates `r̂(db_i, q)` for every database.
     pub fn estimates(&self, query: &Query) -> Vec<f64> {
-        self.estimates_of(0..self.mediator.len(), query)
-    }
-
-    fn estimates_of(&self, dbs: impl Iterator<Item = usize>, query: &Query) -> Vec<f64> {
-        dbs.map(|i| self.estimator.estimate(self.mediator.summary(i), query))
+        (0..self.mediator.len())
+            .map(|i| self.estimator.estimate(self.mediator.summary(i), query))
             .collect()
     }
 
     /// The query's relevancy distributions across all databases, in
-    /// global index order: each shard estimates, then derives, its
-    /// members' RDs, and the gather reassembles them ([`crate::shard`]).
+    /// index order ([`derive_all_rds`] over [`Self::estimates`]).
     // mp-lint: allow(L6): every element comes from derive_rd, which asserts
     pub fn rds(&self, query: &Query) -> Vec<Discrete> {
-        self.plan.scatter_gather(|members| {
-            let estimates = self.estimates_of(members.iter().copied(), query);
-            members
-                .iter()
-                .zip(estimates)
-                .map(|(&i, estimate)| derive_db_rd(estimate, i, query, &self.library))
-                .collect()
-        })
+        derive_all_rds(&self.estimates(query), query, &self.library)
     }
 
     /// Baseline selection (pure estimate ranking, paper Section 2.2).
@@ -259,15 +208,11 @@ impl Metasearcher {
     ) -> MetasearchResult {
         let outcome = self.select_adaptive_with_rds(query, rds, config, policy);
         let top_n = self.library.config().probe_top_n.max(fuse_limit);
-        // Fan the selected-database searches across cores: each search
-        // runs the retrieval kernel against an independent index with
-        // its own thread-local scratch, and `par_map_indexed` preserves
-        // index order, so the fused ranking is bit-identical to the
-        // sequential dispatch.
-        let responses: Vec<_> = crate::par::par_map_indexed(outcome.selected.len(), 4, |j| {
-            let i = outcome.selected[j];
-            (i, self.mediator.db(i).search(query.terms(), top_n))
-        });
+        let responses: Vec<_> = outcome
+            .selected
+            .iter()
+            .map(|&i| (i, self.mediator.db(i).search(query.terms(), top_n)))
+            .collect();
         let hits = fuse(&responses, fuse_limit);
         MetasearchResult {
             probes_used: outcome.n_probes(),

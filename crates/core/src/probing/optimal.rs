@@ -88,26 +88,23 @@ impl ProbePolicy for OptimalPolicy {
         if unprobed.is_empty() {
             return None;
         }
-        // Each candidate's expectimax subtree is independent, so the
-        // top-level scan fans across cores; index-ordered collection
-        // keeps the argmin deterministic.
-        let this = &*self;
-        crate::par::par_map_indexed(unprobed.len(), 2, |c| {
-            let i = unprobed[c];
-            let mut cost = 1.0;
-            for &(v, p) in state.rds()[i].points() {
-                let next = state.with_hypothetical(i, v);
-                cost += p * this.expected_cost(&next, k, metric);
-            }
-            (i, cost)
-        })
-        .into_iter()
-        .min_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("costs are finite")
-                .then(a.0.cmp(&b.0))
-        })
-        .map(|(i, _)| i)
+        // Ties go to the lower index, keeping the argmin deterministic.
+        unprobed
+            .into_iter()
+            .map(|i| {
+                let mut cost = 1.0;
+                for &(v, p) in state.rds()[i].points() {
+                    let next = state.with_hypothetical(i, v);
+                    cost += p * self.expected_cost(&next, k, metric);
+                }
+                (i, cost)
+            })
+            .min_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("costs are finite")
+                    .then(a.0.cmp(&b.0))
+            })
+            .map(|(i, _)| i)
     }
 }
 

@@ -13,31 +13,27 @@
 //!   equal per request — selection order, certainty bits, probe trace,
 //!   satisfied flag, fused hits;
 //! * **probe accounting** is exactly equal per database: batching never
-//!   adds, saves, or reorders a probe's cost onto another database;
-//! * both hold at every shard count {1, 2, 3, 8} of a partitioned
-//!   metasearcher.
+//!   adds, saves, or reorders a probe's cost onto another database.
 
 use std::sync::Arc;
 
 use mp_core::probing::GreedyPolicy;
 use mp_core::{
     AproConfig, BatchQuery, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator,
-    MetasearchResult, Metasearcher, RelevancyDef, ShardAssignment,
+    Metasearcher, RelevancyDef,
 };
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
 use mp_text::TermId;
 use mp_workload::Query;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
 fn t(i: u32) -> TermId {
     TermId(i)
 }
 
 /// Deterministic per-database corpora from generated `(docs, pattern)`
-/// specs — same construction as the shard equivalence suite, so
-/// estimates err differently per database and probing does real work.
+/// specs, so estimates err differently per database and probing does
+/// real work.
 fn build_indexes(specs: &[(u8, u8)]) -> Vec<InvertedIndex> {
     specs
         .iter()
@@ -101,7 +97,7 @@ fn library(mediator: &Mediator) -> EdLibrary {
     lib
 }
 
-fn flat_twin(indexes: &[InvertedIndex], lib: &EdLibrary) -> Metasearcher {
+fn twin(indexes: &[InvertedIndex], lib: &EdLibrary) -> Metasearcher {
     Metasearcher::with_library(
         stack(indexes),
         Box::new(IndependenceEstimator),
@@ -110,7 +106,7 @@ fn flat_twin(indexes: &[InvertedIndex], lib: &EdLibrary) -> Metasearcher {
     )
 }
 
-fn flat_probe_counts(ms: &Metasearcher) -> Vec<u64> {
+fn probe_counts(ms: &Metasearcher) -> Vec<u64> {
     (0..ms.mediator().len())
         .map(|i| ms.mediator().db(i).probe_count())
         .collect()
@@ -139,18 +135,18 @@ fn items<'a>(ms: &Metasearcher, queries: &'a [Query], config: AproConfig) -> Vec
         .collect()
 }
 
-/// The batch executor vs per-request execution on twin flat stacks:
-/// results and per-database probe counters must be exactly equal.
-fn assert_flat_equivalent(
+/// The batch executor vs per-request execution on twin stacks: results
+/// and per-database probe counters must be exactly equal.
+fn assert_batch_equivalent(
     indexes: &[InvertedIndex],
     lib: &EdLibrary,
     queries: &[Query],
     config: AproConfig,
-) -> Vec<MetasearchResult> {
-    let solo = flat_twin(indexes, lib);
-    let batched = flat_twin(indexes, lib);
+) {
+    let solo = twin(indexes, lib);
+    let batched = twin(indexes, lib);
 
-    let expected: Vec<MetasearchResult> = queries
+    let expected: Vec<_> = queries
         .iter()
         .map(|q| {
             let mut policy = GreedyPolicy;
@@ -164,38 +160,10 @@ fn assert_flat_equivalent(
         assert_eq!(g, e, "request {i} diverged under batching");
     }
     assert_eq!(
-        flat_probe_counts(&batched),
-        flat_probe_counts(&solo),
+        probe_counts(&batched),
+        probe_counts(&solo),
         "per-database probe counters diverged under batching"
     );
-    expected
-}
-
-/// Same comparison on partitioned metasearchers: batched execution at
-/// every shard count vs the per-request one-shard engine, including
-/// per-database probe accounting.
-fn assert_sharded_equivalent(
-    indexes: &[InvertedIndex],
-    lib: &EdLibrary,
-    queries: &[Query],
-    config: AproConfig,
-    expected: &[MetasearchResult],
-    expected_counts: &[u64],
-) {
-    for shards in SHARD_COUNTS {
-        let assignment = ShardAssignment::RoundRobin(shards);
-        let sharded = flat_twin(indexes, lib).partitioned(&assignment);
-        let got = sharded.search_batch_with_rds(items(&sharded, queries, config), 5);
-        assert_eq!(got.len(), expected.len());
-        for (i, (g, e)) in got.iter().zip(expected).enumerate() {
-            assert_eq!(g, e, "request {i} diverged batched at {shards} shards");
-        }
-        assert_eq!(
-            flat_probe_counts(&sharded),
-            expected_counts,
-            "probe counters diverged batched at {shards} shards"
-        );
-    }
 }
 
 /// Batches covering every overlap shape over terms 0..4.
@@ -227,21 +195,7 @@ fn fixed_overlap_shapes_are_bit_identical() {
     let lib = library(&stack(&indexes));
     for batch in overlap_batches() {
         for (k, threshold) in [(1, 0.95), (2, 0.9)] {
-            let config = apro_config(k, threshold);
-            let solo = flat_twin(&indexes, &lib);
-            let expected = assert_flat_equivalent(&indexes, &lib, &batch, config);
-            for q in &batch {
-                let mut policy = GreedyPolicy;
-                solo.search_with_rds(q, solo.rds(q), config, &mut policy, 5);
-            }
-            assert_sharded_equivalent(
-                &indexes,
-                &lib,
-                &batch,
-                config,
-                &expected,
-                &flat_probe_counts(&solo),
-            );
+            assert_batch_equivalent(&indexes, &lib, &batch, apro_config(k, threshold));
         }
     }
 }
@@ -250,9 +204,9 @@ fn fixed_overlap_shapes_are_bit_identical() {
 fn empty_batch_returns_empty() {
     let indexes = build_indexes(&[(10, 3), (20, 5)]);
     let lib = library(&stack(&indexes));
-    let ms = flat_twin(&indexes, &lib);
+    let ms = twin(&indexes, &lib);
     assert!(ms.search_batch_with_rds(Vec::new(), 5).is_empty());
-    assert_eq!(flat_probe_counts(&ms), vec![0, 0]);
+    assert_eq!(probe_counts(&ms), vec![0, 0]);
 }
 
 proptest::proptest! {
@@ -260,8 +214,7 @@ proptest::proptest! {
 
     /// Random fleets × random batches (sizes 1..7, queries drawn from a
     /// small pool so duplicates and partial overlaps occur naturally):
-    /// the batch executor replays per-request execution bit-for-bit at
-    /// every shard count.
+    /// the batch executor replays per-request execution bit-for-bit.
     #[test]
     fn random_batches_are_bit_identical(
         specs in proptest::collection::vec((0u8..=255, 0u8..=255), 2..7),
@@ -281,19 +234,6 @@ proptest::proptest! {
         let batch: Vec<Query> = picks.iter().map(|&p| pool[p].clone()).collect();
         let config = apro_config(k.min(indexes.len()), 0.9);
 
-        let expected = assert_flat_equivalent(&indexes, &lib, &batch, config);
-        let solo = flat_twin(&indexes, &lib);
-        for q in &batch {
-            let mut policy = GreedyPolicy;
-            solo.search_with_rds(q, solo.rds(q), config, &mut policy, 5);
-        }
-        assert_sharded_equivalent(
-            &indexes,
-            &lib,
-            &batch,
-            config,
-            &expected,
-            &flat_probe_counts(&solo),
-        );
+        assert_batch_equivalent(&indexes, &lib, &batch, config);
     }
 }

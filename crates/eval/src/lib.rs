@@ -15,14 +15,16 @@
 //! | [`experiments::ablations`] | A1 policies, A2 θ sweep, A3 training size, A4 summaries |
 //!
 //! Shared machinery: [`Testbed`] (scenario + summaries + trained ED
-//! library + golden standard), [`runner`] (parallel per-query
-//! evaluation), [`report`] (text tables + JSON reports).
+//! library + golden standard), [`runner`] (per-query evaluation,
+//! fanned across cores by [`runner::par_map_queries`]), [`report`]
+//! (text tables + JSON reports).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod golden;
+mod par;
 pub mod report;
 pub mod runner;
 pub mod testbed;

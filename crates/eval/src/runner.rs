@@ -24,22 +24,7 @@ pub struct MethodScores {
     pub n_queries: usize,
 }
 
-/// Below this many queries a fork-join costs more than the per-query
-/// work it spreads (mirrors the old local cutoff of 8 queries).
-const QUERY_PAR_MIN: usize = 8;
-
-/// Maps `f` over query indices `0..n`, preserving order. Delegates to
-/// [`mp_core::par::par_map_indexed`] — the workspace's single sanctioned
-/// fork-join primitive (lint rule L4) — so thread management, the
-/// `parallel` feature gate, and the bit-identical sequential fallback
-/// all live in one place.
-pub fn par_map_queries<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    mp_core::par::par_map_indexed(n, QUERY_PAR_MIN, f)
-}
+pub use crate::par::par_map_queries;
 
 /// Evaluates the term-independence baseline (estimate ranking).
 pub fn evaluate_baseline(tb: &Testbed, k: usize) -> MethodScores {

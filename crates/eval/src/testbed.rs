@@ -235,7 +235,7 @@ mod tests {
             n_queries: 10,
             docs_per_query: 20,
         };
-        let sampled = Testbed::build(cfg);
+        let sampled = Testbed::build(cfg.clone());
         let coop = Testbed::build(TestbedConfig::tiny(4));
         // Same sizes, but at least one df differs somewhere.
         let mut any_diff = false;
@@ -247,5 +247,15 @@ mod tests {
             }
         }
         assert!(any_diff, "sampling should not reproduce exact summaries");
+        // Sampling is seeded: a second build draws the same probe terms,
+        // whatever order the cooperative summaries hand them over in.
+        let again = Testbed::build(cfg);
+        for i in 0..coop.n_databases() {
+            assert_eq!(
+                sampled.mediator.summary(i),
+                again.mediator.summary(i),
+                "database {i}"
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@ use mp_index::InvertedIndex;
 use mp_text::TermId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A statistical summary of one database: document frequencies and size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,6 +49,11 @@ impl ContentSummary {
     /// `size_hint`, or an extrapolation from sample match counts when
     /// the site hides its size).
     ///
+    /// Which probe terms get drawn depends only on the *set* of seed
+    /// terms and on `rng`: the seeds are sorted and deduplicated before
+    /// the draw, so callers may pass them in any order (for instance
+    /// straight from another summary's [`Self::iter`]).
+    ///
     /// The probes issued here are *offline* (summary construction
     /// happens before query time), so callers typically
     /// [`reset_probes`](HiddenWebDatabase::reset_probes) afterwards.
@@ -62,14 +67,9 @@ impl ContentSummary {
         assert!(!seed_terms.is_empty(), "sampling needs seed terms");
         // Draw probe terms without replacement (partial Fisher–Yates) so
         // a small query budget still covers distinct vocabulary.
-        let mut terms: Vec<TermId> = {
-            let mut set: HashSet<TermId> = HashSet::new();
-            seed_terms
-                .iter()
-                .copied()
-                .filter(|t| set.insert(*t))
-                .collect()
-        };
+        let mut terms = seed_terms.to_vec();
+        terms.sort_unstable();
+        terms.dedup();
         let take = n_queries.min(terms.len());
         for i in 0..take {
             let j = rng.gen_range(i..terms.len());
@@ -242,6 +242,21 @@ mod tests {
         let s = ContentSummary::from_sampling(&db, &[t(1)], 1, 10, &mut rng);
         // The single-term match count (50) becomes the size proxy.
         assert_eq!(s.size(), 50);
+    }
+
+    #[test]
+    fn seed_term_order_does_not_change_the_sample() {
+        // Each term matches its own slice of the documents, so which
+        // terms the draw picks decides which documents get sampled.
+        let docs: Vec<Vec<u32>> = (0..70u32).map(|i| vec![i % 10, 10 + i % 7]).collect();
+        let refs: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
+        let db = db_with_docs(&refs);
+        let forward: Vec<TermId> = (0..17).map(t).collect();
+        let mut shuffled: Vec<TermId> = forward.iter().rev().copied().collect();
+        shuffled.extend([t(3), t(12)]); // duplicates are dropped too
+        let a = ContentSummary::from_sampling(&db, &forward, 3, 4, &mut StdRng::seed_from_u64(5));
+        let b = ContentSummary::from_sampling(&db, &shuffled, 3, 4, &mut StdRng::seed_from_u64(5));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! memory: the dense per-document accumulator array, the touched-doc
 //! list, per-term weight/bound tables, and the top-k heap. Allocating
 //! those per query made the old `HashMap` kernel allocation-bound, so
-//! the pool keeps one [`Scratch`] per thread — serve workers and
-//! `mp-core::par` fan-out threads each reuse their own across queries
-//! (and across differently-sized indices: buffers only ever grow).
+//! the pool keeps one [`Scratch`] per thread. A serve worker reuses its
+//! own across every query it serves (and across differently-sized
+//! indices: buffers only ever grow); one of mp-eval's fork-join threads
+//! lives for one per-query map, so it reuses its scratch across the
+//! queries of its chunk and starts cold on the next map.
 //!
 //! **Invariant:** between queries, every element of `acc` is exactly
 //! `0.0`. The dense kernel restores the invariant by zeroing only the

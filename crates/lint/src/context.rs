@@ -35,7 +35,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &["core", "hidden", "index", "stats"];
 /// acquire/release pairs with a written invariant. Grown deliberately:
 /// registering a module here is the review point.
 pub const RELAXED_COUNTER_MODULES: &[&str] = &[
-    "crates/core/src/par.rs",
     "crates/hidden/src/db.rs",
     "crates/hidden/src/unreliable.rs",
     "crates/obs/src/lib.rs",
@@ -56,8 +55,8 @@ pub struct FileClass {
     pub test_file: bool,
     /// File belongs to a library crate: L3 (unwrap/expect) applies.
     pub l3_library: bool,
-    /// File is the sanctioned thread-spawn site (`mp-core::par`): L4 is
-    /// skipped.
+    /// File is a sanctioned thread-spawn site (mp-eval's fork-join,
+    /// mp-serve's worker pool): L4 is skipped.
     pub l4_exempt: bool,
     /// File belongs to a library crate: L8 (no print macros) applies.
     /// Tracks `l3_library` today; kept separate so the two scopes can

@@ -3,11 +3,11 @@
 //! The probabilistic engine's correctness rests on invariants `cargo
 //! clippy` cannot express: no float `==` outside tests (L1), no lossy
 //! `as` casts on counts and indices (L2), no `unwrap()` in library
-//! crates (L3), no thread spawns outside `mp-core::par` (L4),
-//! `cfg(feature = "parallel")` hygiene (L5), normalization
-//! `debug_assert`s in every pmf constructor (L6), and issue-tracked
-//! TODOs (L7). This crate is a zero-dependency, token-level analyzer
-//! that enforces them across the whole workspace.
+//! crates (L3), no thread spawns outside the two sanctioned thread
+//! owners (L4), normalization `debug_assert`s in every pmf constructor
+//! (L6), and issue-tracked TODOs (L7). This crate is a
+//! zero-dependency, token-level analyzer that enforces them across the
+//! whole workspace.
 //!
 //! See `LINT.md` at the workspace root for the rule catalog with
 //! rationales, the suppression syntax, and the exact heuristics.

@@ -16,10 +16,9 @@
 //! `thread::current` (id-keying), `std::env::var`/`var_os`, and
 //! `RandomState` (the per-process hasher seed behind the PR 4
 //! hash-order bug). Timing belongs in `obs` (feature-gated off the
-//! result path); configuration belongs in explicit config structs; the
-//! one sanctioned reader (`core::par`'s worker-count env override,
-//! which cannot affect results by the pool's own contract) carries an
-//! `allow(L13)` justification saying exactly that.
+//! result path); configuration belongs in explicit config structs. A
+//! reader that provably cannot affect results carries an `allow(L13)`
+//! justification saying exactly why.
 
 use super::diag_at;
 use crate::context::Analysis;
@@ -121,8 +120,8 @@ mod tests {
 
     #[test]
     fn allow_with_justification_suppresses() {
-        let src = "// mp-lint: allow(L13): worker count cannot change results (pool contract)\n\
-                   fn f() { let v = std::env::var(\"MP_PAR\"); }";
+        let src = "// mp-lint: allow(L13): log verbosity cannot change results\n\
+                   fn f() { let v = std::env::var(\"MP_LOG_LEVEL\"); }";
         assert_eq!(l13_count(src, true), 0);
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! Why: every statistical quantity in this workspace (probabilities,
 //! relevancies, expected correctness) is an `f64`; exact equality on
-//! them silently stops holding after any re-ordering of arithmetic —
-//! including the bit-identical parallel fan-out's *allowed* re-chunking.
+//! them silently stops holding after any re-ordering of arithmetic.
 //! Comparisons must go through the helpers in `mp_stats::float`
 //! (`exact_zero` / `exact_one` for absorbing-state short-circuits,
 //! `approx_eq` for tolerances, `total_cmp` for ordering).

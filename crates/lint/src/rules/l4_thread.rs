@@ -1,12 +1,13 @@
-//! L4 — thread creation outside `mp-core::par`.
+//! L4 — thread creation outside the two sanctioned thread owners.
 //!
-//! The engine's determinism contract says results are bit-identical
-//! regardless of thread count, and that is only auditable if every
-//! fork-join in the workspace goes through the one order-preserving
-//! primitive (`mp_core::par::par_map_indexed`). Any direct
-//! `thread::spawn` / `thread::scope` / `thread::Builder` elsewhere in
-//! non-test code is flagged; `crates/core/src/par.rs` itself is exempt
-//! via the walker's file classification.
+//! The engine is sequential, and results are bit-identical regardless
+//! of thread count. That is only auditable if every thread in the
+//! workspace comes from one of two places: mp-eval's order-preserving
+//! per-query fork-join (`crates/eval/src/par.rs`) and mp-serve's worker
+//! pool (`crates/serve/src/pool.rs`). Any direct `thread::spawn` /
+//! `thread::scope` / `thread::Builder` elsewhere in non-test code is
+//! flagged; those two files are exempt via the walker's file
+//! classification.
 
 use super::diag_at;
 use crate::context::Analysis;
@@ -15,8 +16,9 @@ use crate::lexer::TokKind;
 
 const SPAWNERS: &[&str] = &["spawn", "scope", "Builder"];
 
-const HINT: &str = "route the fan-out through mp_core::par::par_map_indexed \
-                    (order-preserving, feature-gated, bit-identical serial fallback)";
+const HINT: &str = "keep the engine sequential; per-query fan-out goes through \
+                    mp_eval::runner::par_map_queries (order-preserving, \
+                    bit-identical to a plain map)";
 
 pub(crate) fn check(a: &Analysis) -> Vec<Diagnostic> {
     if a.class.l4_exempt {
@@ -36,7 +38,10 @@ pub(crate) fn check(a: &Analysis) -> Vec<Diagnostic> {
                 a,
                 "L4",
                 i,
-                format!("`thread::{}` outside mp-core::par", member.text),
+                format!(
+                    "`thread::{}` outside a sanctioned thread owner",
+                    member.text
+                ),
                 HINT,
             ));
         }
@@ -66,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn allows_par_rs_tests_and_non_spawning_thread_apis() {
+    fn allows_exempt_files_tests_and_non_spawning_thread_apis() {
         assert_eq!(l4_count("fn f() { std::thread::spawn(|| {}); }", true), 0);
         assert_eq!(
             l4_count(

@@ -13,7 +13,6 @@ mod l1_float_eq;
 mod l2_lossy_cast;
 mod l3_unwrap;
 mod l4_thread;
-mod l5_cfg_parallel;
 mod l6_pmf_audit;
 mod l7_todo;
 mod l8_println;
@@ -60,13 +59,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "L4",
         name: "thread-spawn",
-        summary: "thread spawn/scope outside mp-core::par",
-        default_level: Level::Deny,
-    },
-    RuleInfo {
-        id: "L5",
-        name: "cfg-parallel",
-        summary: "`cfg(feature = \"parallel\")` item without serial fallback",
+        summary: "thread spawn/scope outside mp-eval's fork-join and mp-serve's pool",
         default_level: Level::Deny,
     },
     RuleInfo {
@@ -157,7 +150,6 @@ pub(crate) fn per_file_rules(a: &Analysis) -> Vec<Diagnostic> {
     out.extend(l2_lossy_cast::check(a));
     out.extend(l3_unwrap::check(a));
     out.extend(l4_thread::check(a));
-    out.extend(l5_cfg_parallel::check(a));
     out.extend(l6_pmf_audit::check(a));
     out.extend(l7_todo::check(a));
     out.extend(l8_println::check(a));

@@ -96,13 +96,10 @@ pub fn classify(rel: &str) -> FileClass {
             class.l3_library = LIBRARY_CRATES.contains(krate) && !binary_path(rest);
             class.l8_library = class.l3_library;
             class.l10_library = class.l3_library;
-            class.l4_exempt = (*krate == "core" && rest == ["par.rs"])
+            class.l4_exempt = (*krate == "eval" && rest == ["par.rs"])
                 || (*krate == "serve" && rest == ["pool.rs"]);
             // The modules a cold serve request traverses per probe: the
             // PR-6 de-contention audit holds them lock-free by default.
-            // The shard layer joined the set when serving grew a
-            // partitioned backend — scatter/gather runs on the same
-            // cold path, so it is held to the same no-lock standard.
             // The batch modules (serve-side scheduling policy, the
             // core lock-step executor) joined with term-sharing batched
             // execution: every batched cold miss runs through them.
@@ -111,7 +108,7 @@ pub fn classify(rel: &str) -> FileClass {
                     rest,
                     ["server.rs" | "stats.rs" | "cache.rs" | "queue.rs" | "pool.rs" | "batch.rs"]
                 ))
-                || (*krate == "core" && matches!(rest, ["shard.rs" | "batch.rs"]))
+                || (*krate == "core" && rest == ["batch.rs"])
                 || (*krate == "hidden" && matches!(rest, ["db.rs" | "unreliable.rs"]));
             class.l11_relaxed_ok = RELAXED_COUNTER_MODULES.contains(&rel);
             // `serve::batch` holds the EDF / shed / term-grouping
@@ -156,8 +153,9 @@ mod tests {
         assert!(classify("crates/index/tests/kernel_equivalence.rs").test_file);
         assert!(classify("crates/bench/benches/retrieval_kernel.rs").test_file);
 
-        assert!(classify("crates/core/src/par.rs").l4_exempt);
+        assert!(classify("crates/eval/src/par.rs").l4_exempt);
         assert!(classify("crates/serve/src/pool.rs").l4_exempt);
+        assert!(!classify("crates/core/src/par.rs").l4_exempt);
         assert!(!classify("crates/serve/src/cache.rs").l4_exempt);
         assert!(!classify("crates/eval/src/runner.rs").l4_exempt);
         assert!(classify("crates/serve/src/server.rs").l3_library);
@@ -171,8 +169,6 @@ mod tests {
         assert!(classify("crates/serve/src/pool.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/db.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/unreliable.rs").l9_hot_path);
-        assert!(classify("crates/core/src/shard.rs").l9_hot_path);
-        assert!(classify("crates/core/src/shard.rs").l13_deterministic);
         // PR 10 batch modules: on the batched cold path (L9) and — for
         // the pure serve-side policy module — deterministic (L13).
         assert!(classify("crates/serve/src/batch.rs").l9_hot_path);
@@ -211,7 +207,6 @@ mod tests {
         // L11: only the registered counter-only modules may use Relaxed.
         assert!(classify("crates/obs/src/stripe.rs").l11_relaxed_ok);
         assert!(classify("crates/serve/src/stats.rs").l11_relaxed_ok);
-        assert!(classify("crates/core/src/par.rs").l11_relaxed_ok);
         assert!(!classify("crates/serve/src/server.rs").l11_relaxed_ok);
         assert!(!classify("crates/core/src/engine.rs").l11_relaxed_ok);
 
@@ -223,5 +218,24 @@ mod tests {
         assert!(!classify("crates/obs/src/span.rs").l13_deterministic);
         assert!(!classify("crates/serve/src/server.rs").l13_deterministic);
         assert!(!classify("crates/core/tests/engine_equivalence.rs").l13_deterministic);
+    }
+
+    #[test]
+    fn the_engine_has_no_thread_spawn_exemption() {
+        // mp-core is sequential: none of its source files may spawn
+        // threads, so none is L4-exempt, and exactly the two sanctioned
+        // thread owners are.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = discover(&root).expect("the checkout is readable");
+        assert!(files.iter().any(|f| f.rel.starts_with("crates/core/src/")));
+        let exempt: Vec<&str> = files
+            .iter()
+            .filter(|f| f.class.l4_exempt)
+            .map(|f| f.rel.as_str())
+            .collect();
+        assert_eq!(
+            exempt,
+            ["crates/eval/src/par.rs", "crates/serve/src/pool.rs"]
+        );
     }
 }

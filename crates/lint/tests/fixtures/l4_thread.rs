@@ -1,4 +1,4 @@
-//! Fixture seeding rule L4: thread creation outside `mp-core::par`.
+//! Fixture seeding rule L4: thread creation outside a sanctioned owner.
 //! Not compiled — lexed and linted by `fixtures_test.rs`.
 
 pub fn direct_spawn() {

@@ -106,8 +106,7 @@ fn every_rule_is_seeded_by_some_fixture() {
         }
     }
     for rule in [
-        "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "A0",
-        "A1",
+        "L1", "L2", "L3", "L4", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "A0", "A1",
     ] {
         assert!(seeded.contains(rule), "no fixture seeds rule {rule}");
     }

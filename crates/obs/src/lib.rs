@@ -40,8 +40,7 @@
 //! * **Compile time** — building with `--no-default-features` (feature
 //!   `obs` off) turns every entry point into an inlineable empty
 //!   function with the identical signature. No registry, no atomics, no
-//!   `Instant` reads; the bit-identical parallel fan-out of
-//!   `mp-core::par` is unperturbed by construction.
+//!   `Instant` reads.
 //! * **Run time** — `MP_OBS=0` (also `false`/`off`/`no`) in the
 //!   environment, or [`set_enabled`]`(false)` from code, stops all
 //!   recording behind one cached relaxed [`AtomicBool`] load. Used by

@@ -1,9 +1,10 @@
 //! Counters, gauges, and fixed-bucket histograms.
 //!
 //! All three record through single relaxed atomic RMWs — safe to call
-//! from the `mp-core::par` worker threads with no locks on the hot
-//! path. Handles are `&'static`: the registry leaks one small allocation
-//! per *name* (bounded by the instrumentation taxonomy, not by load).
+//! from the serve pool's and mp-eval's worker threads with no locks on
+//! the hot path. Handles are `&'static`: the registry leaks one small
+//! allocation per *name* (bounded by the instrumentation taxonomy, not
+//! by load).
 //!
 //! When the `obs` feature is off every type is a unit struct and every
 //! method an empty inlineable body with the identical signature, so

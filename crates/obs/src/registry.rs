@@ -5,7 +5,7 @@
 //! mutexes are touched only on first registration of a name and when a
 //! snapshot walks the tables. Sixteen shards keyed by FNV-1a of the
 //! name keep first-registration contention negligible even under the
-//! `mp-core::par` fan-out.
+//! serve pool and mp-eval's per-query fan-out.
 //!
 //! [`reset`] zeroes every value in place — registered handles (and the
 //! `OnceLock` caches in the recording macros) stay valid across resets,

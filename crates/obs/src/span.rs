@@ -7,9 +7,9 @@
 //! the worst single occurrence. Parent→child name pairs are recorded so
 //! the exporters can rebuild the call tree.
 //!
-//! Frames are strictly per-thread; spans never cross the `mp-core::par`
-//! fan-out boundary (a worker thread starts with an empty stack, so its
-//! spans become roots of their own subtree).
+//! Frames are strictly per-thread; spans never cross a thread boundary
+//! (a worker thread starts with an empty stack, so its spans become
+//! roots of their own subtree).
 
 #[cfg(feature = "obs")]
 use std::cell::RefCell;

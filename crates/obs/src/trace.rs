@@ -13,10 +13,9 @@
 //! [`on_span_close`]), and instrumented call sites can attach
 //! annotations ([`trace_annotate`]) or synthetic stages
 //! ([`trace_stage`]) — queue wait, dedup joins, probe retries. The scope
-//! is thread-local and `!Send`; work handed to the `mp-core::par`
-//! fan-out threads is timed by the span registry as usual but does not
-//! enter the waterfall (worker threads carry no active trace), which
-//! keeps event order deterministic for a given schedule.
+//! is thread-local and `!Send`. mp-core runs a request on the thread
+//! that serves it, so every span of the request enters its waterfall,
+//! in a deterministic order for a given schedule.
 //!
 //! Finished traces go into a [`TraceSink`]: a fixed set of
 //! thread-local-keyed mutex shards (the `ProbeLog` idiom from

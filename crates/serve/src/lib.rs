@@ -9,7 +9,7 @@
 //!   queue rejects with a typed [`ServeError::Overload`] instead of
 //!   buffering unboundedly — drained by a fixed-size `thread::scope`
 //!   worker pool ([`pool`], the crate's only thread source, L4-exempt
-//!   like `mp-core::par`);
+//!   like mp-eval's per-query fork-join);
 //! * a **sharded LRU cache** with **single-flight deduplication**
 //!   ([`cache`]): repeated queries hit, concurrent identical queries
 //!   compute once and everyone else joins the leader's flight. Two
@@ -36,9 +36,9 @@
 //! request is value-identical to a direct sequential
 //! `Metasearcher::search` call with the same parameters (policies are
 //! rebuilt per computation from their [`PolicySpec`]; the engine below
-//! is deterministic by the `mp-core::par` contract). The equivalence
-//! test in `tests/equivalence.rs` pins this for 1/4/8 workers × cache
-//! on/off against the sequential baseline.
+//! is sequential and deterministic). The equivalence test in
+//! `tests/equivalence.rs` pins this for 1/4/8 workers × cache on/off
+//! against the sequential baseline.
 //!
 //! ```no_run
 //! use mp_serve::{Server, ServeConfig, ServeRequest};

@@ -1,9 +1,9 @@
 //! The fixed-size worker pool — the serving layer's only thread source.
 //!
-//! Mirrors the `mp-core::par` discipline: this file is the *sole* place
-//! in `mp-serve` that creates threads (enforced by mp-lint rule L4,
-//! which exempts exactly `crates/core/src/par.rs` and this file), and
-//! it uses `std::thread::scope` so workers borrow the server and queue
+//! This file is the *sole* place in `mp-serve` that creates threads
+//! (enforced by mp-lint rule L4, which exempts exactly this file and
+//! mp-eval's fork-join, `crates/eval/src/par.rs`), and it uses
+//! `std::thread::scope` so workers borrow the server and queue
 //! directly — no `'static` bounds, no leaked threads, and the pool
 //! cannot outlive the state it serves.
 //!
@@ -33,10 +33,9 @@ pub(crate) fn run_scoped<R>(server: &Server, driver: impl FnOnce(&Client<'_>) ->
     let workers = server.config().workers.max(1);
     // Pre-size each worker's thread-local retrieval scratch for the
     // largest mediated collection, so no serve-path query ever grows
-    // (= reallocates) the dense accumulator mid-request. The one fleet
-    // mediator spans every shard of a partitioned metasearcher, and
-    // any worker may serve any shard's probes. Databases hiding their
-    // size fall back to lazy growth on first contact.
+    // (= reallocates) the dense accumulator mid-request: any worker may
+    // serve any database's probes. Databases hiding their size fall
+    // back to lazy growth on first contact.
     let warm_docs = server.metasearcher().mediator().max_size_hint();
     let window = server.config().batch_window.max(1);
     std::thread::scope(|scope| {

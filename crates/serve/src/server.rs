@@ -16,10 +16,10 @@
 //! a pure function of `(Metasearcher, request)`: the facade is shared
 //! immutably, every policy is constructed fresh per computation from
 //! its [`PolicySpec`] (a seeded `RandomPolicy` starts from the same
-//! seed every time), and the engine underneath is deterministic by the
-//! `mp-core::par` contract. Threads only change *which* request
-//! computes first; a cache hit or a dedup join therefore hands back a
-//! clone of exactly the value the computation would have produced.
+//! seed every time), and the engine underneath is sequential and
+//! deterministic. Threads only change *which* request computes first;
+//! a cache hit or a dedup join therefore hands back a clone of exactly
+//! the value the computation would have produced.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -506,7 +506,7 @@ impl<'s> Client<'s> {
 }
 
 /// A concurrent, cache-backed serving front-end over a shared
-/// [`Metasearcher`] (partitioned or not: answers are identical).
+/// [`Metasearcher`].
 pub struct Server {
     ms: Arc<Metasearcher>,
     config: ServeConfig,

@@ -1,15 +1,14 @@
-//! Batched-vs-sequential twin replay across the shards × window ×
-//! workers matrix.
+//! Batched-vs-sequential twin replay across the window × workers
+//! matrix.
 //!
 //! `mp-core`'s `batch_equivalence` suite proves the lock-step batch
 //! executor replays per-request execution bit-for-bit *in isolation*;
 //! this suite proves the serving tier preserves that through queues,
-//! batch-draining worker pools, in-batch dedup, and caches. For
-//! shards ∈ {1, 3} × batch windows ∈ {2, 8} × workers ∈ {1, 4}, with
-//! caching off and on:
+//! batch-draining worker pools, in-batch dedup, and caches. For batch
+//! windows ∈ {2, 8} × workers ∈ {1, 4}, with caching off and on:
 //!
 //! * every served response's [`MetasearchResult`] equals the sequential
-//!   flat twin's direct `search` answer exactly (`PartialEq` compares
+//!   twin's direct `search` answer exactly (`PartialEq` compares
 //!   probe traces, certainties, and fused scores bit-for-bit);
 //! * per-database probe counters match the sequential twin exactly —
 //!   term-sharing batches save postings traversals, never probes.
@@ -28,7 +27,7 @@ use std::sync::Arc;
 
 use mp_core::{
     AproConfig, CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher,
-    RelevancyDef, ShardAssignment,
+    RelevancyDef,
 };
 use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
@@ -39,7 +38,6 @@ const K: usize = 1;
 const THRESHOLD: f64 = 0.9;
 const FUSE_LIMIT: usize = 10;
 
-const SHARD_COUNTS: [usize; 2] = [1, 3];
 const WINDOWS: [usize; 2] = [2, 8];
 const WORKER_COUNTS: [usize; 2] = [1, 4];
 
@@ -166,32 +164,27 @@ fn serve_stream(server: &Server, stream: &[Query]) -> Vec<mp_core::MetasearchRes
 fn batched_serving_replays_sequential_flat_twin_exactly() {
     let fx = fixture();
     let (baseline, base_counts) = sequential_baseline(&fx);
-    for shards in SHARD_COUNTS {
-        for window in WINDOWS {
-            for workers in WORKER_COUNTS {
-                // Cache off: every request computes (duplicates
-                // included), so probe accounting is comparable
-                // request-for-request.
-                let (handles, mediator) = clean_stack(&fx);
-                let ms = Metasearcher::with_library(
-                    mediator,
-                    Box::new(IndependenceEstimator),
-                    RelevancyDef::DocFrequency,
-                    fx.library.clone(),
-                )
-                .partitioned(&ShardAssignment::RoundRobin(shards))
-                .shared();
-                let server =
-                    Server::new(ms, ServeConfig::new(workers, 0).with_batch_window(window));
-                let served = serve_stream(&server, &fx.stream);
-                let at = format!("{shards} shards × window {window} × {workers} workers");
-                assert_eq!(served, baseline, "served results diverged at {at}");
-                assert_eq!(
-                    probe_counts(&handles),
-                    base_counts,
-                    "probe accounting diverged at {at}"
-                );
-            }
+    for window in WINDOWS {
+        for workers in WORKER_COUNTS {
+            // Cache off: every request computes (duplicates included),
+            // so probe accounting is comparable request-for-request.
+            let (handles, mediator) = clean_stack(&fx);
+            let ms = Metasearcher::with_library(
+                mediator,
+                Box::new(IndependenceEstimator),
+                RelevancyDef::DocFrequency,
+                fx.library.clone(),
+            )
+            .shared();
+            let server = Server::new(ms, ServeConfig::new(workers, 0).with_batch_window(window));
+            let served = serve_stream(&server, &fx.stream);
+            let at = format!("window {window} × {workers} workers");
+            assert_eq!(served, baseline, "served results diverged at {at}");
+            assert_eq!(
+                probe_counts(&handles),
+                base_counts,
+                "probe accounting diverged at {at}"
+            );
         }
     }
 }

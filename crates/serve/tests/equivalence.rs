@@ -3,18 +3,14 @@
 //! direct sequential [`Metasearcher::search`] call produces, regardless
 //! of worker count and whether the caches are on.
 //!
-//! This is the serving analogue of `mp-core::par`'s bit-identical
-//! contract: each answer is a pure function of `(Metasearcher,
-//! request)`, so threads can only reorder *which* request computes
-//! first, never change what any request computes.
+//! Each answer is a pure function of `(Metasearcher, request)`, so
+//! threads can only reorder *which* request computes first, never
+//! change what any request computes.
 
 use std::sync::Arc;
 
 use mp_core::probing::GreedyPolicy;
-use mp_core::{
-    AproConfig, CorrectnessMetric, IndependenceEstimator, Metasearcher, RelevancyDef,
-    ShardAssignment,
-};
+use mp_core::{AproConfig, CorrectnessMetric, IndependenceEstimator, Metasearcher, RelevancyDef};
 use mp_eval::testbed::{Testbed, TestbedConfig};
 use mp_serve::{CacheStatus, ServeConfig, ServeRequest, Server};
 use mp_workload::Query;
@@ -138,39 +134,4 @@ fn duplicate_heavy_stream_is_answered_from_the_cache() {
     assert_eq!(stats.misses, unique.len() as u64);
     assert_eq!(stats.hits, total - unique.len() as u64);
     assert_eq!(stats.dedup_joins, 0);
-}
-
-/// Regression pin for the pool's scratch warming: every worker
-/// pre-sizes its retrieval scratch for the largest database in the
-/// *whole* fleet, because any worker may serve any shard's probes. A
-/// partitioned metasearcher keeps the one fleet mediator the pool
-/// reads, so the target is the same at every shard count — including
-/// the all-singleton partition, where the largest database sits alone
-/// in its shard.
-#[test]
-fn warm_target_spans_all_shards() {
-    let tb = Testbed::build(TestbedConfig::tiny(11));
-    let n = tb.mediator.len();
-    let flat = Server::new(shared_metasearcher(&tb), ServeConfig::new(1, 0));
-    let flat_warm = flat.metasearcher().mediator().max_size_hint();
-    assert!(flat_warm > 0, "testbed databases advertise their sizes");
-    for shards in [1usize, 2, 3, 8, n] {
-        let ms = Metasearcher::with_library(
-            tb.mediator.clone(),
-            Box::new(IndependenceEstimator),
-            RelevancyDef::DocFrequency,
-            tb.library.clone(),
-        )
-        .partitioned(&ShardAssignment::RoundRobin(shards))
-        .shared();
-        let server = Server::new(ms, ServeConfig::new(1, 0));
-        let served = server.metasearcher();
-        assert_eq!(served.plan().n_shards(), shards);
-        assert_eq!(
-            served.mediator().max_size_hint(),
-            flat_warm,
-            "warm target diverged at {shards} shards"
-        );
-        assert_eq!(served.mediator().len(), n);
-    }
 }

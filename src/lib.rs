@@ -56,7 +56,7 @@ pub use mp_workload as workload;
 pub mod prelude {
     pub use mp_core::{
         AproConfig, CoreConfig, CorrectnessMetric, GreedyPolicy, IndependenceEstimator,
-        Metasearcher, RelevancyDef, ShardAssignment,
+        Metasearcher, RelevancyDef,
     };
     pub use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
     pub use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};

@@ -264,7 +264,32 @@ fn golden_pin_of_three_representative_queries() {
             &mut policy,
             5,
         );
-        render_golden(&mut rendered, qi, query, &result);
+        rendered.push_str(&format!(
+            "query {qi} terms={:?}\n",
+            query.terms().iter().map(|t| t.0).collect::<Vec<_>>()
+        ));
+        rendered.push_str(&format!(
+            "  selected={:?} expected={:016x} satisfied={}\n",
+            result.outcome.selected,
+            result.outcome.expected.to_bits(),
+            result.outcome.satisfied
+        ));
+        for p in &result.outcome.probes {
+            rendered.push_str(&format!(
+                "  probe db={} actual={:016x} after={:016x}\n",
+                p.db,
+                p.actual.to_bits(),
+                p.expected_after.to_bits()
+            ));
+        }
+        for h in &result.hits {
+            rendered.push_str(&format!(
+                "  hit db={} doc={} score={:016x}\n",
+                h.db,
+                h.doc.0,
+                h.score.to_bits()
+            ));
+        }
     }
 
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -285,85 +310,6 @@ fn golden_pin_of_three_representative_queries() {
         rendered, expected,
         "end-to-end results drifted from the golden snapshot \
          (re-bless with MP_BLESS=1 if the change is intended)"
-    );
-}
-
-/// Renders the golden-pin lines for one search answer (shared by the
-/// flat and sharded pins, which both compare against one snapshot).
-fn render_golden(
-    rendered: &mut String,
-    qi: usize,
-    query: &Query,
-    result: &mp_core::MetasearchResult,
-) {
-    rendered.push_str(&format!(
-        "query {qi} terms={:?}\n",
-        query.terms().iter().map(|t| t.0).collect::<Vec<_>>()
-    ));
-    rendered.push_str(&format!(
-        "  selected={:?} expected={:016x} satisfied={}\n",
-        result.outcome.selected,
-        result.outcome.expected.to_bits(),
-        result.outcome.satisfied
-    ));
-    for p in &result.outcome.probes {
-        rendered.push_str(&format!(
-            "  probe db={} actual={:016x} after={:016x}\n",
-            p.db,
-            p.actual.to_bits(),
-            p.expected_after.to_bits()
-        ));
-    }
-    for h in &result.hits {
-        rendered.push_str(&format!(
-            "  hit db={} doc={} score={:016x}\n",
-            h.db,
-            h.doc.0,
-            h.score.to_bits()
-        ));
-    }
-}
-
-/// Sharded golden pin: the same three representative queries answered
-/// by the metasearcher partitioned into 3 FNV-keyed shards must render
-/// byte-identically to the flat pin's snapshot, making the
-/// cross-topology equivalence visible at the golden-artifact level.
-/// There is no separate snapshot to bless: `end_to_end_golden.txt` is
-/// the only fixture.
-#[test]
-fn golden_pin_sharded_replays_the_flat_snapshot() {
-    let (ms, split, _model) = build_metasearcher(5);
-    let sharded = ms.partitioned(&ShardAssignment::ByNameFnv(3));
-    assert_eq!(sharded.plan().n_shards(), 3);
-    let mut rendered = String::new();
-    for &qi in &[0usize, 7, 19] {
-        let query = &split.test.queries()[qi];
-        let mut policy = GreedyPolicy;
-        let result = sharded.search(
-            query,
-            AproConfig {
-                k: 2,
-                threshold: 0.9,
-                metric: CorrectnessMetric::Partial,
-                max_probes: None,
-            },
-            &mut policy,
-            5,
-        );
-        render_golden(&mut rendered, qi, query, &result);
-    }
-
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/end_to_end_golden.txt");
-    let flat = std::fs::read_to_string(&fixture).unwrap_or_else(|_| {
-        panic!(
-            "missing snapshot {} — bless it through golden_pin_of_three_representative_queries",
-            fixture.display()
-        )
-    });
-    assert_eq!(
-        rendered, flat,
-        "sharded end-to-end results diverged from the flat golden snapshot"
     );
 }
 
