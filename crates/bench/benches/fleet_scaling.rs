@@ -38,8 +38,7 @@ fn t(i: u32) -> TermId {
 }
 
 /// Deterministic tiny corpora, varied sizes and term correlations per
-/// database (the `batch_equivalence` suite's recipe, scaled out to
-/// thousands of databases).
+/// database, scaled out to thousands of databases.
 fn build_indexes(n: usize) -> Vec<InvertedIndex> {
     (0..n)
         .map(|d| {

@@ -32,15 +32,15 @@
 //! cross-worker hot path this PR de-locked, and CI uploads the file as
 //! an artifact for regression archaeology.
 //!
-//! An **open-loop batched/shed matrix** (`ISSUE` PR 10) rides behind
-//! the closed-loop rows: a Zipf-skewed arrival schedule from
-//! `mp_workload::openloop` floods the server faster than it completes,
-//! and cache-off rows compare batch window 1 vs 8 across 1 and 4
-//! workers. The guard here is **batched cold throughput ≥ 1.3× the
-//! unbatched single-worker row** — the term-sharing kernel must pay
-//! for itself in exactly the duplicate-heavy regime the skew creates —
-//! and a fifth row runs the SLO scheduler (tight deadlines + shed
-//! limit) to record the shed rate under overload.
+//! **Open-loop rows** ride behind the closed-loop ones: a Zipf-skewed
+//! arrival schedule from `mp_workload::openloop` floods the server
+//! faster than it completes, with the result cache off, on 1 and then
+//! 4 workers. A third row repeats the 4-worker flood with the SLO
+//! shedder armed to record the shed rate under overload. Its deadline
+//! is the unshed 4-worker row's median latency, rounded up to whole
+//! milliseconds, so that the flood's tail cannot make it. A fixed
+//! deadline drifts out of the shedding regime as the server gets
+//! faster: a flood that finishes inside its deadline sheds nothing.
 //!
 //! The report is merged into the `serve_throughput` section of
 //! `BENCH_apro.json` at the repository root (the `apro_scaling` and
@@ -63,13 +63,14 @@ const K: usize = 2;
 const THRESHOLD: f64 = 0.85;
 const RUNS: usize = 5;
 
-/// The open-loop (batched/shed) matrix: arrivals per run and the Zipf
-/// skew of the hot-key distribution. The skew is what gives batches
-/// their term overlap — `s = 1.2` makes a handful of queries dominate,
-/// the regime the term-sharing kernel is built for.
+/// The open-loop rows: arrivals per run and the Zipf skew of the
+/// hot-key distribution (`s = 1.2` makes a handful of queries
+/// dominate).
 const OPEN_LOOP_ARRIVALS: usize = 400;
 const ZIPF_S: f64 = 1.2;
-const BATCH_RUNS: usize = 3;
+const OPEN_LOOP_RUNS: usize = 3;
+/// The shed row's p99 limit, milliseconds.
+const SHED_P99_MS: u64 = 1;
 
 /// One cell of the feature matrix, measured over `RUNS` fresh servers.
 #[derive(Serialize)]
@@ -104,16 +105,11 @@ struct ScenarioReport {
     dedup_joins: u64,
 }
 
-/// One row of the open-loop batched/shed matrix. These rows run with
-/// the result cache **off** (every skewed duplicate is a cold miss —
-/// the regime where term-sharing batches matter) but the RD cache
-/// **on** (RD derivation is shared identically in both configurations,
-/// so the window-1 vs window-8 comparison isolates the batched
-/// scoring kernel).
+/// One open-loop row. These rows run with the result cache **off**
+/// (every skewed duplicate is a cold miss) but the RD cache **on**.
 #[derive(Serialize)]
-struct BatchScenarioReport {
+struct OpenLoopReport {
     workers: usize,
-    batch_window: usize,
     shed_p99_ms: Option<u64>,
     /// Per-request deadline in milliseconds (0 ≙ no deadline — the
     /// throughput rows run deadline-free so nothing sheds).
@@ -125,14 +121,14 @@ struct BatchScenarioReport {
     wall_ns: f64,
     /// Completed requests per second at the median.
     qps: f64,
+    /// Median completed-request latency of the last measured run
+    /// (bucket upper bound), microseconds.
+    p50_us: u64,
     completed: u64,
     sheds: u64,
     deadline_misses: u64,
-    /// `sheds / arrivals` from the last measured run — the shed-rate
-    /// row the SLO scheduler's acceptance asks for.
+    /// `sheds / arrivals` from the last measured run.
     shed_rate: f64,
-    batches: u64,
-    batched_requests: u64,
 }
 
 /// The deterministic Zipf-skewed open-loop schedule, materialized as
@@ -140,7 +136,7 @@ struct BatchScenarioReport {
 fn open_loop_requests(queries: &[Query], deadline: Option<Duration>) -> Vec<(u64, ServeRequest)> {
     let schedule = mp_workload::arrivals(&OpenLoopConfig {
         // Far above the server's completion rate: open-loop overload,
-        // so backlog (and with it batching opportunity) is sustained.
+        // so the backlog is sustained.
         rate_per_sec: 2_000_000.0,
         jitter: 0.5,
         n_arrivals: OPEN_LOOP_ARRIVALS,
@@ -160,28 +156,26 @@ fn open_loop_requests(queries: &[Query], deadline: Option<Duration>) -> Vec<(u64
         .collect()
 }
 
-/// Runs one open-loop row `BATCH_RUNS` times on fresh servers. The
+/// Runs one open-loop row `OPEN_LOOP_RUNS` times on fresh servers. The
 /// driver paces submissions to the schedule's arrival instants (the
 /// schedule is faster than the server, so in practice it floods — the
 /// point of an open-loop workload) and waits for every ticket at the
 /// end; queue back-pressure is the only throttle.
-fn run_batch_scenario(
+fn run_open_loop(
     ms: &Arc<Metasearcher>,
     paced: &[(u64, ServeRequest)],
     workers: usize,
-    batch_window: usize,
     shed_p99_ms: Option<u64>,
     deadline_ms: u64,
-) -> BatchScenarioReport {
-    let mut walls = Vec::with_capacity(BATCH_RUNS);
+) -> OpenLoopReport {
+    let mut walls = Vec::with_capacity(OPEN_LOOP_RUNS);
     let mut last_stats = None;
     for measured in [false, true, true, true] {
         let config = ServeConfig {
             cache_cap: 0,       // every arrival computes: cold-path rows
-            rd_cache_cap: 1024, // RD derivation shared in both configs
+            rd_cache_cap: 1024, // RD derivation shared across arrivals
             ..ServeConfig::new(workers, 0)
         }
-        .with_batch_window(batch_window)
         .with_shed_p99_ms(shed_p99_ms);
         let server = Server::new(Arc::clone(ms), config);
         let t = Instant::now();
@@ -221,32 +215,29 @@ fn run_batch_scenario(
     let qps = stats.completed as f64 / (wall_ns / 1e9);
     let shed_rate = stats.sheds as f64 / paced.len() as f64;
     eprintln!(
-        "serve_throughput open-loop workers={workers} window={batch_window} \
-         shed_p99_ms={shed_p99_ms:?}: {:.1} ms/schedule, {qps:.0} q/s \
-         (completed {} sheds {} deadline_misses {} batches {} batched_requests {})",
+        "serve_throughput open-loop workers={workers} shed_p99_ms={shed_p99_ms:?} \
+         deadline_ms={deadline_ms}: {:.1} ms/schedule, {qps:.0} q/s, p50 {} µs \
+         (completed {} sheds {} deadline_misses {})",
         wall_ns / 1e6,
+        stats.p50_us,
         stats.completed,
         stats.sheds,
-        stats.deadline_misses,
-        stats.batches,
-        stats.batched_requests
+        stats.deadline_misses
     );
-    BatchScenarioReport {
+    OpenLoopReport {
         workers,
-        batch_window,
         shed_p99_ms,
         deadline_ms,
         arrivals: paced.len(),
         zipf_s: ZIPF_S,
-        runs: BATCH_RUNS,
+        runs: OPEN_LOOP_RUNS,
         wall_ns,
         qps,
+        p50_us: stats.p50_us,
         completed: stats.completed,
         sheds: stats.sheds,
         deadline_misses: stats.deadline_misses,
         shed_rate,
-        batches: stats.batches,
-        batched_requests: stats.batched_requests,
     }
 }
 
@@ -289,13 +280,9 @@ struct ThroughputReport {
     /// `qps(4 workers, cache on) / qps(1 worker, cache off)` — the
     /// acceptance number (must be ≥ 2).
     speedup_vs_cold_baseline: f64,
-    /// The open-loop batched/shed matrix: Zipf-skewed arrivals, cache
-    /// off, batch window 1 vs 8, plus an SLO-shed row.
-    open_loop: Vec<BatchScenarioReport>,
-    /// `qps(window 8) / qps(window 1)` on the single-worker cold
-    /// open-loop rows — the term-sharing acceptance number (must be
-    /// ≥ 1.3 under the skewed workload).
-    batched_cold_speedup: f64,
+    /// The open-loop rows: Zipf-skewed arrivals, cache off, 1 and 4
+    /// workers, plus the 4-worker SLO-shed row.
+    open_loop: Vec<OpenLoopReport>,
 }
 
 /// The testbed's metasearcher.
@@ -518,41 +505,24 @@ fn main() {
     let speedup = candidate.qps / baseline.qps;
     eprintln!("serve_throughput speedup (4w cached vs 1w cold): {speedup:.1}x");
 
-    // Open-loop batched/shed matrix. Recording is enabled so the SLO
-    // row's rolling p99 (obs-gated) sees real latencies; the window-1
-    // and window-8 rows carry the same recording overhead, so the
-    // batched-vs-unbatched comparison stays apples-to-apples.
+    // Open-loop rows. Recording is enabled so the shed row's rolling
+    // p99 (obs-gated) sees real latencies; every row carries the same
+    // recording overhead.
     mp_obs::set_enabled(true);
     let open = open_loop_requests(&queries, None);
-    let open_deadlined = open_loop_requests(&queries, Some(Duration::from_millis(30)));
-    let open_loop = vec![
-        run_batch_scenario(&ms, &open, 1, 1, None, 0),
-        run_batch_scenario(&ms, &open, 1, 8, None, 0),
-        run_batch_scenario(&ms, &open, 4, 1, None, 0),
-        run_batch_scenario(&ms, &open, 4, 8, None, 0),
-        run_batch_scenario(&ms, &open_deadlined, 4, 8, Some(1), 30),
+    let mut open_loop = vec![
+        run_open_loop(&ms, &open, 1, None, 0),
+        run_open_loop(&ms, &open, 4, None, 0),
     ];
-    let unbatched = open_loop
-        .iter()
-        .find(|s| s.workers == 1 && s.batch_window == 1)
-        .expect("unbatched open-loop row present");
-    let batched = open_loop
-        .iter()
-        .find(|s| s.workers == 1 && s.batch_window == 8)
-        .expect("batched open-loop row present");
-    let batched_cold_speedup = batched.qps / unbatched.qps;
-    eprintln!(
-        "serve_throughput batched cold speedup (window 8 vs 1, 1 worker): \
-         {batched_cold_speedup:.2}x"
-    );
-    let shed_row = open_loop
-        .iter()
-        .find(|s| s.shed_p99_ms.is_some())
-        .expect("shed-rate row present");
+    // `open_loop[1]` is the unshed 4-worker row.
+    let deadline_ms = open_loop[1].p50_us.div_ceil(1_000).max(1);
+    let open_deadlined = open_loop_requests(&queries, Some(Duration::from_millis(deadline_ms)));
+    let shed_row = run_open_loop(&ms, &open_deadlined, 4, Some(SHED_P99_MS), deadline_ms);
     eprintln!(
         "serve_throughput shed row: rate {:.3} ({} sheds / {} arrivals)",
         shed_row.shed_rate, shed_row.sheds, shed_row.arrivals
     );
+    open_loop.push(shed_row);
 
     let cold_four = scenarios
         .iter()
@@ -570,7 +540,6 @@ fn main() {
         rolling,
         speedup_vs_cold_baseline: speedup,
         open_loop,
-        batched_cold_speedup,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_apro.json");
     mp_bench::merge_bench_json(
@@ -596,14 +565,5 @@ fn main() {
     assert!(
         speedup >= 2.0,
         "acceptance: cached serving must be >= 2x the cold baseline, got {speedup:.2}x"
-    );
-    // Term-sharing acceptance: under the skewed open-loop workload,
-    // batched cold execution must clear ≥ 1.3× the unbatched
-    // single-worker cold throughput. A fall below means the batch
-    // kernel stopped sharing traversals (or batch formation broke).
-    assert!(
-        batched_cold_speedup >= 1.3,
-        "acceptance: batched cold serving must be >= 1.3x unbatched under the skewed \
-         open-loop workload, got {batched_cold_speedup:.2}x"
     );
 }

@@ -198,10 +198,8 @@ pub fn run_suggest(dir: &Path, n: usize) -> Result<String, StateError> {
 /// the flight recorder's worst waterfalls are rendered (and dumped as
 /// `mp-obs-trace/1` JSON).
 ///
-/// `batch_window > 1` lets each worker drain up to that many queued
-/// requests into one term-sharing batch (bit-identical results, fewer
-/// postings traversals); `shed_p99_ms` arms the SLO scheduler, which
-/// sheds deadlined requests whose slack the rolling p99 would blow.
+/// `shed_p99_ms` arms the SLO shedder, which sheds deadlined requests
+/// whose slack the rolling p99 would blow.
 /// The scripted stream is deadline-free, so shedding only shows up
 /// when driving the server through code that sets deadlines.
 #[allow(clippy::too_many_arguments)]
@@ -210,7 +208,6 @@ pub fn run_serve(
     workers: usize,
     cache_cap: usize,
     queue_cap: usize,
-    batch_window: usize,
     shed_p99_ms: Option<u64>,
     n_unique: usize,
     repeat: usize,
@@ -254,7 +251,6 @@ pub fn run_serve(
             queue_cap: queue_cap.max(1),
             ..ServeConfig::new(workers.max(1), cache_cap)
         }
-        .with_batch_window(batch_window.max(1))
         .with_shed_p99_ms(shed_p99_ms)
         .with_trace(tracing),
     );
@@ -295,17 +291,14 @@ pub fn run_serve(
         cache_cap,
     );
     out.push_str(&format!(
-        "ok {}, rejected {}, invalid {}, deadline-missed {}, shed {}\n",
-        stats.completed, stats.rejects, stats.invalid, stats.deadline_misses, stats.sheds
+        "ok {}, rejected {}, invalid {}, deadline-missed {}, shed {}, panicked {}\n",
+        stats.completed,
+        stats.rejects,
+        stats.invalid,
+        stats.deadline_misses,
+        stats.sheds,
+        stats.panicked
     ));
-    if batch_window.max(1) > 1 {
-        out.push_str(&format!(
-            "batching (window {}): {} multi-request batch(es), {} request(s) batched\n",
-            batch_window.max(1),
-            stats.batches,
-            stats.batched_requests
-        ));
-    }
     out.push_str(&format!(
         "result cache: {} hits, {} misses, {} dedup joins; rd cache: {} hits, {} misses\n",
         stats.hits, stats.misses, stats.dedup_joins, stats.rd_hits, stats.rd_misses
@@ -424,35 +417,19 @@ mod tests {
         init_tiny(&dir);
         run_train(&dir).unwrap();
 
-        let out = run_serve(
-            &dir, 2, 64, 16, 1, None, 4, 3, 1, 0.8, "greedy", false, None,
-        )
-        .unwrap();
+        let out = run_serve(&dir, 2, 64, 16, None, 4, 3, 1, 0.8, "greedy", false, None).unwrap();
         assert!(out.contains("served 12 queries (4 unique × 3)"), "{out}");
         assert!(out.contains("queries/s"), "{out}");
+        assert!(out.contains("shed 0, panicked 0"), "{out}");
         // 4 unique queries played 3 times: at most 4 misses, the rest
         // hits or dedup joins.
         assert!(out.contains("result cache:"), "{out}");
-
-        // Batched draining over the same stream: identical workload
-        // shape, plus the batching stats line (batches may be zero if
-        // the workers outpace the driver — the line always prints).
-        let batched = run_serve(
-            &dir, 2, 64, 16, 4, None, 4, 3, 1, 0.8, "greedy", false, None,
-        )
-        .unwrap();
-        assert!(
-            batched.contains("served 12 queries (4 unique × 3)"),
-            "{batched}"
-        );
-        assert!(batched.contains("batching (window 4):"), "{batched}");
 
         let bad = run_serve(
             &dir,
             2,
             64,
             16,
-            1,
             None,
             4,
             1,
@@ -480,7 +457,6 @@ mod tests {
             1,
             64,
             16,
-            1,
             None,
             3,
             2,
@@ -501,7 +477,7 @@ mod tests {
             &json[..json.len().min(80)]
         );
         // The CLI always builds with the obs feature on, so the
-        // recorder must have captured the slowest requests of the batch.
+        // recorder must have captured the slowest requests of the run.
         assert!(json.contains("\"trace\""), "{json}");
         assert!(json.contains("\"reason\""), "{json}");
 

@@ -17,7 +17,7 @@ commands:
            [--policy greedy|random|by-estimate|max-uncertainty]
   eval     --state DIR [--k N]
   serve    --state DIR [--workers N] [--cache-cap C] [--queue-cap Q]
-           [--batch-window W] [--shed-p99-ms MS]
+           [--shed-p99-ms MS]
            [--n UNIQUE] [--repeat R] [--k N] [--threshold T]
            [--policy greedy|random|by-estimate|max-uncertainty]
            [--trace] [--trace-dump PATH]
@@ -27,16 +27,15 @@ observability (any command):
   --obs-json PATH   write the mp-obs JSON snapshot to PATH on exit
   (env MP_OBS=0 disables recording entirely)
 
-batching & SLO (serve only):
-  --batch-window W  drain up to W queued requests per worker into one
-                    term-sharing batch (default 1 = per-request)
+SLO (serve only):
   --shed-p99-ms MS  shed deadlined requests when the rolling p99
                     exceeds MS ms and exceeds their remaining slack
                     (default off; needs obs recording)
 
 tracing (serve only):
   --trace           collect per-request waterfalls; print the flight
-                    recorder (slowest / deadline-missed / shed) on exit
+                    recorder (slowest / deadline-missed / shed /
+                    overload) on exit
   --trace-dump PATH also write the flight recorder as JSON (schema
                     mp-obs-trace/1) to PATH
 ";
@@ -55,7 +54,6 @@ struct Opts {
     workers: usize,
     cache_cap: usize,
     queue_cap: usize,
-    batch_window: usize,
     shed_p99_ms: Option<u64>,
     repeat: usize,
     obs: bool,
@@ -80,7 +78,6 @@ impl Default for Opts {
             workers: 4,
             cache_cap: 1024,
             queue_cap: 64,
-            batch_window: 1,
             shed_p99_ms: None,
             repeat: 4,
             obs: false,
@@ -131,11 +128,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), Strin
                 opts.queue_cap = value()?
                     .parse()
                     .map_err(|e| format!("bad queue cap: {e}"))?
-            }
-            "--batch-window" => {
-                opts.batch_window = value()?
-                    .parse()
-                    .map_err(|e| format!("bad batch window: {e}"))?
             }
             "--shed-p99-ms" => {
                 opts.shed_p99_ms = Some(
@@ -188,7 +180,6 @@ fn main() -> ExitCode {
             opts.workers,
             opts.cache_cap,
             opts.queue_cap,
-            opts.batch_window,
             opts.shed_p99_ms,
             opts.n,
             opts.repeat,

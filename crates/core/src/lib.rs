@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod correctness;
 pub mod ed;
@@ -47,7 +46,6 @@ pub mod rd;
 pub mod relevancy;
 pub mod selection;
 
-pub use batch::BatchQuery;
 pub use config::CoreConfig;
 pub use correctness::{absolute_correctness, partial_correctness, rank_order, CorrectnessMetric};
 pub use ed::{EdLibrary, ErrorDistribution};

@@ -220,27 +220,6 @@ impl Metasearcher {
             hits,
         }
     }
-
-    /// Answers a batch of requests with the lock-step batch executor
-    /// ([`crate::batch`]): probes — and the final result dispatch —
-    /// that land on one database in the same round share a single
-    /// batched search. Each result is bit-identical to
-    /// [`Self::search_with_rds`] on that request alone.
-    pub fn search_batch_with_rds(
-        &self,
-        items: Vec<crate::batch::BatchQuery<'_>>,
-        fuse_limit: usize,
-    ) -> Vec<MetasearchResult> {
-        for it in &items {
-            assert_eq!(
-                it.rds.len(),
-                self.mediator.len(),
-                "RD vector does not cover the mediated databases"
-            );
-        }
-        let probe_top_n = self.library.config().probe_top_n;
-        crate::batch::search_batch_impl(&self.mediator, self.def, probe_top_n, fuse_limit, items)
-    }
 }
 
 #[cfg(test)]

@@ -81,14 +81,13 @@ impl AproOutcome {
 
 /// One `APro` run, factored into externally driven steps.
 ///
-/// [`apro`] is a straight loop over one session; the batch executor
-/// (`crate::batch`) drives many sessions in lock step, collecting each
-/// round's probe demands so coincident probes against one database can
-/// share a batched search. The factoring changes nothing about any
-/// single run: [`Self::next_probe`] performs exactly the loop head's
-/// threshold/budget checks and policy selection, [`Self::apply`]
-/// exactly the loop body's state update and re-selection, with counter
-/// and trace placement unchanged.
+/// [`apro`] is a straight loop over one session. servebench's replay
+/// drives a session step by step instead, so that it can time each
+/// probe's policy and selection work apart. The factoring changes
+/// nothing about the run: [`Self::next_probe`] performs exactly the
+/// loop head's threshold/budget checks and policy selection,
+/// [`Self::apply`] exactly the loop body's state update and
+/// re-selection, with counter and trace placement unchanged.
 pub struct AproSession<'s> {
     state: &'s mut RdState,
     policy: &'s mut dyn ProbePolicy,

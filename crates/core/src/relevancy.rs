@@ -1,7 +1,6 @@
 //! The two relevancy definitions and their live measurement via probing.
 
-use mp_hidden::{HiddenWebDatabase, SearchResponse};
-use mp_text::TermId;
+use mp_hidden::HiddenWebDatabase;
 use mp_workload::Query;
 use serde::{Deserialize, Serialize};
 
@@ -29,30 +28,6 @@ impl RelevancyDef {
         match self {
             RelevancyDef::DocFrequency => db.search(query.terms(), 0).match_count as f64,
             RelevancyDef::DocSimilarity => db.search(query.terms(), top_n.max(1)).top_similarity(),
-        }
-    }
-
-    /// Batched [`Self::probe`]: measures the actual relevancy of
-    /// several concurrent queries against one database through its
-    /// batched search entry point. Costs one probe per query; each
-    /// answer is identical to a per-query `probe` call.
-    pub fn probe_batch(
-        &self,
-        db: &dyn HiddenWebDatabase,
-        queries: &[&[TermId]],
-        top_n: usize,
-    ) -> Vec<f64> {
-        match self {
-            RelevancyDef::DocFrequency => db
-                .search_batch(queries, 0)
-                .iter()
-                .map(|r| r.match_count as f64)
-                .collect(),
-            RelevancyDef::DocSimilarity => db
-                .search_batch(queries, top_n.max(1))
-                .iter()
-                .map(SearchResponse::top_similarity)
-                .collect(),
         }
     }
 }

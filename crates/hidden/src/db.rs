@@ -38,20 +38,6 @@ pub trait HiddenWebDatabase: Send + Sync {
     /// Counts as **one probe** against this database.
     fn search(&self, query: &[TermId], top_n: usize) -> SearchResponse;
 
-    /// Issues several queries against this database in one call,
-    /// returning one answer page per query in order. Counts as **one
-    /// probe per query**, and every answer equals what
-    /// [`Self::search`] returns for that query alone.
-    ///
-    /// The default forwards to `search` per query in order, so wrappers
-    /// (failure injection, retry budgets) keep their per-query
-    /// accounting and semantics unchanged; implementations backed by a
-    /// local index override it to share postings traversals across the
-    /// batch.
-    fn search_batch(&self, queries: &[&[TermId]], top_n: usize) -> Vec<SearchResponse> {
-        queries.iter().map(|q| self.search(q, top_n)).collect()
-    }
-
     /// Downloads one result document by id (allowed for documents that
     /// appeared on an answer page). Used by sampling-based summary
     /// construction and similarity probing.
@@ -245,26 +231,6 @@ impl HiddenWebDatabase for SimulatedHiddenDb {
         }
     }
 
-    fn search_batch(&self, queries: &[&[TermId]], top_n: usize) -> Vec<SearchResponse> {
-        let _span = mp_obs::span!("hidden.search_batch");
-        // Per-query accounting in query order — side effects identical
-        // to `search` called once per query.
-        for q in queries {
-            mp_obs::counter!("probe.attempts").incr();
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            self.probe_log.record(q);
-        }
-        let tops = self.index.cosine_topk_batch(queries, top_n);
-        queries
-            .iter()
-            .zip(tops)
-            .map(|(q, top_docs)| SearchResponse {
-                match_count: self.index.count_matching(q),
-                top_docs,
-            })
-            .collect()
-    }
-
     fn fetch(&self, doc: mp_index::DocId) -> Document {
         mp_obs::counter!("hidden.fetches").incr();
         self.index.reconstruct_doc(doc)
@@ -407,36 +373,6 @@ mod tests {
         assert_eq!(r.match_count, 0);
         assert!(r.top_docs.is_empty());
         assert_eq!(r.top_similarity(), 0.0);
-    }
-
-    #[test]
-    fn search_batch_matches_per_query_search_and_accounting() {
-        let solo = logging_db();
-        let batched = logging_db();
-        let queries: Vec<Vec<TermId>> = vec![vec![t(1)], vec![t(1), t(2)], vec![t(1)], vec![t(9)]];
-        let expected: Vec<SearchResponse> = queries.iter().map(|q| solo.search(q, 5)).collect();
-        let refs: Vec<&[TermId]> = queries.iter().map(Vec::as_slice).collect();
-        let got = batched.search_batch(&refs, 5);
-        assert_eq!(
-            got, expected,
-            "batched answers diverge from per-query search"
-        );
-        assert_eq!(batched.probe_count(), solo.probe_count());
-        assert_eq!(batched.probe_log(), solo.probe_log());
-    }
-
-    #[test]
-    fn default_search_batch_forwards_per_query() {
-        // Through a trait object the default impl must hold the same
-        // contract (wrappers rely on it).
-        let db: Box<dyn HiddenWebDatabase> = Box::new(sample_db());
-        let a: Vec<TermId> = vec![t(1)];
-        let b: Vec<TermId> = vec![t(2), t(3)];
-        let got = db.search_batch(&[&a, &b], 3);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], db.search(&a, 3));
-        assert_eq!(got[1], db.search(&b, 3));
-        assert_eq!(db.probe_count(), 4);
     }
 
     #[test]

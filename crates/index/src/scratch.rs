@@ -13,7 +13,9 @@
 //! **Invariant:** between queries, every element of `acc` is exactly
 //! `0.0`. The dense kernel restores the invariant by zeroing only the
 //! entries it touched; `ensure_doc_capacity` checks the whole array
-//! under `debug_assertions`.
+//! under `debug_assertions`. A kernel that unwinds mid-query can leave
+//! touched entries non-zero, so a thread that survives such a panic
+//! (a serve worker does) replaces its scratch with [`discard`].
 
 use crate::topk::TopK;
 use std::cell::RefCell;
@@ -52,50 +54,8 @@ pub(crate) struct Scratch {
     pub(crate) cand_tf: Vec<u32>,
     /// Reusable bounded top-k collector.
     pub(crate) topk: TopK,
-    /// Per-request rows for the batched kernel (one per batch member;
-    /// grown on demand, reused across batches like everything else).
-    pub(crate) batch_rows: Vec<BatchRow>,
     queries: u64,
     acc_grows: u64,
-}
-
-/// One batch member's slice of the batched kernel's working memory.
-///
-/// The shared-traversal kernel interleaves requests, so the single-query
-/// fields of [`Scratch`] can't hold per-request state: each row carries
-/// its own dense accumulator, touched list, and prepared query tables.
-/// Rows obey the same invariant as `Scratch::acc` — all-zero between
-/// batches — restored by zeroing only the touched entries.
-#[derive(Debug, Default)]
-pub(crate) struct BatchRow {
-    /// Dense per-document dot-product accumulators (all zero between
-    /// batches).
-    pub(crate) acc: Vec<f64>,
-    /// Documents with a non-zero accumulator for this request.
-    pub(crate) touched: Vec<u32>,
-    /// This request's run-length-encoded term frequencies (copied from
-    /// `Scratch::qtf` after `prepare_query`).
-    pub(crate) qtf: Vec<(u32, u32)>,
-    /// Per `qtf` entry: query-side tf-idf weight.
-    pub(crate) wq: Vec<f64>,
-    /// Per `qtf` entry: the term's idf in the queried index.
-    pub(crate) idf: Vec<f64>,
-    /// The request's query norm (`0.0` marks a no-op request).
-    pub(crate) qnorm: f64,
-}
-
-impl BatchRow {
-    /// Grows this row's dense accumulator to cover `doc_count` documents
-    /// and verifies the all-zero invariant (debug builds only).
-    pub(crate) fn ensure_doc_capacity(&mut self, doc_count: usize) {
-        debug_assert!(
-            self.acc.iter().all(|&x| mp_stats::float::exact_zero(x)),
-            "batch-row accumulator not restored to zero by the previous batch"
-        );
-        if self.acc.len() < doc_count {
-            self.acc.resize(doc_count, 0.0);
-        }
-    }
 }
 
 /// A snapshot of one thread's scratch-pool accounting, for tests and
@@ -152,6 +112,14 @@ pub fn warm(doc_count: usize) {
     });
 }
 
+/// Replaces this thread's scratch with an empty one. For a thread
+/// that caught a panic which may have unwound out of a kernel: the
+/// old accumulator may break the all-zero invariant, the new one holds
+/// nothing. Call [`warm`] afterwards to pre-size it again.
+pub fn discard() {
+    SCRATCH.with(|s| *s.borrow_mut() = Scratch::default());
+}
+
 /// This thread's scratch-pool accounting.
 pub fn thread_scratch_stats() -> ScratchStats {
     with_scratch(|s| ScratchStats {
@@ -180,6 +148,23 @@ mod tests {
                 })
                 .join()
                 .expect("scratch warm test thread must not panic");
+        });
+    }
+
+    #[test]
+    fn discard_leaves_an_empty_scratch() {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    warm(100);
+                    discard();
+                    let after = thread_scratch_stats();
+                    assert_eq!((after.acc_len, after.acc_grows), (0, 0));
+                    warm(10);
+                    assert_eq!(thread_scratch_stats().acc_len, 10);
+                })
+                .join()
+                .expect("scratch discard test thread must not panic");
         });
     }
 }

@@ -100,23 +100,14 @@ pub fn classify(rel: &str) -> FileClass {
                 || (*krate == "serve" && rest == ["pool.rs"]);
             // The modules a cold serve request traverses per probe: the
             // PR-6 de-contention audit holds them lock-free by default.
-            // The batch modules (serve-side scheduling policy, the
-            // core lock-step executor) joined with term-sharing batched
-            // execution: every batched cold miss runs through them.
             class.l9_hot_path = (*krate == "serve"
                 && matches!(
                     rest,
-                    ["server.rs" | "stats.rs" | "cache.rs" | "queue.rs" | "pool.rs" | "batch.rs"]
+                    ["server.rs" | "stats.rs" | "cache.rs" | "queue.rs" | "pool.rs"]
                 ))
-                || (*krate == "core" && rest == ["batch.rs"])
                 || (*krate == "hidden" && matches!(rest, ["db.rs" | "unreliable.rs"]));
             class.l11_relaxed_ok = RELAXED_COUNTER_MODULES.contains(&rel);
-            // `serve::batch` holds the EDF / shed / term-grouping
-            // *decisions* as pure functions (the single clock read
-            // lives in `server.rs`), so it is held to the same
-            // deterministic contract as the engine crates.
-            class.l13_deterministic =
-                DETERMINISTIC_CRATES.contains(krate) || (*krate == "serve" && rest == ["batch.rs"]);
+            class.l13_deterministic = DETERMINISTIC_CRATES.contains(krate);
         }
         ["crates", _, "tests" | "benches", ..] => class.test_file = true,
         _ => {}
@@ -169,16 +160,7 @@ mod tests {
         assert!(classify("crates/serve/src/pool.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/db.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/unreliable.rs").l9_hot_path);
-        // PR 10 batch modules: on the batched cold path (L9) and — for
-        // the pure serve-side policy module — deterministic (L13).
-        assert!(classify("crates/serve/src/batch.rs").l9_hot_path);
-        assert!(classify("crates/serve/src/batch.rs").l13_deterministic);
-        assert!(classify("crates/core/src/batch.rs").l9_hot_path);
-        assert!(classify("crates/core/src/batch.rs").l13_deterministic);
-        assert!(classify("crates/index/src/batch.rs").l13_deterministic);
-        assert!(!classify("crates/index/src/batch.rs").l9_hot_path);
         assert!(!classify("crates/serve/src/lib.rs").l13_deterministic);
-        assert!(!classify("crates/serve/tests/batch_replay.rs").l13_deterministic);
         assert!(!classify("crates/core/src/metasearcher.rs").l9_hot_path);
         assert!(!classify("crates/serve/src/lib.rs").l9_hot_path);
         assert!(!classify("crates/hidden/src/mediator.rs").l9_hot_path);

@@ -4,17 +4,17 @@
 //! *which requests* made it fat. It keeps at most `cap` recorded
 //! flights — full [`crate::Trace`] waterfalls tagged with why they were
 //! kept ([`FlightReason`]): the K slowest completions, every
-//! deadline-missed request, and every shed (admission-rejected)
-//! request, subject to the ring bound.
+//! deadline-missed request, every request shed by the SLO shedder, and
+//! every request rejected at admission, subject to the ring bound.
 //!
-//! Admission when full: deadline-missed and shed flights are *forced*
-//! — they evict the lowest-latency `Slow` flight (or, when no `Slow`
-//! remains, the oldest forced flight). A `Slow` offer is admitted only
-//! if it is slower than the current slowest-K floor. The floor is
-//! mirrored into a relaxed atomic so non-qualifying offers (the common
-//! case on the serve hot path once the ring warms up) return without
-//! touching the mutex; the mutex itself is taken at most once per
-//! *completed* request, never inside the engine.
+//! Admission when full: deadline-missed, shed and overload flights are
+//! *forced* — they evict the lowest-latency `Slow` flight (or, when no
+//! `Slow` remains, the oldest forced flight). A `Slow` offer is
+//! admitted only if it is slower than the current slowest-K floor. The
+//! floor is mirrored into a relaxed atomic so non-qualifying offers
+//! (the common case on the serve hot path once the ring warms up)
+//! return without touching the mutex; the mutex itself is taken at most
+//! once per *completed* request, never inside the engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -28,8 +28,11 @@ pub enum FlightReason {
     Slow,
     /// Missed its deadline (never computed).
     DeadlineMissed,
-    /// Rejected at admission (queue full).
+    /// Shed by the SLO shedder: the rolling p99 violated its limit and
+    /// the request's deadline slack was below it (never computed).
     Shed,
+    /// Rejected at admission (queue full).
+    Overload,
 }
 
 impl FlightReason {
@@ -39,6 +42,7 @@ impl FlightReason {
             FlightReason::Slow => "slow",
             FlightReason::DeadlineMissed => "deadline_missed",
             FlightReason::Shed => "shed",
+            FlightReason::Overload => "overload",
         }
     }
 
@@ -52,7 +56,8 @@ impl FlightReason {
 pub struct RecordedFlight {
     /// The request's waterfall.
     pub trace: Trace,
-    /// End-to-end latency in microseconds (0 for shed flights).
+    /// End-to-end latency in microseconds (queue wait for deadline-missed
+    /// and shed flights, 0 for overload flights).
     pub latency_us: u64,
     /// Why it was kept.
     pub reason: FlightReason,
@@ -89,7 +94,7 @@ impl FlightRecorder {
         self.cap
     }
 
-    /// Offers a finished trace. Forced reasons (deadline-missed, shed)
+    /// Offers a finished trace. Forced reasons (every one but `Slow`)
     /// are always admitted while capacity allows it; `Slow` offers are
     /// kept only while they rank among the slowest on record.
     pub fn offer(&self, trace: Trace, latency_us: u64, reason: FlightReason) {
@@ -138,7 +143,7 @@ impl FlightRecorder {
     }
 
     /// Flights currently kept, in stable report order: forced flights
-    /// first (deadline-missed, then shed), then `Slow` by descending
+    /// first (deadline-missed, shed, overload), then `Slow` by descending
     /// latency; admission order breaks ties. Within one run of a
     /// deterministic workload the same flights come back in the same
     /// order.
@@ -233,7 +238,8 @@ fn rank(reason: FlightReason) -> u8 {
     match reason {
         FlightReason::DeadlineMissed => 0,
         FlightReason::Shed => 1,
-        FlightReason::Slow => 2,
+        FlightReason::Overload => 2,
+        FlightReason::Slow => 3,
     }
 }
 
@@ -281,6 +287,7 @@ mod tests {
         assert_eq!(flights[1].latency_us, 200);
         assert!(FlightReason::DeadlineMissed.is_forced());
         assert!(FlightReason::Shed.is_forced());
+        assert!(FlightReason::Overload.is_forced());
         assert!(!FlightReason::Slow.is_forced());
     }
 

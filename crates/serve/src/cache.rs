@@ -307,46 +307,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         shard.lru.insert(key, value);
     }
 
-    /// The decomposed serving primitive behind [`Self::get_or_compute`]:
-    /// resolves `key` into a [`Claim`] *without* computing, so a batch
-    /// worker can claim leadership of several keys, compute them all in
-    /// one batched engine call, fulfill the leases, and only then block
-    /// on flights led by other workers. (Claiming before waiting is the
-    /// deadlock-freedom argument: a worker never sleeps on a foreign
-    /// flight while holding an unfulfilled lease another worker could
-    /// be waiting on — leases are always fulfilled first.)
-    ///
-    /// Callers must check [`Self::is_active`] first: a capacity-0 cache
-    /// has no flight table, so there is nothing to claim.
-    ///
-    /// # Panics
-    /// Panics (debug) when the cache is inactive.
-    pub fn get_or_claim(&self, key: K) -> Claim<'_, K, V> {
-        debug_assert!(self.is_active(), "get_or_claim on a bypassed cache");
-        let mut shard = self
-            .shard(&key)
-            .lock()
-            .expect("mp-serve cache shard mutex poisoned");
-        if let Some(v) = shard.lru.get(&key) {
-            return Claim::Cached(v.clone());
-        }
-        if let Some(flight) = shard.inflight.get(&key) {
-            return Claim::Pending(FlightWaiter {
-                flight: Arc::clone(flight),
-            });
-        }
-        let flight = Arc::new(Flight::new());
-        shard.inflight.insert(key.clone(), Arc::clone(&flight));
-        drop(shard);
-        Claim::Lease(Lease {
-            guard: LeaderGuard {
-                cache: self,
-                key: Some(key),
-                flight,
-            },
-        })
-    }
-
     /// The serving primitive: returns the cached value for `key`, joins
     /// an in-flight computation of it, or runs `compute` as the leader
     /// and publishes the result. `compute` is never run under a shard
@@ -398,49 +358,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 None => continue,
             }
         }
-    }
-}
-
-/// What [`ShardedCache::get_or_claim`] resolved a key into.
-pub enum Claim<'a, K: Hash + Eq + Clone, V: Clone> {
-    /// The value was cached; no computation needed.
-    Cached(V),
-    /// Another caller is computing this key; wait on its flight.
-    Pending(FlightWaiter<V>),
-    /// This caller is the leader: compute the value, then
-    /// [`Lease::fulfill`] (dropping the lease unfulfilled abandons the
-    /// flight and waiters retry, exactly like a panicking
-    /// `get_or_compute` leader).
-    Lease(Lease<'a, K, V>),
-}
-
-/// A handle on another caller's in-flight computation.
-pub struct FlightWaiter<V> {
-    flight: Arc<Flight<V>>,
-}
-
-impl<V: Clone> FlightWaiter<V> {
-    /// Blocks until the leader publishes; `None` means the leader
-    /// abandoned the flight (unwound or dropped its lease) and the
-    /// caller should fall back to computing.
-    pub fn wait(self) -> Option<V> {
-        // Timed so a joined request's waterfall shows how long it
-        // blocked on the leader's computation (same stage name as the
-        // `get_or_compute` join path).
-        let _wait = mp_obs::span!("serve.flight_wait");
-        self.flight.wait()
-    }
-}
-
-/// Leadership of one key's single-flight computation.
-pub struct Lease<'a, K: Hash + Eq + Clone, V: Clone> {
-    guard: LeaderGuard<'a, K, V>,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Lease<'_, K, V> {
-    /// Publishes the computed value: caches it and wakes every waiter.
-    pub fn fulfill(mut self, value: V) {
-        self.guard.publish(value);
     }
 }
 
@@ -532,51 +449,6 @@ mod tests {
         assert_eq!((v.as_str(), outcome), ("seven", CacheOutcome::Hit));
         assert_eq!(c.len(), 1);
         assert_eq!(c.inflight_len(), 0);
-    }
-
-    #[test]
-    fn claim_lease_fulfill_then_hit() {
-        let c: ShardedCache<u32, u32> = ShardedCache::new(8, 2);
-        let Claim::Lease(lease) = c.get_or_claim(5) else {
-            panic!("empty cache must lease");
-        };
-        lease.fulfill(50);
-        match c.get_or_claim(5) {
-            Claim::Cached(50) => {}
-            _ => panic!("fulfilled lease must cache"),
-        }
-        assert_eq!(c.inflight_len(), 0);
-        let (v, outcome) = c.get_or_compute(5, || unreachable!("must hit"));
-        assert_eq!((v, outcome), (50, CacheOutcome::Hit));
-    }
-
-    #[test]
-    fn second_claim_pends_on_the_first_lease() {
-        let c: ShardedCache<u32, u32> = ShardedCache::new(8, 2);
-        let Claim::Lease(lease) = c.get_or_claim(9) else {
-            panic!("empty cache must lease");
-        };
-        let Claim::Pending(waiter) = c.get_or_claim(9) else {
-            panic!("claimed key must pend");
-        };
-        lease.fulfill(90);
-        assert_eq!(waiter.wait(), Some(90));
-    }
-
-    #[test]
-    fn dropped_lease_abandons_the_flight() {
-        let c: ShardedCache<u32, u32> = ShardedCache::new(8, 2);
-        let Claim::Lease(lease) = c.get_or_claim(3) else {
-            panic!("empty cache must lease");
-        };
-        let Claim::Pending(waiter) = c.get_or_claim(3) else {
-            panic!("claimed key must pend");
-        };
-        drop(lease);
-        assert_eq!(waiter.wait(), None, "abandoned flights wake with None");
-        assert_eq!(c.inflight_len(), 0);
-        // The key is claimable again (the retry-leadership path).
-        assert!(matches!(c.get_or_claim(3), Claim::Lease(_)));
     }
 
     #[test]

@@ -17,19 +17,18 @@
 //!   [`MetasearchResult`](mp_core::MetasearchResult)s keyed by the full
 //!   request identity ([`CacheKey`]);
 //! * per-request **deadline checks** and a [`ServeStats`] snapshot
-//!   (hits / misses / dedup joins / rejects / sheds, p50/p99 latency on
-//!   the `mp_obs::bounds::LATENCY_US` buckets), mirrored into `mp-obs`
-//!   for the existing `--obs-json` export path;
-//! * **term-sharing batched execution** ([`batch`]): with
-//!   [`ServeConfig::batch_window`] > 1 a worker drains up to a window
-//!   of queued requests at once, dedups identical keys, and runs the
-//!   remaining cold misses that share query terms through the batched
-//!   engine — one postings traversal per shared term — bit-identical
-//!   to per-request execution;
-//! * **SLO-aware scheduling**: batches execute earliest-deadline-first,
-//!   and with [`ServeConfig::shed_p99_ms`] set, requests whose
-//!   remaining deadline slack falls below a violated rolling p99 are
-//!   answered [`ServeError::Shed`] before any compute is spent on them.
+//!   (hits / misses / dedup joins / rejects / sheds / panics, p50/p99
+//!   latency on the `mp_obs::bounds::LATENCY_US` buckets), mirrored
+//!   into `mp-obs` for the existing `--obs-json` export path;
+//! * **SLO shedding**: with [`ServeConfig::shed_p99_ms`] set, a request
+//!   whose remaining deadline slack falls below a violated rolling p99
+//!   is answered [`ServeError::Shed`] before any compute is spent on it;
+//! * **failure containment**: a request whose computation panics is
+//!   answered [`ServeError::Internal`], and its worker serves on.
+//!
+//! Every request takes one path: a worker pops it, checks its deadline
+//! and the shed predicate, then answers it from the result cache, from
+//! a joined flight, or by computing it.
 //!
 //! **Determinism contract.** Serving is a scheduler, not a computation:
 //! for any worker count and any cache configuration, the response to a
@@ -55,14 +54,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 mod pool;
 pub mod queue;
 mod server;
 mod stats;
 
-pub use cache::{CacheOutcome, Claim, FlightWaiter, Lease, LruCache, ShardedCache};
+pub use cache::{CacheOutcome, LruCache, ShardedCache};
 pub use queue::{BoundedQueue, TryPushError};
 pub use server::{
     CacheKey, CacheStatus, Client, PolicySpec, ServeConfig, ServeError, ServeRequest,

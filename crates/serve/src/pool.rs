@@ -8,12 +8,14 @@
 //! cannot outlive the state it serves.
 //!
 //! Lifecycle: `run_scoped` spawns `workers` threads that loop on
-//! [`BoundedQueue::pop`], runs the caller's driver on the *calling*
-//! thread with a [`Client`] handle, then closes the queue. Closing lets
-//! workers drain every accepted request before exiting, so a batch
-//! driver never loses submitted work. A drop guard closes the queue
-//! even when the driver panics — otherwise `thread::scope` would
-//! block forever joining workers parked in `pop`.
+//! [`BoundedQueue::pop`] and hand each job to [`Server::handle`], runs
+//! the caller's driver on the *calling* thread with a [`Client`]
+//! handle, then closes the queue. Closing lets workers drain every
+//! accepted request before exiting, so a submit-all driver never loses
+//! submitted work. A drop guard closes the queue even when the driver
+//! panics — otherwise `thread::scope` would block forever joining
+//! workers parked in `pop`. A panicking request does not end its
+//! worker: `Server::handle` contains it.
 
 use crate::queue::BoundedQueue;
 use crate::server::{Client, Job, Server};
@@ -37,7 +39,6 @@ pub(crate) fn run_scoped<R>(server: &Server, driver: impl FnOnce(&Client<'_>) ->
     // serve any database's probes. Databases hiding their size fall
     // back to lazy growth on first contact.
     let warm_docs = server.metasearcher().mediator().max_size_hint();
-    let window = server.config().batch_window.max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -50,29 +51,9 @@ pub(crate) fn run_scoped<R>(server: &Server, driver: impl FnOnce(&Client<'_>) ->
                     job.depth_at_dequeue = depth;
                     mp_obs::gauge!("serve.queue_depth").set(i64::from(depth));
                     let inflight = mp_obs::gauge!("serve.inflight");
-                    if window == 1 {
-                        inflight.adjust(1);
-                        server.handle(job);
-                        inflight.adjust(-1);
-                        continue;
-                    }
-                    // Batch drain: the blocking pop above anchors the
-                    // batch; the rest of the window is whatever is
-                    // already queued (`try_pop` never sleeps), so an
-                    // idle server still answers immediately.
-                    let mut batch = vec![job];
-                    while batch.len() < window {
-                        let Some(mut next) = queue.try_pop() else {
-                            break;
-                        };
-                        next.depth_at_dequeue = u32::try_from(queue.len()).unwrap_or(u32::MAX);
-                        batch.push(next);
-                    }
-                    let size = i64::try_from(batch.len()).unwrap_or(i64::MAX);
-                    mp_obs::gauge!("serve.batch_size").set(size);
-                    inflight.adjust(size);
-                    server.handle_batch(batch);
-                    inflight.adjust(-size);
+                    inflight.adjust(1);
+                    server.handle(job);
+                    inflight.adjust(-1);
                 }
             });
         }

@@ -3,10 +3,11 @@
 //! The serving front door: producers [`try_push`](BoundedQueue::try_push)
 //! requests (queue-full → typed rejection, the *admission control* of
 //! the serving layer) or [`push_blocking`](BoundedQueue::push_blocking)
-//! them (batch drivers that want back-pressure instead of shed load);
-//! workers [`pop`](BoundedQueue::pop) until the queue is closed *and*
-//! drained. Built on `std::sync::{Mutex, Condvar}` only — no external
-//! dependencies, no spinning.
+//! them (drivers that want back-pressure instead of rejections);
+//! workers [`pop`](BoundedQueue::pop) one request at a time until the
+//! queue is closed *and* drained. Built on
+//! `std::sync::{Mutex, Condvar}` only — no external dependencies, no
+//! spinning.
 //!
 //! FIFO order is total: items pop in exactly the order pushes acquired
 //! the lock. With one worker this makes the whole serving pipeline a
@@ -166,23 +167,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues the oldest item without blocking: `None` means the
-    /// queue is currently empty (closed or not). The batch-draining
-    /// worker loop uses this to widen a batch opportunistically — one
-    /// blocking [`Self::pop`] anchors the batch, `try_pop` takes
-    /// whatever else is already waiting, and nobody sleeps to fill a
-    /// window.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = self.lock();
-        let item = st.items.pop_front()?;
-        let wake = st.push_waiters > 0;
-        drop(st);
-        if wake {
-            self.not_full.notify_one();
-        }
-        Some(item)
-    }
-
     /// Closes the queue: further pushes fail, poppers drain what was
     /// accepted and then see `None`. Idempotent.
     pub fn close(&self) {
@@ -239,21 +223,6 @@ mod tests {
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None, "close is sticky");
-    }
-
-    #[test]
-    fn try_pop_never_blocks() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.try_pop(), None);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
-        q.try_push(3).unwrap();
-        q.close();
-        assert_eq!(q.try_pop(), Some(3), "close still drains");
-        assert_eq!(q.try_pop(), None);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! the value the computation would have produced.
 
 use std::hash::{Hash, Hasher};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +33,7 @@ use mp_core::{AproConfig, CorrectnessMetric, MetasearchResult, Metasearcher};
 use mp_stats::Discrete;
 use mp_workload::Query;
 
-use crate::cache::{CacheOutcome, Claim, FlightWaiter, ShardedCache};
+use crate::cache::{CacheOutcome, ShardedCache};
 use crate::pool;
 use crate::queue::BoundedQueue;
 use crate::stats::{ServeStats, StatsCore};
@@ -225,6 +226,9 @@ pub enum ServeError {
     Shed,
     /// The serving session shut down before the request ran.
     Closed,
+    /// The request's computation panicked. The worker caught the
+    /// unwind, answered this request with this error, and serves on.
+    Internal,
     /// Rejected at submit: the request cannot be answered as posed
     /// (`k` outside `1..=n_databases`, or a threshold that is not a
     /// finite value in `[0, 1]`). The payload says which.
@@ -238,6 +242,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded before execution"),
             ServeError::Shed => write!(f, "shed by SLO scheduler (p99 over limit)"),
             ServeError::Closed => write!(f, "serving session closed"),
+            ServeError::Internal => write!(f, "internal error: the computation panicked"),
             ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
@@ -270,14 +275,6 @@ pub struct ServeConfig {
     /// Flights (slow / deadline-missed / shed traces) the flight
     /// recorder retains; 0 disables it.
     pub flight_recorder_cap: usize,
-    /// Maximum requests a worker drains from the queue into one batch
-    /// (min 1; 1 = per-request execution, the classic path). A worker
-    /// blocks for the *first* request only — the rest of the window is
-    /// whatever is already queued, so an idle server never waits to
-    /// fill a batch. Cold misses inside a batch that share query terms
-    /// are executed through the batched engine (one postings traversal
-    /// per shared term), bit-identical to per-request execution.
-    pub batch_window: usize,
     /// SLO shed limit: when set, a request whose remaining deadline
     /// slack is below the rolling p99 latency while that p99 exceeds
     /// this limit is answered [`ServeError::Shed`] instead of computed.
@@ -298,7 +295,6 @@ impl Default for ServeConfig {
             fuse_limit: 10,
             trace: false,
             flight_recorder_cap: 16,
-            batch_window: 1,
             shed_p99_ms: None,
         }
     }
@@ -320,13 +316,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Sets the batch window (see [`ServeConfig::batch_window`]).
-    #[must_use]
-    pub fn with_batch_window(mut self, window: usize) -> Self {
-        self.batch_window = window;
         self
     }
 
@@ -468,18 +457,18 @@ impl<'s> Client<'s> {
             Err(crate::queue::TryPushError::Full(job)) => {
                 self.server.stats.reject();
                 if self.server.config.trace {
-                    // A shed request never reaches a worker, so build
-                    // its (tiny) trace here: the id and the queue state
-                    // that caused the rejection.
+                    // A rejected request never reaches a worker, so
+                    // build its (tiny) trace here: the id and the queue
+                    // state that caused the rejection.
                     let mut trace = mp_obs::Trace::new(job.trace);
-                    trace.annotate("serve.shed", 1);
+                    trace.annotate("serve.overload", 1);
                     trace.annotate(
                         "serve.queue_depth_at_submit",
                         u64::from(job.depth_at_submit),
                     );
                     self.server
                         .recorder
-                        .offer(trace, 0, mp_obs::FlightReason::Shed);
+                        .offer(trace, 0, mp_obs::FlightReason::Overload);
                 }
                 Err(ServeError::Overload)
             }
@@ -620,14 +609,22 @@ impl Server {
         )
     }
 
-    /// Executes one job: deadline check, cache/dedup lookup, compute,
-    /// stats, response. Called from worker threads.
+    /// Executes one job: deadline check, SLO shed check, cache/dedup
+    /// lookup, compute, stats, response. Called from worker threads.
     ///
     /// When [`ServeConfig::trace`] is set the whole execution runs
     /// under a [`mp_obs::TraceScope`] anchored at the *submit* instant,
     /// so the waterfall starts with the queue wait; the finished trace
     /// lands in this worker's sink shard and is offered to the flight
-    /// recorder (reason `Slow`, or `DeadlineMissed` on the early-out).
+    /// recorder (reason `Slow`, or `DeadlineMissed` / `Shed` on the
+    /// early-outs).
+    ///
+    /// A panic in the lookup or the computation stays with this
+    /// request: it is answered [`ServeError::Internal`] and counted in
+    /// [`ServeStats::panicked`], and the worker replaces its retrieval
+    /// scratch (an unwound kernel may have left it dirty) before it
+    /// takes the next job. A panicking cache leader abandons its
+    /// flight, so each follower recomputes, and fails, on its own.
     pub(crate) fn handle(&self, job: Job) {
         let Job {
             req,
@@ -660,18 +657,31 @@ impl Server {
                 slot.fill(Err(ServeError::DeadlineExceeded));
                 return;
             }
-            if self.config.shed_p99_ms.is_some() {
+            if let Some(limit_ms) = self.config.shed_p99_ms {
                 let remaining_us =
                     u64::try_from((deadline - elapsed).as_micros()).unwrap_or(u64::MAX);
-                if self.should_shed(Some(remaining_us)) {
-                    self.shed_job(scope, queue_wait_ns, &slot);
+                let limit_us = limit_ms.saturating_mul(1_000);
+                if should_shed(remaining_us, self.stats.rolling_p99_us(), limit_us) {
+                    self.stats.shed();
+                    if scope.is_some() {
+                        mp_obs::trace_annotate("serve.shed", 1);
+                    }
+                    if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
+                        self.sink.push(finished.clone());
+                        self.recorder.offer(
+                            finished,
+                            queue_wait_ns / 1_000,
+                            mp_obs::FlightReason::Shed,
+                        );
+                    }
+                    slot.fill(Err(ServeError::Shed));
                     return;
                 }
             }
         }
-        let (result, status) = {
-            // Scoped so the span closes (and enters the waterfall)
-            // before the trace scope finishes below.
+        let computed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // The span closes (and enters the waterfall) before the
+            // trace scope finishes below.
             let _span = mp_obs::span!("serve.request");
             if self.results.is_active() {
                 let key = CacheKey::of(&req);
@@ -685,6 +695,13 @@ impl Server {
             } else {
                 (self.compute(&req), CacheStatus::Bypass)
             }
+        }));
+        let Ok((result, status)) = computed else {
+            self.stats.panicked();
+            mp_index::scratch::discard();
+            mp_index::scratch::warm(self.ms.mediator().max_size_hint());
+            slot.fill(Err(ServeError::Internal));
+            return;
         };
         if scope.is_some() {
             let status_name = match status {
@@ -711,33 +728,6 @@ impl Server {
         }));
     }
 
-    /// Whether the SLO scheduler sheds a request with this much
-    /// remaining deadline slack right now (see [`crate::batch`]).
-    fn should_shed(&self, remaining_us: Option<u64>) -> bool {
-        let Some(limit_ms) = self.config.shed_p99_ms else {
-            return false;
-        };
-        crate::batch::should_shed(
-            remaining_us,
-            self.stats.rolling_p99_us(),
-            Some(limit_ms.saturating_mul(1_000)),
-        )
-    }
-
-    /// Rejects one job as shed: stats, flight-recorder entry, error.
-    fn shed_job(&self, scope: Option<mp_obs::TraceScope>, queue_wait_ns: u64, slot: &ResponseSlot) {
-        self.stats.shed();
-        if scope.is_some() {
-            mp_obs::trace_annotate("serve.shed", 1);
-        }
-        if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-            self.sink.push(finished.clone());
-            self.recorder
-                .offer(finished, queue_wait_ns / 1_000, mp_obs::FlightReason::Shed);
-        }
-        slot.fill(Err(ServeError::Shed));
-    }
-
     /// Test hook: stages a tail-latency observation in the rolling
     /// window (stats counters untouched), so shed-policy tests can
     /// simulate a p99 regression without sleeping through one.
@@ -745,254 +735,18 @@ impl Server {
     pub fn record_window_latency_for_test(&self, latency_us: u64) {
         self.stats.record_window_latency(latency_us);
     }
+}
 
-    /// Executes one drained batch of jobs: EDF-ordered admission
-    /// (deadline check, SLO shed), cache claims, then every cold miss
-    /// in the batch computed through the **batched engine** — misses
-    /// sharing query terms share postings traversals — and finally the
-    /// per-job responses. Called from worker threads when
-    /// [`ServeConfig::batch_window`] > 1.
-    ///
-    /// Responses are bit-identical to feeding the same jobs through
-    /// [`Server::handle`] one at a time: admission decisions are
-    /// per-job, dedup joins hand back the leader's exact value, and the
-    /// batched engine is bit-identical to per-request execution
-    /// (`mp-core`'s batch-equivalence contract).
-    ///
-    /// **Deadlock freedom.** A worker claims leadership (leases) for
-    /// its own cold keys, computes and fulfills them all, and only
-    /// *then* blocks on flights led by other workers — it never sleeps
-    /// on a foreign flight while holding an unfulfilled lease.
-    pub(crate) fn handle_batch(&self, mut jobs: Vec<Job>) {
-        if jobs.len() == 1 {
-            return self.handle(jobs.pop().expect("len checked"));
-        }
-        let _span = mp_obs::span!("serve.batch");
-        let n = jobs.len();
-        self.stats.batch(n);
-        // One clock read for the whole batch: every scheduling decision
-        // below is pure arithmetic over these slacks (crate::batch).
-        let now = Instant::now();
-        let remaining_us: Vec<Option<u64>> = jobs
-            .iter()
-            .map(|job| {
-                job.req.deadline.map(|d| {
-                    let elapsed = now.duration_since(job.submitted);
-                    u64::try_from(d.saturating_sub(elapsed).as_micros()).unwrap_or(u64::MAX)
-                })
-            })
-            .collect();
-        let expired: Vec<bool> = jobs
-            .iter()
-            .map(|job| {
-                job.req
-                    .deadline
-                    .is_some_and(|d| now.duration_since(job.submitted) > d)
-            })
-            .collect();
-        let order = crate::batch::edf_order(&remaining_us);
-        let shed_limit_us = self.config.shed_p99_ms.map(|ms| ms.saturating_mul(1_000));
-        let rolling_p99_us = if shed_limit_us.is_some() {
-            self.stats.rolling_p99_us()
-        } else {
-            0
-        };
-
-        // Per-job resolution state, filled in EDF order.
-        let mut errors: Vec<Option<ServeError>> = (0..n).map(|_| None).collect();
-        let mut resolved: Vec<Option<(MetasearchResult, CacheStatus)>> =
-            (0..n).map(|_| None).collect();
-        let mut waiters: Vec<Option<FlightWaiter<MetasearchResult>>> =
-            (0..n).map(|_| None).collect();
-        let mut leases = Vec::new();
-        let mut dup_of: Vec<Option<usize>> = (0..n).map(|_| None).collect();
-        let mut cold: Vec<usize> = Vec::new();
-        let mut rep_of: std::collections::HashMap<CacheKey, usize> =
-            std::collections::HashMap::new();
-        for _ in 0..n {
-            leases.push(None);
-        }
-        for &j in &order {
-            if expired[j] {
-                errors[j] = Some(ServeError::DeadlineExceeded);
-                continue;
-            }
-            if crate::batch::should_shed(remaining_us[j], rolling_p99_us, shed_limit_us) {
-                errors[j] = Some(ServeError::Shed);
-                continue;
-            }
-            if !self.results.is_active() {
-                // Caching off: no dedup (matching the per-request
-                // bypass), but cold computation still batches below.
-                cold.push(j);
-                continue;
-            }
-            let key = CacheKey::of(&jobs[j].req);
-            if let Some(&rep) = rep_of.get(&key) {
-                // In-batch duplicate: resolved from its representative
-                // after the cold pass — never a second claim (which
-                // would deadlock a worker on its own flight).
-                dup_of[j] = Some(rep);
-                continue;
-            }
-            match self.results.get_or_claim(key.clone()) {
-                Claim::Cached(v) => resolved[j] = Some((v, CacheStatus::Hit)),
-                Claim::Pending(w) => waiters[j] = Some(w),
-                Claim::Lease(lease) => {
-                    leases[j] = Some(lease);
-                    cold.push(j);
-                }
-            }
-            rep_of.insert(key, j);
-        }
-
-        // Cold pass: group the misses by shared query terms and run
-        // each component through the batched engine. RD vectors come
-        // from the query-keyed cache exactly as on the per-request path.
-        if !cold.is_empty() {
-            let term_refs: Vec<&[_]> = cold.iter().map(|&j| jobs[j].req.query.terms()).collect();
-            for group in crate::batch::term_groups(&term_refs) {
-                let items: Vec<mp_core::BatchQuery<'_>> = group
-                    .iter()
-                    .map(|&gi| {
-                        let req = &jobs[cold[gi]].req;
-                        let (rds, rd_outcome) = self
-                            .rds
-                            .get_or_compute(req.query.clone(), || self.ms.rds(&req.query));
-                        self.stats.rd_lookup(rd_outcome == CacheOutcome::Hit);
-                        mp_core::BatchQuery {
-                            query: &req.query,
-                            rds,
-                            config: req.apro_config(),
-                            policy: req.policy.build(),
-                        }
-                    })
-                    .collect();
-                let results = self.ms.search_batch_with_rds(items, self.config.fuse_limit);
-                for (&gi, result) in group.iter().zip(results) {
-                    let j = cold[gi];
-                    let status = match leases[j].take() {
-                        Some(lease) => {
-                            lease.fulfill(result.clone());
-                            CacheStatus::Miss
-                        }
-                        None => CacheStatus::Bypass,
-                    };
-                    resolved[j] = Some((result, status));
-                }
-            }
-        }
-
-        // Only now — every own lease fulfilled — block on flights led
-        // by other workers. An abandoned flight (leader panicked) falls
-        // back to the ordinary compute-or-join path.
-        for j in 0..n {
-            let Some(waiter) = waiters[j].take() else {
-                continue;
-            };
-            let (result, status) = match waiter.wait() {
-                Some(v) => (v, CacheStatus::Joined),
-                None => {
-                    let key = CacheKey::of(&jobs[j].req);
-                    let (v, outcome) = self
-                        .results
-                        .get_or_compute(key, || self.compute(&jobs[j].req));
-                    let status = match outcome {
-                        CacheOutcome::Hit => CacheStatus::Hit,
-                        CacheOutcome::Computed => CacheStatus::Miss,
-                        CacheOutcome::Joined => CacheStatus::Joined,
-                    };
-                    (v, status)
-                }
-            };
-            resolved[j] = Some((result, status));
-        }
-
-        // In-batch duplicates clone their representative's value: a
-        // dedup join in the single-flight sense, except nobody slept.
-        for j in 0..n {
-            let Some(rep) = dup_of[j] else { continue };
-            let (v, rep_status) = resolved[rep]
-                .clone()
-                .expect("a duplicate's representative always resolves");
-            let status = if rep_status == CacheStatus::Hit {
-                CacheStatus::Hit
-            } else {
-                CacheStatus::Joined
-            };
-            resolved[j] = Some((v, status));
-        }
-
-        // Response pass: per-job stats, trace, and slot fill, in queue
-        // order. Each traced job gets its own scope anchored at its
-        // submit instant, so waterfalls still start with the queue wait.
-        let batch_size = u64::try_from(n).unwrap_or(u64::MAX);
-        for (j, job) in jobs.into_iter().enumerate() {
-            let Job {
-                req: _,
-                submitted,
-                slot,
-                trace,
-                depth_at_submit,
-                depth_at_dequeue,
-            } = job;
-            let queue_wait_ns =
-                u64::try_from(now.duration_since(submitted).as_nanos()).unwrap_or(u64::MAX);
-            let scope = self
-                .config
-                .trace
-                .then(|| mp_obs::TraceScope::begin(trace, submitted));
-            if scope.is_some() {
-                mp_obs::trace_stage("serve.queue_wait", 0, queue_wait_ns);
-                mp_obs::trace_annotate("serve.queue_depth_at_submit", u64::from(depth_at_submit));
-                mp_obs::trace_annotate("serve.queue_depth_at_dequeue", u64::from(depth_at_dequeue));
-                mp_obs::trace_annotate("serve.batch_size", batch_size);
-            }
-            match errors[j] {
-                Some(ServeError::DeadlineExceeded) => {
-                    self.stats.deadline_miss();
-                    if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-                        self.sink.push(finished.clone());
-                        self.recorder.offer(
-                            finished,
-                            queue_wait_ns / 1_000,
-                            mp_obs::FlightReason::DeadlineMissed,
-                        );
-                    }
-                    slot.fill(Err(ServeError::DeadlineExceeded));
-                }
-                Some(ServeError::Shed) => {
-                    self.shed_job(scope, queue_wait_ns, &slot);
-                }
-                Some(err) => slot.fill(Err(err)),
-                None => {
-                    let (result, status) = resolved[j].take().expect("every admitted job resolves");
-                    if scope.is_some() {
-                        let status_name = match status {
-                            CacheStatus::Hit => "serve.cache_hit",
-                            CacheStatus::Miss => "serve.cache_miss",
-                            CacheStatus::Joined => "serve.dedup_join",
-                            CacheStatus::Bypass => "serve.cache_bypass",
-                        };
-                        mp_obs::trace_annotate(status_name, 1);
-                    }
-                    let latency_us =
-                        u64::try_from(submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    self.stats.complete(status, latency_us);
-                    if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-                        self.sink.push(finished.clone());
-                        self.recorder
-                            .offer(finished, latency_us, mp_obs::FlightReason::Slow);
-                    }
-                    slot.fill(Ok(ServeResponse {
-                        result,
-                        cache: status,
-                        latency_us,
-                    }));
-                }
-            }
-        }
-    }
+/// The SLO shed predicate for a request with `remaining_us` of deadline
+/// slack under a p99 limit of `limit_us`: shed exactly when the rolling
+/// p99 violates the limit (a healthy server sheds nothing) and the
+/// slack is below that p99, so a typical-tail completion would miss
+/// the deadline anyway and computing it would burn capacity the
+/// backlog needs. The caller rules out the rest: a server without a
+/// limit sheds nothing, and neither does a request without a deadline,
+/// for which "would finish too late" is undefined.
+fn should_shed(remaining_us: u64, rolling_p99_us: u64, limit_us: u64) -> bool {
+    rolling_p99_us > limit_us && remaining_us < rolling_p99_us
 }
 
 #[cfg(test)]
@@ -1043,5 +797,57 @@ mod tests {
             .to_string()
             .contains("deadline"));
         assert!(ServeError::Closed.to_string().contains("closed"));
+        assert!(ServeError::Internal.to_string().contains("panicked"));
+    }
+
+    #[test]
+    fn shed_requires_a_violated_p99_and_short_slack() {
+        // SLO healthy (p99 at/below limit): never shed.
+        assert!(!should_shed(1, 500, 500));
+        // SLO violated but this request has slack >= p99: keep it.
+        assert!(!should_shed(600, 600, 500));
+        // SLO violated and the request cannot make it: shed.
+        assert!(should_shed(599, 600, 500));
+        assert!(should_shed(0, 600, 500));
+    }
+
+    /// A queue-full rejection is an `overload` flight, counted in
+    /// `rejects`; `shed` flights and `sheds` belong to the SLO shedder.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn queue_full_rejection_records_an_overload_flight() {
+        use mp_core::{CoreConfig, IndependenceEstimator, RelevancyDef};
+        use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
+        use mp_index::{Document, IndexBuilder};
+        use mp_text::TermId;
+
+        mp_obs::set_enabled(true);
+        let mut builder = IndexBuilder::new();
+        builder.add(Document::from_terms([TermId(1)]));
+        let index = builder.build();
+        let summary = ContentSummary::cooperative(&index);
+        let db: Arc<dyn HiddenWebDatabase> = Arc::new(SimulatedHiddenDb::new("db", index));
+        let ms = Metasearcher::train(
+            Mediator::new(vec![db], vec![summary]),
+            Box::new(IndependenceEstimator),
+            RelevancyDef::DocFrequency,
+            &[],
+            CoreConfig::default(),
+        );
+        let server = Server::new(ms.shared(), ServeConfig::new(1, 0).with_trace(true));
+        // No workers drain this queue: its one slot stays taken.
+        let queue = BoundedQueue::new(1);
+        let client = Client::new(&server, &queue);
+        let req = ServeRequest::new(Query::new([TermId(1)]), 1, 0.5);
+        let _held = client
+            .try_submit(req.clone())
+            .expect("the one slot is free");
+        assert_eq!(client.try_submit(req).err(), Some(ServeError::Overload));
+        let stats = server.stats();
+        assert_eq!((stats.rejects, stats.sheds), (1, 0));
+        let flights = server.flight_recorder().flights();
+        assert_eq!(flights.len(), 1);
+        assert_eq!(flights[0].reason.as_str(), "overload");
+        assert!(flights[0].trace.has_event("serve.overload"));
     }
 }

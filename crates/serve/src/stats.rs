@@ -46,15 +46,12 @@ pub struct ServeStats {
     pub invalid: u64,
     /// Requests dropped because their deadline had passed.
     pub deadline_misses: u64,
-    /// Requests shed by the SLO scheduler: the rolling p99 violated the
+    /// Requests shed by the SLO shedder: the rolling p99 violated the
     /// configured limit and the request's remaining deadline slack was
-    /// below that p99 (see [`crate::batch::should_shed`]).
+    /// below that p99.
     pub sheds: u64,
-    /// Multi-request batches executed (batches of one are just the
-    /// per-request path and are not counted).
-    pub batches: u64,
-    /// Requests that arrived at a worker inside a multi-request batch.
-    pub batched_requests: u64,
+    /// Requests whose computation panicked (answered `Internal`).
+    pub panicked: u64,
     /// Completed-request latencies: observation count.
     pub latency_count: u64,
     /// Sum of latencies, microseconds.
@@ -99,8 +96,7 @@ pub(crate) struct StatsCore {
     invalid: StripedU64,
     deadline_misses: StripedU64,
     sheds: StripedU64,
-    batches: StripedU64,
-    batched_requests: StripedU64,
+    panicked: StripedU64,
     latency_sum_us: StripedU64,
     latency_max_us: AtomicU64,
     latency_buckets: Vec<StripedU64>,
@@ -126,8 +122,7 @@ impl StatsCore {
             invalid: StripedU64::new(),
             deadline_misses: StripedU64::new(),
             sheds: StripedU64::new(),
-            batches: StripedU64::new(),
-            batched_requests: StripedU64::new(),
+            panicked: StripedU64::new(),
             latency_sum_us: StripedU64::new(),
             latency_max_us: AtomicU64::new(0),
             latency_buckets: (0..=BOUNDS.len()).map(|_| StripedU64::new()).collect(),
@@ -170,12 +165,9 @@ impl StatsCore {
         mp_obs::counter!("serve.sheds").incr();
     }
 
-    /// Records one multi-request batch of `size` requests.
-    pub(crate) fn batch(&self, size: usize) {
-        self.batches.incr();
-        self.batched_requests.add(u64::try_from(size).unwrap_or(0));
-        mp_obs::counter!("serve.batches").incr();
-        mp_obs::counter!("serve.batched_requests").add(u64::try_from(size).unwrap_or(0));
+    pub(crate) fn panicked(&self) {
+        self.panicked.incr();
+        mp_obs::counter!("serve.panicked").incr();
     }
 
     /// The rolling p99 the shed predicate consults. Obs-gated like all
@@ -262,8 +254,7 @@ impl StatsCore {
             invalid: self.invalid.get(),
             deadline_misses: self.deadline_misses.get(),
             sheds: self.sheds.get(),
-            batches: self.batches.get(),
-            batched_requests: self.batched_requests.get(),
+            panicked: self.panicked.get(),
             latency_count,
             latency_sum_us: row.sum,
             latency_max_us,
@@ -303,14 +294,14 @@ mod tests {
         core.invalid();
         core.deadline_miss();
         core.shed();
-        core.batch(3);
+        core.panicked();
         let s = core.snapshot();
         assert_eq!(s.completed, 4);
         assert_eq!(s.hits + s.misses + s.dedup_joins, s.completed);
         assert_eq!((s.hits, s.misses, s.dedup_joins), (1, 2, 1));
         assert_eq!((s.rejects, s.deadline_misses, s.sheds), (1, 1, 1));
         assert_eq!(s.invalid, 1);
-        assert_eq!((s.batches, s.batched_requests), (1, 3));
+        assert_eq!(s.panicked, 1);
         assert_eq!(s.latency_count, 4);
         assert_eq!(s.latency_sum_us, 160);
         assert_eq!(s.latency_max_us, 100);

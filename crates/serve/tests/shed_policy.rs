@@ -1,10 +1,10 @@
-//! The SLO scheduler's shed policy, end to end.
+//! The SLO shed policy, end to end.
 //!
-//! The *decision* logic is pure and pinned by unit tests in
-//! `mp_serve::batch` (`should_shed`, `edf_order`). This suite drives
-//! the policy through a real server: the rolling-latency window is
-//! staged via the test hook (no sleeping through a regression), and the
-//! assertions cover the full observable surface — the typed
+//! The *decision* is a pure predicate, pinned by a unit test beside
+//! `Server::handle` in `server.rs`. This suite drives the policy
+//! through a real server: the rolling-latency window is staged via the
+//! test hook (no sleeping through a regression), and the assertions
+//! cover the full observable surface — the typed
 //! [`ServeError::Shed`] response, the `sheds` stats counter, and the
 //! flight-recorder entry with the `shed` reason.
 //!
@@ -115,7 +115,7 @@ mod obs_gated {
     use mp_obs::FlightReason;
 
     /// The full shed surface: typed error, stats counter, flight
-    /// recorder — per-request path (window 1).
+    /// recorder.
     #[test]
     fn violated_slo_sheds_tight_deadlines() {
         mp_obs::set_enabled(true);
@@ -153,28 +153,6 @@ mod obs_gated {
             r.expect("a deadline beyond the rolling p99 is kept");
         }
         assert_eq!(server.stats().sheds, n, "no further sheds");
-    }
-
-    /// Shedding through the batch path: EDF-admitted jobs consult the
-    /// same predicate before any compute is spent.
-    #[test]
-    fn batch_path_sheds_with_the_same_policy() {
-        mp_obs::set_enabled(true);
-        let (ms, queries) = metasearcher();
-        let config = ServeConfig::new(1, 0)
-            .with_shed_p99_ms(Some(5))
-            .with_batch_window(8);
-        let server = Server::new(ms, config);
-        stage_regression(&server);
-        let responses = server.serve_batch(queries.iter().map(|q| {
-            ServeRequest::new(q.clone(), K, THRESHOLD).with_deadline(Duration::from_millis(50))
-        }));
-        for r in responses {
-            assert_eq!(r, Err(ServeError::Shed));
-        }
-        let stats = server.stats();
-        assert_eq!(stats.sheds, queries.len() as u64);
-        assert_eq!(stats.completed, 0);
     }
 
     /// Recovery: once the window forgets the regression, the same

@@ -2,19 +2,19 @@
 //!
 //! A closed-loop driver (submit, wait, submit) can never overload a
 //! server — its offered rate collapses to the server's completion rate,
-//! which hides exactly the queueing behavior an SLO scheduler exists
+//! which hides exactly the queueing behavior an SLO shedder exists
 //! for. An **open-loop** workload fixes the arrival process in advance:
 //! requests arrive on a schedule that does not care how the server is
-//! doing, so backlog, batching opportunity, and shed pressure emerge
-//! the way they do in production.
+//! doing, so backlog and shed pressure emerge the way they do in
+//! production.
 //!
 //! The generator is fully deterministic from its config (seeded
 //! `StdRng`, like [`crate::QueryGenerator`]): the same config always
 //! produces the same arrival instants and the same query choices, so a
 //! bench row is reproducible run-to-run. Hot-key skew follows a Zipf
 //! law over the unique-query pool — rank `i` is drawn with weight
-//! `1/(i+1)^s` — which is what makes term-sharing batches and dedup
-//! joins occur at realistic rates: `s = 0` is uniform, `s ≈ 1` is a
+//! `1/(i+1)^s` — which is what makes cache hits and dedup joins occur
+//! at realistic rates: `s = 0` is uniform, `s ≈ 1` is a
 //! classic web-query skew where a few hot queries dominate.
 
 use rand::rngs::StdRng;
