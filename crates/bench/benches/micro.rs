@@ -55,8 +55,9 @@ fn bench_expected(c: &mut Criterion) {
     c.bench_function("expected/partial_k3_n20", |b| {
         b.iter(|| black_box(expected_partial(&rds, &set3)))
     });
+    let state = RdState::new(rds.clone());
     c.bench_function("expected/best_set_k3_n20", |b| {
-        b.iter(|| black_box(best_set(&rds, 3, CorrectnessMetric::Partial)))
+        b.iter(|| black_box(best_set(&state, 3, CorrectnessMetric::Partial)))
     });
 }
 

@@ -6,7 +6,7 @@ use mp_core::probing::{
 };
 use mp_core::rd::derive_all_rds;
 use mp_core::selection::{baseline_select, best_set};
-use mp_core::{AproConfig, CorrectnessMetric, EdLibrary, Metasearcher, RelevancyDef};
+use mp_core::{AproConfig, CorrectnessMetric, EdLibrary, Metasearcher, RdState, RelevancyDef};
 use mp_corpus::ScenarioKind;
 use mp_eval::report::{fmt3, TextTable};
 use mp_text::Analyzer;
@@ -342,8 +342,8 @@ pub fn run_eval(dir: &Path, k: usize) -> Result<String, StateError> {
         let golden = tb.golden.topk(qi, k);
         let est = tb.estimates(q);
         base_ok += mp_core::partial_correctness(&baseline_select(&est, k), &golden);
-        let rds = derive_all_rds(&est, q, library);
-        let (set, _) = best_set(&rds, k, CorrectnessMetric::Partial);
+        let state = RdState::new(derive_all_rds(&est, q, library));
+        let (set, _) = best_set(&state, k, CorrectnessMetric::Partial);
         rd_ok += mp_core::partial_correctness(&set, &golden);
     }
     let n = queries.len() as f64;

@@ -11,6 +11,7 @@ use mp_stats::{Discrete, Histogram};
 use mp_workload::Query;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// An error distribution: the histogram of relative estimation errors a
 /// given estimator exhibits on one database for one query type
@@ -68,9 +69,9 @@ impl ErrorDistribution {
 /// queries "randomly chosen from previous query traces", Example 2) and
 /// consulted at query time to turn a point estimate into an RD.
 ///
-/// `PartialEq` is exact (bin edges and counts compare bit-for-bit) —
-/// persistence round-trip tests rely on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `PartialEq` is exact over the trained content (bin edges and counts
+/// compare bit-for-bit) — persistence round-trip tests rely on it.
+#[derive(Debug, Clone)]
 pub struct EdLibrary {
     /// `per_db[i]` maps query types to their ED on database `i`.
     /// Maps serialize as sorted `[key, value]` pair arrays (JSON object
@@ -78,6 +79,12 @@ pub struct EdLibrary {
     /// output is deterministic without an adapter.
     per_db: Vec<HashMap<QueryType, ErrorDistribution>>,
     config: CoreConfig,
+    /// Every `(database, leaf)` ED frozen into the [`Discrete`] an RD
+    /// derivation scales, at `qt.index(..) * n_databases + db`, with
+    /// fallbacks resolved. Built on first use; [`Self::record`] resets
+    /// it. Derived from `per_db`, so it stays out of the wire format and
+    /// of `PartialEq`.
+    frozen: OnceLock<Vec<Option<Discrete>>>,
 }
 
 impl EdLibrary {
@@ -86,6 +93,7 @@ impl EdLibrary {
         Self {
             per_db: vec![HashMap::new(); n_databases],
             config,
+            frozen: OnceLock::new(),
         }
     }
 
@@ -121,6 +129,7 @@ impl EdLibrary {
             .entry(qt)
             .or_insert_with(|| ErrorDistribution::new(&self.config))
             .add(err);
+        self.frozen.take();
     }
 
     /// The configuration the library was trained under.
@@ -151,6 +160,32 @@ impl EdLibrary {
             .find_map(|fb| self.ed(db, fb))
     }
 
+    /// The error distribution an RD derivation on `db` scales for a
+    /// query of type `qt`: [`Self::ed_or_fallback`]'s choice as a
+    /// [`Discrete`], or `None` when there is none (the RD degrades to an
+    /// impulse). One read of the frozen table, so a query pays no map
+    /// lookup and no fallback search.
+    pub(crate) fn frozen_ed(&self, db: usize, qt: QueryType) -> Option<&Discrete> {
+        let n_thresholds = self.config.coverage_thresholds.len();
+        self.frozen.get_or_init(|| self.freeze())[qt.index(n_thresholds) * self.per_db.len() + db]
+            .as_ref()
+    }
+
+    /// Builds the frozen table, leaf-major. `ed.bucket_occupancy`
+    /// records each leaf here, once per freeze.
+    // mp-lint: allow(L6): every element comes from to_discrete, which asserts
+    fn freeze(&self) -> Vec<Option<Discrete>> {
+        QueryType::all(self.config.coverage_thresholds.len())
+            .into_iter()
+            .flat_map(|qt| {
+                (0..self.per_db.len()).map(move |db| {
+                    self.ed_or_fallback(db, qt)
+                        .and_then(ErrorDistribution::to_discrete)
+                })
+            })
+            .collect()
+    }
+
     /// Classifies a query for database `db` given its estimate there.
     pub fn classify(&self, n_terms: usize, estimate: f64) -> QueryType {
         QueryType::classify(n_terms, estimate, &self.config.coverage_thresholds)
@@ -164,6 +199,40 @@ impl EdLibrary {
             .collect();
         v.sort();
         v
+    }
+}
+
+impl PartialEq for EdLibrary {
+    fn eq(&self, other: &Self) -> bool {
+        self.per_db == other.per_db && self.config == other.config
+    }
+}
+
+// Manual serde impls: the frozen table stays out of the wire format
+// (the JSON is byte-identical to the derive over the two trained
+// fields, in declaration order).
+impl Serialize for EdLibrary {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![
+            (String::from("per_db"), self.per_db.to_value()),
+            (String::from("config"), self.config.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for EdLibrary {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        fn field<'v>(v: &'v serde::Value, name: &str) -> Result<&'v serde::Value, serde::Error> {
+            v.get(name).ok_or_else(|| serde::Error::missing_field(name))
+        }
+        if v.as_obj().is_none() {
+            return Err(serde::Error::type_mismatch("object", v));
+        }
+        Ok(EdLibrary {
+            per_db: Deserialize::from_value(field(v, "per_db")?)?,
+            config: Deserialize::from_value(field(v, "config")?)?,
+            frozen: OnceLock::new(),
+        })
     }
 }
 

@@ -23,10 +23,24 @@
 //! * Each `(h, w)` keeps its `k` largest marginals: the partial score is
 //!   their mean, the absolute `k = 1` score their max.
 //!
-//! Cost per step: `O(N log N + N·n·k²)` for the sweep and
-//! `O(n²·s̄ + n·N·k)` for the reduce (`N = Σ|support|`, `s̄` its mean),
-//! on one thread, holding the buckets of a block of databases at a time
-//! within `BUCKET_BUDGET`.
+//! The sweep reads the support [`RdState`] keeps in rank order, and
+//! stops once `k` databases are fully swept. At any later point
+//! `(v, i)` those `k` rivals are ahead for certain, and their leaves
+//! hold exactly `0.0` at count 0:
+//!
+//! * `i`'s own marginal is an exact zero. Its skipped `push_top` of
+//!   `0.0` cannot change a top-k that still receives `n − 1 ≥ k` other
+//!   non-negative values from the reduce.
+//! * A candidate `h` outside the `k` still faces all `k` of them, so
+//!   `A_h = B_h = 0.0` exactly and its buckets stay unchanged.
+//! * A candidate `h` among the `k` faces `k − 1` of them, so
+//!   `B_h = 0.0` exactly. Its `A_h` would land in bucket 0, where every
+//!   outcome of `h` ranks ahead of `(v, i)`: only `B` is read there.
+//!
+//! Cost per step: `O(N·n·k²)` for the sweep and `O(n²·s̄ + n·N·k)` for
+//! the reduce (`N = Σ|support|`, `s̄` its mean), on one thread, holding
+//! the buckets of a block of databases at a time within
+//! `BUCKET_BUDGET`.
 //!
 //! Two kinds of state take the reference (`naive_usefulness`) per
 //! candidate instead, counted by `engine.reference_fallbacks`: the
@@ -37,7 +51,7 @@
 //! `-0.0` ranks as `0.0` and takes the sweep.
 
 use crate::correctness::CorrectnessMetric;
-use crate::expected::{conv, merged_support, set_rival, RdState};
+use crate::expected::{conv, set_rival, RdState};
 use crate::selection::best_set_score_quick;
 
 /// The most `f64`s of `(A, B)` bucket rows one pass of the sweep holds
@@ -128,7 +142,7 @@ pub(crate) fn naive_usefulness(
     let mut total = 0.0;
     for &(v, p) in state.rds()[i].points() {
         hyp.probe(i, v);
-        total += p * best_set_score_quick(hyp.rds(), k, metric);
+        total += p * best_set_score_quick(&hyp, k, metric);
     }
     total
 }
@@ -147,7 +161,7 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(
     let n = rds.len();
     let k = zero.as_ref().len();
     let row_len = 2 * off[n];
-    let (order, total) = merged_support(rds);
+    let (order, total) = state.support();
     let candidate: Vec<bool> = (0..n).map(|h| !state.is_probed(h)).collect();
     let mut top = vec![f64::NEG_INFINITY; off[n] * k];
 
@@ -172,7 +186,8 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(
             ahead[j] = 0.0;
             swept[j] = 0;
         }
-        for &(_, i, p, behind) in &order {
+        let mut full = 0;
+        for &(_, i, p, behind) in order {
             if (lo..hi).contains(&i) {
                 for j in (0..n).rev() {
                     let (head, tail) = suffix.split_at_mut(j + 1);
@@ -204,6 +219,12 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(
             ahead[i] += p;
             swept[i] += 1;
             set_rival(leaves[i].as_mut(), behind, ahead[i]);
+            if swept[i] == rds[i].len() {
+                full += 1;
+                if full == k {
+                    break;
+                }
+            }
         }
         for i in lo..hi {
             let row = &rows[(i - lo) * row_len..][..row_len];

@@ -31,23 +31,37 @@ use rand::Rng;
 use std::cmp::Ordering;
 
 /// The per-query probabilistic state: one RD per database, with probed
-/// databases collapsed to impulses (paper Figure 10's two groups).
+/// databases collapsed to impulses (paper Figure 10's two groups), and
+/// the merged support every sweep over the state reads.
 #[derive(Debug, Clone)]
 pub struct RdState {
     rds: Vec<Discrete>,
     probed: Vec<bool>,
+    /// Every support point of `rds` in [`rank_order`]: what
+    /// [`merged_support`] of `rds` returns, kept current by
+    /// [`Self::probe`].
+    support: Vec<SupportPoint>,
+    /// Each database's total mass: what every rival has behind before a
+    /// sweep starts.
+    total: Vec<f64>,
 }
 
 impl RdState {
     /// Builds the state from initial (unprobed) RDs.
     pub fn new(rds: Vec<Discrete>) -> Self {
         assert!(!rds.is_empty(), "need at least one database");
-        let support = mp_obs::histogram!("rd.support_size", mp_obs::bounds::POW2);
+        let support_size = mp_obs::histogram!("rd.support_size", mp_obs::bounds::POW2);
         for rd in &rds {
-            support.record(u64::try_from(rd.points().len()).unwrap_or(u64::MAX));
+            support_size.record(u64::try_from(rd.points().len()).unwrap_or(u64::MAX));
         }
         let probed = vec![false; rds.len()];
-        Self { rds, probed }
+        let (support, total) = merged_support(&rds);
+        Self {
+            rds,
+            probed,
+            support,
+            total,
+        }
     }
 
     /// Number of databases.
@@ -78,6 +92,12 @@ impl RdState {
     /// Number of probed databases.
     pub fn n_probed(&self) -> usize {
         self.probed.iter().filter(|&&p| p).count()
+    }
+
+    /// The merged support of the RDs in rank order, and each database's
+    /// total mass.
+    pub(crate) fn support(&self) -> (&[SupportPoint], &[f64]) {
+        (&self.support, &self.total)
     }
 
     /// Records a probe outcome: database `i`'s RD becomes an impulse at
@@ -115,6 +135,15 @@ impl RdState {
         };
         self.rds[i] = Discrete::impulse(floored);
         self.probed[i] = true;
+        // Splice the impulse into the support in O(N): `rank_order` is a
+        // strict total order on support points, so this equals a fresh
+        // `merged_support` bit for bit.
+        self.support.retain(|&(_, j, _, _)| j != i);
+        let at = self
+            .support
+            .partition_point(|&(v, j, _, _)| rank_order(j, v, i, floored) == Ordering::Less);
+        self.support.insert(at, (floored, i, 1.0, 0.0));
+        self.total[i] = 1.0;
     }
 
     /// A copy of the state with database `i` hypothetically probed at
@@ -149,7 +178,7 @@ fn prob_beats(rds: &[Discrete], j: usize, v: f64, i: usize) -> f64 {
 }
 
 /// Every database's exact `P(i ∈ true top-k)`, from one sweep over the
-/// merged support of all RDs.
+/// state's merged support.
 ///
 /// All `N = Σ|support|` points are visited once, in
 /// [`crate::correctness::rank_order`] (value descending, lower index
@@ -167,11 +196,16 @@ fn prob_beats(rds: &[Discrete], j: usize, v: f64, i: usize) -> f64 {
 /// ancestors with its new leaf `[behind_i, ahead_i]`. Every operation is
 /// a sum of products of non-negative numbers — there is no
 /// deconvolution and no cancellation — so the relative error stays
-/// within `O((s̄ + k·log n) · ε)`. Cost: `O(N log N + N · k² · log n)`,
-/// against `O(n² · s̄ · (s̄ + k))` for one [`marginal_topk_prob`] per
-/// database.
-pub fn topk_marginals(rds: &[Discrete], k: usize) -> Vec<f64> {
-    let n = rds.len();
+/// within `O((s̄ + k·log n) · ε)`. Cost: `O(N · k² · log n)` (the state
+/// keeps the support sorted), against `O(n² · s̄ · (s̄ + k))` for one
+/// [`marginal_topk_prob`] per database.
+///
+/// The sweep stops once `k` databases are fully swept: every later point
+/// has those `k` rivals ahead for certain, their leaves hold exactly
+/// `0.0` at count 0, so each of its truncated counts is a sum of
+/// products with a `0.0` factor and it adds `p · 0.0 = +0.0`.
+pub fn topk_marginals(state: &RdState, k: usize) -> Vec<f64> {
+    let n = state.len();
     assert!(k >= 1 && k <= n, "k out of range");
     if k == n {
         // Every database is in the top-n in every outcome.
@@ -183,10 +217,10 @@ pub fn topk_marginals(rds: &[Discrete], k: usize) -> Vec<f64> {
     // workload's CPU per request by ≈ 23% on a 2-vCPU VM. Both node
     // types run the same arithmetic, so they give the same bits.
     let marginals = match k {
-        1 => sweep(rds, [0.0; 1]),
-        2 => sweep(rds, [0.0; 2]),
-        3 => sweep(rds, [0.0; 3]),
-        _ => sweep(rds, vec![0.0; k]),
+        1 => sweep(state, [0.0; 1]),
+        2 => sweep(state, [0.0; 2]),
+        3 => sweep(state, [0.0; 3]),
+        _ => sweep(state, vec![0.0; k]),
     };
     debug_assert!(
         (marginals.iter().sum::<f64>() - k as f64).abs() <= 1e-9,
@@ -198,8 +232,9 @@ pub fn topk_marginals(rds: &[Discrete], k: usize) -> Vec<f64> {
 /// The body of [`topk_marginals`] for `k < n`. Every tree node holds the
 /// distribution of a count of rivals ranked ahead, truncated to the
 /// counts `0..k`, in a node shaped like `zero` (`k` zeroed slots).
-fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> Vec<f64> {
-    let n = rds.len();
+fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(state: &RdState, zero: C) -> Vec<f64> {
+    let n = state.len();
+    let k = zero.as_ref().len();
     // Node `x` of the implicit tree has children `2x` and `2x + 1`; the
     // leaf of database `i` is node `size + i`. A rival leaf is `[behind,
     // ahead, 0, …]`, and a padding leaf `[1, 0, …]`: a certain
@@ -209,7 +244,7 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> V
     none.as_mut()[0] = 1.0;
     let mut tree = vec![none.clone(); 2 * size];
     // Before the sweep every rival is behind with its full mass.
-    let (order, total) = merged_support(rds);
+    let (order, total) = state.support();
     for (i, &mass) in total.iter().enumerate() {
         set_rival(tree[size + i].as_mut(), mass, 0.0);
     }
@@ -218,9 +253,13 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> V
     }
 
     let mut ahead = vec![0.0; n];
+    // Points left per database, counted: a zero `behind` would also mark
+    // the point just above a zero-mass lowest point, counting it twice.
+    let mut unswept: Vec<usize> = state.rds().iter().map(Discrete::len).collect();
+    let mut full = 0;
     let mut marginals = vec![0.0; n];
     let (mut rivals, mut next) = (none.clone(), zero);
-    for &(_, i, p, behind) in &order {
+    for &(_, i, p, behind) in order {
         // `(v, i)` is swept from here on: later points see `i` ahead with
         // mass `ahead_i` and behind with the mass of its lower points.
         // The query below never reads `i`'s own leaf, so it can change
@@ -238,6 +277,13 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(rds: &[Discrete], zero: C) -> V
             refresh(&mut tree, x);
         }
         marginals[i] += p * rivals.as_ref().iter().sum::<f64>();
+        unswept[i] -= 1;
+        if unswept[i] == 0 {
+            full += 1;
+            if full == k {
+                break;
+            }
+        }
     }
     for m in &mut marginals {
         *m = m.clamp(0.0, 1.0);
@@ -251,9 +297,10 @@ pub(crate) type SupportPoint = (f64, usize, f64, f64);
 
 /// The merged support of all RDs, sorted by
 /// [`crate::correctness::rank_order`], and each database's total mass:
-/// what every rival has behind before a sweep starts. Both sweeps over
-/// the support ([`topk_marginals`] and the greedy engine's) read it.
-pub(crate) fn merged_support(rds: &[Discrete]) -> (Vec<SupportPoint>, Vec<f64>) {
+/// what every rival has behind before a sweep starts. [`RdState::new`]
+/// keeps it; both sweeps over the support ([`topk_marginals`] and the
+/// greedy engine's) read it there.
+fn merged_support(rds: &[Discrete]) -> (Vec<SupportPoint>, Vec<f64>) {
     let mut order = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
     let mut total = Vec::with_capacity(rds.len());
     for (i, rd) in rds.iter().enumerate() {
@@ -323,10 +370,11 @@ pub fn marginal_topk_prob(rds: &[Discrete], i: usize, k: usize) -> f64 {
 
 /// Exact expected partial correctness `E[Cor_p(set)]` (Eq. 6):
 /// the mean of the member databases' marginal top-k probabilities
-/// ([`topk_marginals`]), with `k = set.len()`.
+/// ([`topk_marginals`] over a state built from `rds`), with
+/// `k = set.len()`.
 pub fn expected_partial(rds: &[Discrete], set: &[usize]) -> f64 {
     assert!(!set.is_empty(), "selection must be non-empty");
-    let marginals = topk_marginals(rds, set.len());
+    let marginals = topk_marginals(&RdState::new(rds.to_vec()), set.len());
     let sum: f64 = set.iter().map(|&i| marginals[i]).sum();
     (sum / set.len() as f64).clamp(0.0, 1.0)
 }
@@ -498,7 +546,10 @@ mod tests {
         let rds = vec![d(&[(0.0, 0.5), (hi, 0.5)]), Discrete::impulse(lo)];
         assert_eq!(marginal_topk_prob(&rds, 0, 1), 0.5);
         assert_eq!(marginal_topk_prob(&rds, 1, 1), 0.5);
-        assert_eq!(topk_marginals(&rds, 1), vec![0.5, 0.5]);
+        assert_eq!(
+            topk_marginals(&RdState::new(rds.clone()), 1),
+            vec![0.5, 0.5]
+        );
         assert_eq!(expected_absolute(&rds, &[0]), 0.5);
         assert_eq!(expected_absolute(&rds, &[1]), 0.5);
         let mut rng = StdRng::seed_from_u64(42);
@@ -517,7 +568,10 @@ mod tests {
         assert_eq!(expected_absolute(&rds, &[1]), 0.0);
         assert_eq!(marginal_topk_prob(&rds, 0, 1), 1.0);
         assert_eq!(marginal_topk_prob(&rds, 1, 1), 0.0);
-        assert_eq!(topk_marginals(&rds, 1), vec![1.0, 0.0]);
+        assert_eq!(
+            topk_marginals(&RdState::new(rds.clone()), 1),
+            vec![1.0, 0.0]
+        );
     }
 
     #[test]
@@ -603,6 +657,80 @@ mod tests {
                 .map(|pts| Discrete::from_weighted(&pts).unwrap())
                 .collect()
         })
+    }
+
+    /// Fails unless the support `state` holds equals a fresh
+    /// `merged_support` of its RDs, bit for bit.
+    fn assert_fresh_support(state: &RdState) -> Result<(), TestCaseError> {
+        let (support, total) = state.support();
+        let (fresh, fresh_total) = merged_support(state.rds());
+        let bits =
+            |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
+        prop_assert_eq!(
+            support.iter().map(bits).collect::<Vec<_>>(),
+            fresh.iter().map(bits).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            total.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+            fresh_total.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
+    /// RDs on a coarse grid with signed zeros, so that probe outcomes
+    /// tie other databases' points often.
+    fn arb_grid_rds() -> impl Strategy<Value = Vec<Discrete>> {
+        proptest::collection::vec(
+            proptest::collection::vec((0u8..7, 0.05f64..1.0), 1..4),
+            2..6,
+        )
+        .prop_map(|dbs| {
+            dbs.into_iter()
+                .map(|pts| {
+                    let pts: Vec<(f64, f64)> = pts
+                        .into_iter()
+                        .map(|(v, p)| (if v == 0 { -0.0 } else { f64::from(v - 1) }, p))
+                        .collect();
+                    Discrete::from_weighted(&pts).unwrap()
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_probe_splice_equals_a_fresh_merge(
+            rds in arb_grid_rds(),
+            probes in proptest::collection::vec((0usize..8, 0usize..8, 0u8..6), 1..10)
+        ) {
+            let mut state = RdState::new(rds);
+            assert_fresh_support(&state)?;
+            for (db, src, kind) in probes {
+                let i = db % state.len();
+                // A support point of some database, to tie or nearly tie.
+                let pts = state.rds()[src % state.len()].points();
+                let near = pts[src % pts.len()].0;
+                let outcome = match kind {
+                    0 => -0.0,
+                    1 => -3.5,
+                    2 => near,
+                    3 => near.next_up(),
+                    4 => near.next_down(),
+                    _ => near + 0.5,
+                };
+                // Re-probe one database on a clone, as the reference
+                // usefulness evaluation does per outcome.
+                let mut hyp = state.clone();
+                hyp.probe(i, outcome);
+                assert_fresh_support(&hyp)?;
+                hyp.probe(i, near);
+                assert_fresh_support(&hyp)?;
+                state.probe(i, outcome);
+                assert_fresh_support(&state)?;
+            }
+        }
     }
 
     proptest! {

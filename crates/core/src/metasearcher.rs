@@ -146,7 +146,7 @@ impl Metasearcher {
         k: usize,
         metric: CorrectnessMetric,
     ) -> (Vec<usize>, f64) {
-        best_set(&self.rds(query), k, metric)
+        best_set(&RdState::new(self.rds(query)), k, metric)
     }
 
     /// Full adaptive selection: RD-based start, then `APro` probing via

@@ -116,7 +116,7 @@ impl<'s> AproSession<'s> {
             "threshold must be a probability"
         );
         mp_obs::counter!("apro.runs").incr();
-        let (initial_selected, initial_expected) = best_set(state.rds(), config.k, config.metric);
+        let (initial_selected, initial_expected) = best_set(state, config.k, config.metric);
         Self {
             selected: initial_selected.clone(),
             expected: initial_expected,
@@ -183,7 +183,7 @@ impl<'s> AproSession<'s> {
         );
         self.pending = None;
         self.state.probe(db, actual);
-        let (sel, exp) = best_set(self.state.rds(), self.config.k, self.config.metric);
+        let (sel, exp) = best_set(self.state, self.config.k, self.config.metric);
         self.selected = sel.clone();
         self.expected = exp;
         self.probes.push(ProbeRecord {
@@ -433,7 +433,7 @@ mod tests {
             prop_assert!(out.satisfied || out.n_probes() == n);
             // The final expected value is consistent with a recompute.
             let (_, score) = crate::selection::best_set(
-                state.rds(), 1, CorrectnessMetric::Absolute);
+                &state, 1, CorrectnessMetric::Absolute);
             prop_assert!((score - out.expected).abs() < 1e-9);
         }
 

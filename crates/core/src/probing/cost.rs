@@ -104,7 +104,7 @@ impl CostAwareGreedyPolicy {
         k: usize,
         metric: CorrectnessMetric,
     ) -> f64 {
-        let current = best_set_score_quick(state.rds(), k, metric);
+        let current = best_set_score_quick(state, k, metric);
         let usefulness = GreedyPolicy::usefulness(state, i, k, metric);
         (usefulness - current).max(0.0) / self.costs.cost(i)
     }
@@ -121,7 +121,7 @@ impl ProbePolicy for CostAwareGreedyPolicy {
             state.len(),
             "cost vector does not cover the databases"
         );
-        let current = best_set_score_quick(state.rds(), k, metric);
+        let current = best_set_score_quick(state, k, metric);
         engine::usefulness_all(state, k, metric)
             .into_iter()
             .map(|(i, usefulness)| (i, (usefulness - current).max(0.0) / self.costs.cost(i)))
@@ -181,7 +181,7 @@ pub fn apro_with_costs(
         let actual = probe_fn(next);
         spent += costs.cost(next);
         state.probe(next, actual);
-        let (sel, exp) = crate::selection::best_set(state.rds(), config.k, config.metric);
+        let (sel, exp) = crate::selection::best_set(state, config.k, config.metric);
         outcome.probes.push(crate::probing::apro::ProbeRecord {
             db: next,
             actual,

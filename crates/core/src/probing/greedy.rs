@@ -109,7 +109,7 @@ mod tests {
         // expected post-probe max certainty is >= the current max
         // certainty (expectation of a max >= max of expectation).
         let state = paper_state();
-        let (_, now) = crate::selection::best_set(state.rds(), 1, CorrectnessMetric::Absolute);
+        let (_, now) = crate::selection::best_set(&state, 1, CorrectnessMetric::Absolute);
         for i in 0..2 {
             let u = GreedyPolicy::usefulness(&state, i, 1, CorrectnessMetric::Absolute);
             assert!(u >= now - 1e-12, "db{i}: usefulness {u} < current {now}");
@@ -122,7 +122,7 @@ mod tests {
         // current certainty exactly — no information gained.
         let mut state = paper_state();
         state.probe(0, 100.0);
-        let (_, now) = crate::selection::best_set(state.rds(), 1, CorrectnessMetric::Absolute);
+        let (_, now) = crate::selection::best_set(&state, 1, CorrectnessMetric::Absolute);
         let u = GreedyPolicy::usefulness(&state, 0, 1, CorrectnessMetric::Absolute);
         assert!((u - now).abs() < 1e-12);
         // And select_db never returns it.

@@ -55,7 +55,7 @@ impl OptimalPolicy {
     /// Expected number of *further* probes needed to reach the
     /// threshold from `state`, following the optimal policy.
     fn expected_cost(&self, state: &RdState, k: usize, metric: CorrectnessMetric) -> f64 {
-        let (_, score) = best_set(state.rds(), k, metric);
+        let (_, score) = best_set(state, k, metric);
         if score >= self.threshold {
             return 0.0;
         }

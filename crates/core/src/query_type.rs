@@ -103,6 +103,20 @@ impl QueryType {
         out
     }
 
+    /// This leaf's position in [`QueryType::all`]`(n_thresholds)`.
+    pub(crate) fn index(&self, n_thresholds: usize) -> usize {
+        debug_assert!(
+            usize::from(self.coverage) <= n_thresholds,
+            "coverage bucket beyond the ladder"
+        );
+        let arity = match self.arity {
+            ArityBucket::One => 0,
+            ArityBucket::Two => 1,
+            ArityBucket::ThreeUp => 2,
+        };
+        arity * (n_thresholds + 1) + usize::from(self.coverage)
+    }
+
     /// The fallback chain used when a leaf has no learned ED: nearest
     /// coverage buckets of the same arity first (closest informative
     /// leaf), then the other arities in the same spread order.
@@ -205,6 +219,15 @@ mod tests {
         for i in 0..all.len() {
             for j in i + 1..all.len() {
                 assert_ne!(all[i], all[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for n in 1..4 {
+            for (i, qt) in QueryType::all(n).into_iter().enumerate() {
+                assert_eq!(qt.index(n), i);
             }
         }
     }

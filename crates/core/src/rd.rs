@@ -2,11 +2,12 @@
 //! distribution over the actual relevancy (paper Section 3.1, Example 3).
 
 use crate::config::CoreConfig;
-use crate::ed::{EdLibrary, ErrorDistribution};
+use crate::ed::EdLibrary;
 use mp_stats::Discrete;
 use mp_workload::Query;
 
-/// Derives the RD for one database and query:
+/// Derives the RD for one database and query from the error
+/// distribution `errors` of its query-type leaf:
 ///
 /// ```text
 /// RD support = { r̂_floored · (1 + err)  :  err ∈ ED support }
@@ -16,11 +17,14 @@ use mp_workload::Query;
 /// merge their probability). When the database has no usable ED the RD
 /// degrades to an impulse at the estimate, making RD-based selection
 /// coincide with the estimation baseline for that database.
-pub fn derive_rd(estimate: f64, ed: Option<&ErrorDistribution>, config: &CoreConfig) -> Discrete {
+pub fn derive_rd(estimate: f64, errors: Option<&Discrete>, config: &CoreConfig) -> Discrete {
     let base = estimate.max(config.est_floor);
-    let rd = match ed.and_then(ErrorDistribution::to_discrete) {
+    let rd = match errors {
+        // The floor is positive (`relative_error` asserts it in
+        // training), so the map is non-decreasing in `err`: the ED's
+        // order survives and no sort is needed.
         Some(errors) => errors
-            .map_values(|e| (base * (1.0 + e)).max(0.0))
+            .map_nondecreasing(|e| (base * (1.0 + e)).max(0.0))
             .expect("non-empty error distribution maps to non-empty RD"),
         None => Discrete::impulse(estimate.max(0.0)),
     };
@@ -30,13 +34,14 @@ pub fn derive_rd(estimate: f64, ed: Option<&ErrorDistribution>, config: &CoreCon
 
 /// Derives the RD of a query on database `db` of `lib`, classifying the
 /// query for that database first (classification is
-/// database-dependent: paper Section 4.1).
+/// database-dependent: paper Section 4.1) and scaling the leaf's frozen
+/// ED.
 ///
 /// `estimate` must be the estimator output for database `db`.
 // mp-lint: allow(L6): pure delegation to derive_rd, which asserts
 pub fn derive_db_rd(estimate: f64, db: usize, query: &Query, lib: &EdLibrary) -> Discrete {
     let qt = lib.classify(query.len(), estimate);
-    derive_rd(estimate, lib.ed_or_fallback(db, qt), lib.config())
+    derive_rd(estimate, lib.frozen_ed(db, qt), lib.config())
 }
 
 /// Derives the RDs of a query against every database in one call
@@ -60,6 +65,7 @@ pub fn derive_all_rds(estimates: &[f64], query: &Query, lib: &EdLibrary) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ed::ErrorDistribution;
     use mp_text::TermId;
     use proptest::prelude::*;
 
@@ -67,12 +73,13 @@ mod tests {
         CoreConfig::default()
     }
 
-    fn ed_from(errors: &[f64]) -> ErrorDistribution {
+    /// The frozen ED of the given error samples.
+    fn ed_from(errors: &[f64]) -> Discrete {
         let mut ed = ErrorDistribution::new(&config());
         for &e in errors {
             ed.add(e);
         }
-        ed
+        ed.to_discrete().expect("at least one sample")
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //! RD-based method (paper Sections 2.2 and 3.3).
 
 use crate::correctness::CorrectnessMetric;
-use crate::expected::{expected_correctness, topk_marginals};
+use crate::expected::{expected_absolute, topk_marginals, RdState};
 use mp_stats::float::total_cmp_desc;
-use mp_stats::Discrete;
 
 /// The `k` largest marginal top-k probabilities as `(database, marginal)`,
 /// ranked descending with ties to the lower index — the shared first step
 /// of [`best_set`] and [`best_set_score_quick`]. Every marginal comes from
 /// one [`topk_marginals`] sweep.
-fn top_marginals(rds: &[Discrete], k: usize) -> Vec<(usize, f64)> {
-    let mut marginals: Vec<(usize, f64)> = topk_marginals(rds, k).into_iter().enumerate().collect();
+fn top_marginals(state: &RdState, k: usize) -> Vec<(usize, f64)> {
+    let mut marginals: Vec<(usize, f64)> =
+        topk_marginals(state, k).into_iter().enumerate().collect();
     marginals.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
     marginals.truncate(k);
     marginals
@@ -44,10 +44,11 @@ pub fn baseline_select(estimates: &[f64], k: usize) -> Vec<usize> {
 ///   improved by first-improvement swap local search. With unimodal
 ///   RD overlap structures (ours, and the paper's) the marginal ranking
 ///   is already optimal in practice; the local search guards the rest.
-pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<usize>, f64) {
-    assert!(k >= 1 && k <= rds.len(), "k out of range");
+pub fn best_set(state: &RdState, k: usize, metric: CorrectnessMetric) -> (Vec<usize>, f64) {
+    assert!(k >= 1 && k <= state.len(), "k out of range");
     let _span = mp_obs::span!("selection.best_set");
-    let top = top_marginals(rds, k);
+    let rds = state.rds();
+    let top = top_marginals(state, k);
     let mut set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
     set.sort_unstable();
 
@@ -62,7 +63,7 @@ pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<u
     match metric {
         CorrectnessMetric::Partial => (set, mean_marginal(&top)),
         CorrectnessMetric::Absolute => {
-            let mut score = expected_correctness(rds, &set, metric);
+            let mut score = expected_absolute(rds, &set);
             // First-improvement swap local search.
             let mut improved = true;
             while improved {
@@ -75,7 +76,7 @@ pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<u
                         let mut trial = set.clone();
                         trial[pos] = cand;
                         trial.sort_unstable();
-                        let s = expected_correctness(rds, &trial, metric);
+                        let s = expected_absolute(rds, &trial);
                         if s > score + 1e-12 {
                             set = trial;
                             score = s;
@@ -92,8 +93,8 @@ pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<u
 
 /// RD-based selection (paper Section 3.3): the set with the highest
 /// expected correctness, no probing involved.
-pub fn rd_based_select(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> Vec<usize> {
-    best_set(rds, k, metric).0
+pub fn rd_based_select(state: &RdState, k: usize, metric: CorrectnessMetric) -> Vec<usize> {
+    best_set(state, k, metric).0
 }
 
 /// The *score* of the marginal-ranking candidate set, without the
@@ -103,15 +104,15 @@ pub fn rd_based_select(rds: &[Discrete], k: usize, metric: CorrectnessMetric) ->
 /// hypothetical states per probe; it uses this instead of the full
 /// search, which only ever changes *which database gets probed*, never
 /// the correctness semantics of the returned answer.
-pub fn best_set_score_quick(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> f64 {
-    assert!(k >= 1 && k <= rds.len(), "k out of range");
-    let top = top_marginals(rds, k);
+pub fn best_set_score_quick(state: &RdState, k: usize, metric: CorrectnessMetric) -> f64 {
+    assert!(k >= 1 && k <= state.len(), "k out of range");
+    let top = top_marginals(state, k);
     match metric {
         CorrectnessMetric::Partial => mean_marginal(&top),
         CorrectnessMetric::Absolute if k == 1 => top[0].1,
         CorrectnessMetric::Absolute => {
             let set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
-            expected_correctness(rds, &set, metric)
+            expected_absolute(state.rds(), &set)
         }
     }
 }
@@ -119,6 +120,7 @@ pub fn best_set_score_quick(rds: &[Discrete], k: usize, metric: CorrectnessMetri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_stats::Discrete;
     use proptest::prelude::*;
 
     fn d(pairs: &[(f64, f64)]) -> Discrete {
@@ -144,7 +146,7 @@ mod tests {
         assert_eq!(baseline_select(&[100.0, 65.0], 1), vec![0]);
         // RD-based selection sees db2's consistent underestimation and
         // selects db2 with certainty 0.85 (the paper's headline example).
-        let (set, score) = best_set(&paper_rds(), 1, CorrectnessMetric::Absolute);
+        let (set, score) = best_set(&RdState::new(paper_rds()), 1, CorrectnessMetric::Absolute);
         assert_eq!(set, vec![1]);
         assert!((score - 0.85).abs() < 1e-12);
     }
@@ -156,7 +158,7 @@ mod tests {
             d(&[(10.0, 1.0)]),
             d(&[(50.0, 0.5), (120.0, 0.5)]),
         ];
-        let (set, score) = best_set(&rds, 2, CorrectnessMetric::Partial);
+        let (set, score) = best_set(&RdState::new(rds), 2, CorrectnessMetric::Partial);
         assert_eq!(set, vec![0, 2]);
         assert_eq!(score, 1.0); // dbs 0 and 2 are always the top two
     }
@@ -168,8 +170,9 @@ mod tests {
             Discrete::impulse(50.0),
             Discrete::impulse(20.0),
         ];
+        let state = RdState::new(rds);
         for metric in [CorrectnessMetric::Absolute, CorrectnessMetric::Partial] {
-            let (set, score) = best_set(&rds, 2, metric);
+            let (set, score) = best_set(&state, 2, metric);
             assert_eq!(set, vec![1, 2]);
             assert_eq!(score, 1.0);
         }
@@ -177,8 +180,7 @@ mod tests {
 
     #[test]
     fn k_equals_n_selects_everything() {
-        let rds = paper_rds();
-        let (set, score) = best_set(&rds, 2, CorrectnessMetric::Absolute);
+        let (set, score) = best_set(&RdState::new(paper_rds()), 2, CorrectnessMetric::Absolute);
         assert_eq!(set, vec![0, 1]);
         assert_eq!(score, 1.0);
     }
@@ -235,8 +237,9 @@ mod tests {
             k_raw in 1usize..4
         ) {
             let k = k_raw.min(rds.len());
+            let state = RdState::new(rds.clone());
             for metric in [CorrectnessMetric::Absolute, CorrectnessMetric::Partial] {
-                let (_, score) = best_set(&rds, k, metric);
+                let (_, score) = best_set(&state, k, metric);
                 let oracle = brute_best(&rds, k, metric);
                 prop_assert!((score - oracle).abs() < 1e-9,
                     "{:?}: got {}, oracle {}", metric, score, oracle);
@@ -246,7 +249,7 @@ mod tests {
         #[test]
         fn prop_selected_set_is_valid(rds in arb_rds(), k_raw in 1usize..4) {
             let k = k_raw.min(rds.len());
-            let set = rd_based_select(&rds, k, CorrectnessMetric::Partial);
+            let set = rd_based_select(&RdState::new(rds.clone()), k, CorrectnessMetric::Partial);
             prop_assert_eq!(set.len(), k);
             let distinct: std::collections::HashSet<_> = set.iter().collect();
             prop_assert_eq!(distinct.len(), k);

@@ -8,6 +8,11 @@
 //! `k > 1` runs the reference fallback), and `select_db` must return
 //! the reference argmax whenever the reference's top two values differ
 //! by more than 1e-12.
+//!
+//! The sweep stops once `k` databases are fully swept. Two-tier
+//! fleets, where some databases sit wholly above the rest, put that
+//! stop at exact ties (`0.0` against `-0.0` too) between a fully swept
+//! database and later ones, at lower and at higher index.
 
 use mp_core::engine;
 use mp_core::expected::RdState;
@@ -191,6 +196,13 @@ proptest! {
     }
 
     #[test]
+    fn sweep_matches_reference_across_two_tiers(
+        fleet in sized(proptest::collection::vec(tiered_db(), 40))
+    ) {
+        check(&RdState::new(build(&fleet)))?;
+    }
+
+    #[test]
     fn negative_supports_match_the_clamped_reference(
         fleet in sized(proptest::collection::vec(
             proptest::collection::vec((-20.0f64..20.0, 0.01f64..1.0), 1..5), 40))
@@ -241,5 +253,128 @@ fn exact_ties_go_to_the_lower_index() {
             assert_eq!(u, 1.0);
         }
         assert_eq!(GreedyPolicy.select_db(&state, 1, metric), Some(0));
+    }
+}
+
+/// One database of a two-tier fleet: an upper database holds grid
+/// values from 5 up, a lower one grid values up to 5, so the upper tier
+/// sits wholly above the lower one but for exact ties at 5. A lower
+/// database's zero is `-0.0` or `0.0` at random, so tied zeros differ
+/// in sign.
+fn tiered_db() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    (
+        0u8..2,
+        proptest::collection::vec((0u8..6, 0u8..2, 0.01f64..1.0), 1..4),
+    )
+        .prop_map(|(upper, pts)| {
+            pts.into_iter()
+                .map(|(v, sign, w)| match (upper, v) {
+                    (1, v) => (f64::from(5 + v), w),
+                    (_, 0) if sign == 1 => (-0.0, w),
+                    (_, v) => (f64::from(v), w),
+                })
+                .collect()
+        })
+}
+
+fn d(pts: &[(f64, f64)]) -> Discrete {
+    Discrete::from_weighted(pts).expect("weights are positive")
+}
+
+/// Checks every `k` in `ks` under both metrics.
+fn check_ks(rds: Vec<Discrete>, ks: &[usize]) {
+    let state = RdState::new(rds);
+    for &k in ks {
+        for metric in METRICS {
+            check_at(&state, k, metric).expect("engine matches reference");
+        }
+    }
+}
+
+/// At `k = 2` the sweep stops once dbs 0 and 2 are fully swept, at
+/// `(5, 2)`: db 1's point at 5 ties it at a lower index and is swept
+/// before the stop, db 3's at a higher index after it. At `k = 1` the
+/// stop is the first point, at `k = 3` the point `(2, 3)`.
+#[test]
+fn stop_lands_on_a_tie_with_lower_and_higher_indices() {
+    check_ks(
+        vec![
+            d(&[(9.0, 1.0)]),
+            d(&[(5.0, 0.5), (1.0, 0.5)]),
+            d(&[(7.0, 0.5), (5.0, 0.5)]),
+            d(&[(5.0, 0.5), (2.0, 0.5)]),
+        ],
+        &[1, 2, 3],
+    );
+}
+
+/// Signed zeros tie under the rank order: at `k = 2` the stop falls at
+/// `(0.0, 1)`, between db 0's `-0.0` (lower index, ahead) and db 2's and
+/// db 3's `-0.0` (higher index, behind).
+#[test]
+fn stop_lands_on_signed_zero_ties() {
+    check_ks(
+        vec![
+            d(&[(-0.0, 0.5), (3.0, 0.5)]),
+            d(&[(0.0, 0.5), (4.0, 0.5)]),
+            d(&[(-0.0, 0.5), (2.0, 0.5)]),
+            d(&[(-0.0, 0.25), (1.0, 0.75)]),
+        ],
+        &[1, 2],
+    );
+}
+
+/// A database whose lowest point has zero mass (its weight did not
+/// survive normalization) is fully swept only after that point.
+#[test]
+fn a_zero_mass_point_counts_its_database_once() {
+    check_ks(
+        vec![
+            d(&[(4.0, 1e-320), (9.0, 1e10)]),
+            d(&[(1.0, 0.5), (6.0, 0.5)]),
+            d(&[(2.0, 0.5), (7.0, 0.5)]),
+            d(&[(3.0, 0.25), (8.0, 0.75)]),
+        ],
+        &[1, 2, 3],
+    );
+}
+
+/// `k + 1 = n`: the stop can only come at the last point.
+#[test]
+fn k_plus_one_equals_n() {
+    check_ks(
+        vec![
+            d(&[(5.0, 0.5), (1.0, 0.5)]),
+            d(&[(5.0, 0.5), (3.0, 0.5)]),
+            d(&[(4.0, 0.5), (2.0, 0.5)]),
+        ],
+        &[2],
+    );
+    check_ks(
+        vec![d(&[(0.0, 0.5), (2.0, 0.5)]), d(&[(-0.0, 0.5), (2.0, 0.5)])],
+        &[1],
+    );
+}
+
+/// `k` or more databases wholly above the rest: the stop comes before
+/// any lower-tier point, at several `k`.
+#[test]
+fn upper_tier_of_k_plus_one_or_more() {
+    for upper_count in 1..=5u8 {
+        // Dbs 0, 2, 4, … (the first `upper_count` even ones) hold
+        // values from 10 up, the others below 7.
+        let upper = |i: u8| i.is_multiple_of(2) && i / 2 < upper_count;
+        let rds: Vec<Discrete> = (0..10u8)
+            .map(|i| {
+                let v = f64::from(i);
+                if upper(i) {
+                    d(&[(10.0 + v, 0.5), (20.0, 0.5)])
+                } else {
+                    d(&[(v / 2.0, 0.5), (3.25, 0.5)])
+                }
+            })
+            .collect();
+        let ks: Vec<usize> = (1..=usize::from(upper_count)).collect();
+        check_ks(rds, &ks);
     }
 }

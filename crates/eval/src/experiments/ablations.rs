@@ -12,7 +12,7 @@ use mp_core::probing::{
 };
 use mp_core::rd::derive_all_rds;
 use mp_core::selection::best_set;
-use mp_core::{CorrectnessMetric, EdLibrary};
+use mp_core::{CorrectnessMetric, EdLibrary, RdState};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -250,10 +250,10 @@ fn rd_scores_with_library(tb: &Testbed, k: usize, library: &EdLibrary) -> Method
     let queries = tb.split.test.queries();
     let per_q = par_map_queries(queries.len(), |qi| {
         let q = &queries[qi];
-        let rds = derive_all_rds(&tb.estimates(q), q, library);
+        let state = RdState::new(derive_all_rds(&tb.estimates(q), q, library));
         let golden = tb.golden.topk(qi, k);
-        let (set_a, _) = best_set(&rds, k, CorrectnessMetric::Absolute);
-        let (set_p, _) = best_set(&rds, k, CorrectnessMetric::Partial);
+        let (set_a, _) = best_set(&state, k, CorrectnessMetric::Absolute);
+        let (set_p, _) = best_set(&state, k, CorrectnessMetric::Partial);
         (
             mp_core::absolute_correctness(&set_a, &golden),
             mp_core::partial_correctness(&set_p, &golden),

@@ -47,10 +47,10 @@ pub fn evaluate_rd_based(tb: &Testbed, k: usize) -> MethodScores {
     let _span = mp_obs::span!("eval.rd_based");
     let queries = tb.split.test.queries();
     let per_q = par_map_queries(queries.len(), |qi| {
-        let rds = tb.rds(&queries[qi]);
+        let state = RdState::new(tb.rds(&queries[qi]));
         let golden = tb.golden.topk(qi, k);
-        let (set_a, _) = best_set(&rds, k, CorrectnessMetric::Absolute);
-        let (set_p, _) = best_set(&rds, k, CorrectnessMetric::Partial);
+        let (set_a, _) = best_set(&state, k, CorrectnessMetric::Absolute);
+        let (set_p, _) = best_set(&state, k, CorrectnessMetric::Partial);
         (
             mp_core::absolute_correctness(&set_a, &golden),
             mp_core::partial_correctness(&set_p, &golden),

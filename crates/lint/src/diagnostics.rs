@@ -220,6 +220,36 @@ pub fn baseline_fingerprints(json: &str) -> Vec<String> {
     out
 }
 
+/// The command that regenerates the committed baseline from a clean
+/// tree.
+pub const BASELINE_REBLESS: &str = "cargo run -p mp-lint -- --deny-all --json > lint-baseline.json";
+
+/// Checks a baseline report's header against this scan: `Err` names the
+/// drift when the baseline's `files_scanned` is missing or differs from
+/// `files_scanned`, so a committed baseline cannot silently describe a
+/// different tree. Like [`baseline_fingerprints`], a scan of the text,
+/// not a JSON parse.
+pub fn check_baseline_header(json: &str, files_scanned: usize) -> Result<(), String> {
+    let key = "\"files_scanned\":";
+    let recorded = json.find(key).and_then(|at| {
+        let rest = json[at + key.len()..].trim_start();
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..end].parse::<usize>().ok()
+    });
+    match recorded {
+        Some(n) if n == files_scanned => Ok(()),
+        Some(n) => Err(format!(
+            "baseline records files_scanned {n}, but this scan covered {files_scanned} files; \
+             re-bless it with `{BASELINE_REBLESS}`"
+        )),
+        None => Err(format!(
+            "baseline records no files_scanned; re-bless it with `{BASELINE_REBLESS}`"
+        )),
+    }
+}
+
 /// Minimal JSON string escaping (quotes, backslash, control chars).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -308,6 +338,18 @@ mod tests {
         // The committed-empty baseline yields no fingerprints.
         let empty = Report::default().render_json();
         assert!(baseline_fingerprints(&empty).is_empty());
+    }
+
+    #[test]
+    fn baseline_header_must_match_the_scan() {
+        let json = sample().render_json();
+        assert_eq!(check_baseline_header(&json, 2), Ok(()));
+        let drift = check_baseline_header(&json, 3).unwrap_err();
+        assert!(drift.contains("files_scanned 2"), "{drift}");
+        assert!(drift.contains("covered 3 files"), "{drift}");
+        assert!(drift.contains(BASELINE_REBLESS), "{drift}");
+        let headless = check_baseline_header("{\"diagnostics\":[]}", 2).unwrap_err();
+        assert!(headless.contains("no files_scanned"), "{headless}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! new-vs-baseline fingerprints, `2` usage or I/O error. CI runs
 //! `mp-lint --deny-all --json --baseline lint-baseline.json`.
 
-use mp_lint::diagnostics::baseline_fingerprints;
+use mp_lint::diagnostics::{baseline_fingerprints, check_baseline_header};
 use mp_lint::{lint_workspace, rule_by_name, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,7 +34,8 @@ fn usage() -> &'static str {
      --deny-all     promote warnings (L7, A1) to errors - the CI configuration\n\
      --rule R       only report rule R (repeatable)\n\
      --baseline F   fail (exit 1) listing any finding whose fingerprint\n\
-     \x20              is not in the JSON report F - CI's lint-diff gate\n\
+     \x20              is not in the JSON report F, or when F's files_scanned\n\
+     \x20              differs from this scan - CI's lint-diff gate\n\
      --list-rules   print the rule catalog and exit"
 }
 
@@ -113,8 +114,8 @@ fn main() -> ExitCode {
     }
     let mut failed = report.denies() > 0;
     if let Some(baseline_path) = &args.baseline {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(text) => baseline_fingerprints(&text),
+        let text = match std::fs::read_to_string(baseline_path) {
+            Ok(text) => text,
             Err(e) => {
                 eprintln!(
                     "mp-lint: cannot read baseline `{}`: {e}",
@@ -123,6 +124,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
+        if let Err(drift) = check_baseline_header(&text, report.files_scanned) {
+            eprintln!("mp-lint: `{}`: {drift}", baseline_path.display());
+            failed = true;
+        }
+        let baseline = baseline_fingerprints(&text);
         let fps = report.fingerprints();
         let mut fresh = 0usize;
         for (d, fp) in report.diagnostics.iter().zip(&fps) {

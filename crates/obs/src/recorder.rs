@@ -4,11 +4,12 @@
 //! *which requests* made it fat. It keeps at most `cap` recorded
 //! flights — full [`crate::Trace`] waterfalls tagged with why they were
 //! kept ([`FlightReason`]): the K slowest completions, every
-//! deadline-missed request, every request shed by the SLO shedder, and
-//! every request rejected at admission, subject to the ring bound.
+//! deadline-missed request, every request shed by the SLO shedder,
+//! every request rejected at admission, and every request whose
+//! computation panicked, subject to the ring bound.
 //!
-//! Admission when full: deadline-missed, shed and overload flights are
-//! *forced* — they evict the lowest-latency `Slow` flight (or, when no
+//! Admission when full: deadline-missed, shed, overload and panicked
+//! flights are *forced* — they evict the lowest-latency `Slow` flight (or, when no
 //! `Slow` remains, the oldest forced flight). A `Slow` offer is
 //! admitted only if it is slower than the current slowest-K floor. The
 //! floor is mirrored into a relaxed atomic so non-qualifying offers
@@ -33,6 +34,9 @@ pub enum FlightReason {
     Shed,
     /// Rejected at admission (queue full).
     Overload,
+    /// Its lookup or computation panicked (answered with an internal
+    /// error).
+    Panicked,
 }
 
 impl FlightReason {
@@ -43,6 +47,7 @@ impl FlightReason {
             FlightReason::DeadlineMissed => "deadline_missed",
             FlightReason::Shed => "shed",
             FlightReason::Overload => "overload",
+            FlightReason::Panicked => "panicked",
         }
     }
 
@@ -239,7 +244,8 @@ fn rank(reason: FlightReason) -> u8 {
         FlightReason::DeadlineMissed => 0,
         FlightReason::Shed => 1,
         FlightReason::Overload => 2,
-        FlightReason::Slow => 3,
+        FlightReason::Panicked => 3,
+        FlightReason::Slow => 4,
     }
 }
 
@@ -288,6 +294,7 @@ mod tests {
         assert!(FlightReason::DeadlineMissed.is_forced());
         assert!(FlightReason::Shed.is_forced());
         assert!(FlightReason::Overload.is_forced());
+        assert!(FlightReason::Panicked.is_forced());
         assert!(!FlightReason::Slow.is_forced());
     }
 

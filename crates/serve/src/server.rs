@@ -617,7 +617,7 @@ impl Server {
     /// so the waterfall starts with the queue wait; the finished trace
     /// lands in this worker's sink shard and is offered to the flight
     /// recorder (reason `Slow`, or `DeadlineMissed` / `Shed` on the
-    /// early-outs).
+    /// early-outs, or `Panicked`).
     ///
     /// A panic in the lookup or the computation stays with this
     /// request: it is answered [`ServeError::Internal`] and counted in
@@ -648,12 +648,11 @@ impl Server {
             let elapsed = submitted.elapsed();
             if elapsed > deadline {
                 self.stats.deadline_miss();
-                if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-                    let latency_us = queue_wait_ns / 1_000;
-                    self.sink.push(finished.clone());
-                    self.recorder
-                        .offer(finished, latency_us, mp_obs::FlightReason::DeadlineMissed);
-                }
+                self.land_trace(
+                    scope,
+                    queue_wait_ns / 1_000,
+                    mp_obs::FlightReason::DeadlineMissed,
+                );
                 slot.fill(Err(ServeError::DeadlineExceeded));
                 return;
             }
@@ -666,14 +665,7 @@ impl Server {
                     if scope.is_some() {
                         mp_obs::trace_annotate("serve.shed", 1);
                     }
-                    if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-                        self.sink.push(finished.clone());
-                        self.recorder.offer(
-                            finished,
-                            queue_wait_ns / 1_000,
-                            mp_obs::FlightReason::Shed,
-                        );
-                    }
+                    self.land_trace(scope, queue_wait_ns / 1_000, mp_obs::FlightReason::Shed);
                     slot.fill(Err(ServeError::Shed));
                     return;
                 }
@@ -698,6 +690,11 @@ impl Server {
         }));
         let Ok((result, status)) = computed else {
             self.stats.panicked();
+            if scope.is_some() {
+                mp_obs::trace_annotate("serve.panicked", 1);
+            }
+            let latency_us = u64::try_from(submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.land_trace(scope, latency_us, mp_obs::FlightReason::Panicked);
             mp_index::scratch::discard();
             mp_index::scratch::warm(self.ms.mediator().max_size_hint());
             slot.fill(Err(ServeError::Internal));
@@ -716,16 +713,27 @@ impl Server {
         // Completion stats record *before* the scope finishes so the
         // latency histogram's exemplar slot sees this TraceId.
         self.stats.complete(status, latency_us);
-        if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
-            self.sink.push(finished.clone());
-            self.recorder
-                .offer(finished, latency_us, mp_obs::FlightReason::Slow);
-        }
+        self.land_trace(scope, latency_us, mp_obs::FlightReason::Slow);
         slot.fill(Ok(ServeResponse {
             result,
             cache: status,
             latency_us,
         }));
+    }
+
+    /// Finishes a request's trace scope, if one is active: the waterfall
+    /// goes to this worker's sink shard and to the flight recorder,
+    /// tagged `reason`.
+    fn land_trace(
+        &self,
+        scope: Option<mp_obs::TraceScope>,
+        latency_us: u64,
+        reason: mp_obs::FlightReason,
+    ) {
+        if let Some(finished) = scope.and_then(mp_obs::TraceScope::finish) {
+            self.sink.push(finished.clone());
+            self.recorder.offer(finished, latency_us, reason);
+        }
     }
 
     /// Test hook: stages a tail-latency observation in the rolling

@@ -6,7 +6,8 @@
 //! on one test query's exact terms, and the stream holds that query
 //! twice. Each session runs on a spawned thread and the test waits for
 //! it with a timeout, so a regression (a ticket nobody fills, a worker
-//! that died) fails the test instead of hanging it.
+//! that died) fails the test instead of hanging it. With tracing on, a
+//! panicked request still leaves its waterfall and a `panicked` flight.
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -76,6 +77,14 @@ fn config() -> AproConfig {
     }
 }
 
+/// What one session left behind.
+struct Served {
+    responses: Vec<Result<ServeResponse, ServeError>>,
+    stats: ServeStats,
+    flights: Vec<mp_obs::RecordedFlight>,
+    traces: Vec<mp_obs::Trace>,
+}
+
 /// Serves `stream` in a session on its own thread; `None` when the
 /// session has not returned within a minute. A hung session's thread
 /// is left detached, since it can never be joined.
@@ -83,7 +92,7 @@ fn serve_with_timeout(
     ms: &Arc<Metasearcher>,
     config: ServeConfig,
     stream: &[Query],
-) -> Option<(Vec<Result<ServeResponse, ServeError>>, ServeStats)> {
+) -> Option<Served> {
     let (tx, rx) = mpsc::channel();
     let ms = Arc::clone(ms);
     let stream = stream.to_vec();
@@ -95,15 +104,30 @@ fn serve_with_timeout(
                 .map(|q| ServeRequest::new(q, K, THRESHOLD)),
         );
         // The receiver is gone only when the test already failed.
-        let _ = tx.send((responses, server.stats()));
+        let _ = tx.send(Served {
+            responses,
+            stats: server.stats(),
+            flights: server.flight_recorder().flights(),
+            traces: server.drain_traces(),
+        });
     });
     let served = rx.recv_timeout(Duration::from_secs(60)).ok()?;
     session.join().expect("the session thread must not panic");
     Some(served)
 }
 
-#[test]
-fn a_panicking_request_fails_alone_and_the_worker_serves_on() {
+/// A metasearcher whose databases panic on `poison`, one over the same
+/// databases that never panics, and a stream holding `poison` twice
+/// among healthy queries.
+struct Fixture {
+    poisoned: Arc<Metasearcher>,
+    clean: Arc<Metasearcher>,
+    poison: Query,
+    healthy: Vec<Query>,
+    stream: Vec<Query>,
+}
+
+fn fixture() -> Fixture {
     let tb = Testbed::build(TestbedConfig::tiny(11));
     let test_queries = tb.split.test.queries();
     let poison = test_queries[0].clone();
@@ -126,13 +150,29 @@ fn a_panicking_request_fails_alone_and_the_worker_serves_on() {
             }) as Arc<dyn HiddenWebDatabase>
         })
         .collect();
-    let poisoned = metasearcher(&tb, Mediator::new(dbs, tb.mediator.summaries().to_vec()));
-    let clean = metasearcher(&tb, tb.mediator.clone());
+    Fixture {
+        poisoned: metasearcher(&tb, Mediator::new(dbs, tb.mediator.summaries().to_vec())),
+        clean: metasearcher(&tb, tb.mediator.clone()),
+        poison,
+        healthy,
+        stream,
+    }
+}
 
+#[test]
+fn a_panicking_request_fails_alone_and_the_worker_serves_on() {
+    let Fixture {
+        poisoned,
+        clean,
+        poison,
+        healthy,
+        stream,
+    } = fixture();
     for workers in [1usize, 4] {
         for cache_cap in [0usize, 256] {
-            let Some((responses, stats)) =
-                serve_with_timeout(&poisoned, ServeConfig::new(workers, cache_cap), &stream)
+            let Some(Served {
+                responses, stats, ..
+            }) = serve_with_timeout(&poisoned, ServeConfig::new(workers, cache_cap), &stream)
             else {
                 panic!("workers={workers} cache={cache_cap}: the session hung");
             };
@@ -154,6 +194,44 @@ fn a_panicking_request_fails_alone_and_the_worker_serves_on() {
             }
             assert_eq!(stats.panicked, 2, "workers={workers} cache={cache_cap}");
             assert_eq!(stats.completed, healthy.len() as u64);
+        }
+    }
+}
+
+#[cfg(feature = "obs")]
+#[test]
+fn a_panicked_request_leaves_a_waterfall_and_a_flight() {
+    use mp_obs::FlightReason;
+
+    mp_obs::set_enabled(true);
+    let Fixture {
+        poisoned, stream, ..
+    } = fixture();
+    for workers in [1usize, 4] {
+        for cache_cap in [0usize, 256] {
+            let config = ServeConfig::new(workers, cache_cap).with_trace(true);
+            let Some(served) = serve_with_timeout(&poisoned, config, &stream) else {
+                panic!("workers={workers} cache={cache_cap}: the session hung");
+            };
+            let panicked: Vec<&mp_obs::RecordedFlight> = served
+                .flights
+                .iter()
+                .filter(|f| f.reason == FlightReason::Panicked)
+                .collect();
+            assert_eq!(panicked.len(), 2, "workers={workers} cache={cache_cap}");
+            for flight in panicked {
+                assert!(flight.trace.has_event("serve.queue_wait"));
+                assert!(flight.trace.has_event("serve.panicked"));
+            }
+            // Every request, the panicked ones included, drains a
+            // waterfall.
+            assert_eq!(served.traces.len(), stream.len());
+            let drained = served
+                .traces
+                .iter()
+                .filter(|t| t.has_event("serve.panicked"))
+                .count();
+            assert_eq!(drained, 2, "workers={workers} cache={cache_cap}");
         }
     }
 }

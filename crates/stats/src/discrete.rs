@@ -53,6 +53,7 @@ impl Discrete {
     ///
     /// Weights need not be normalized; they are rescaled to sum to 1.
     /// Pairs with equal values (within [`PROB_EPS`]) are merged.
+    // mp-lint: allow(L6): pure delegation to merge_sorted, which asserts
     pub fn from_weighted(pairs: &[(f64, f64)]) -> Result<Self, DiscreteError> {
         if pairs.is_empty() {
             return Err(DiscreteError::Empty);
@@ -63,22 +64,35 @@ impl Discrete {
             }
         }
         let mut pts: Vec<(f64, f64)> = pairs.iter().copied().filter(|&(_, w)| w > 0.0).collect();
+        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
+        Self::merge_sorted(pts)
+    }
+
+    /// The distribution of `pts`, positive weights in ascending value
+    /// order: adjacent values within [`PROB_EPS`] of the first value of
+    /// their run merge into it, then the weights are divided by their
+    /// left-to-right total. The one tail of [`Self::from_weighted`] and
+    /// [`Self::map_nondecreasing`], so both give the same bits.
+    fn merge_sorted(mut pts: Vec<(f64, f64)>) -> Result<Self, DiscreteError> {
         if pts.is_empty() {
             return Err(DiscreteError::Empty);
         }
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(pts.len());
-        for (v, w) in pts {
-            match merged.last_mut() {
-                Some(last) if (v - last.0).abs() <= PROB_EPS => last.1 += w,
-                _ => merged.push((v, w)),
+        let mut last = 0;
+        for r in 1..pts.len() {
+            let (v, w) = pts[r];
+            if (v - pts[last].0).abs() <= PROB_EPS {
+                pts[last].1 += w;
+            } else {
+                last += 1;
+                pts[last] = (v, w);
             }
         }
-        let total: f64 = merged.iter().map(|&(_, w)| w).sum();
-        for p in &mut merged {
+        pts.truncate(last + 1);
+        let total: f64 = pts.iter().map(|&(_, w)| w).sum();
+        for p in &mut pts {
             p.1 /= total;
         }
-        let dist = Self { points: merged };
+        let dist = Self { points: pts };
         dist.debug_assert_normalized();
         Ok(dist)
     }
@@ -215,14 +229,30 @@ impl Discrete {
         self.quantile(rng.gen::<f64>())
     }
 
-    /// Applies `f` to every support value, re-normalizing merged duplicates.
+    /// Applies a non-decreasing `f` to every support value in one pass,
+    /// merging values that land within [`PROB_EPS`] and re-normalizing.
     ///
     /// Used to derive a relevancy distribution from an error distribution:
     /// `RD = r̂ · (1 + err)` maps each error support point to a relevancy
-    /// support point (paper Example 3).
-    pub fn map_values(&self, mut f: impl FnMut(f64) -> f64) -> Result<Self, DiscreteError> {
-        let mapped: Vec<(f64, f64)> = self.points.iter().map(|&(v, p)| (f(v), p)).collect();
-        Self::from_weighted(&mapped).inspect(|d| d.debug_assert_normalized())
+    /// support point (paper Example 3). A non-decreasing `f` keeps the
+    /// support in order, so no sort runs, and the result is bit-identical
+    /// to [`Self::from_weighted`] of the mapped points.
+    pub fn map_nondecreasing(&self, mut f: impl FnMut(f64) -> f64) -> Result<Self, DiscreteError> {
+        let mut mapped = Vec::with_capacity(self.points.len());
+        for &(v, p) in &self.points {
+            let v = f(v);
+            if !v.is_finite() {
+                return Err(DiscreteError::Invalid);
+            }
+            debug_assert!(
+                mapped.last().is_none_or(|&(u, _): &(f64, f64)| u <= v),
+                "map_nondecreasing: the map must not decrease"
+            );
+            if p > 0.0 {
+                mapped.push((v, p));
+            }
+        }
+        Self::merge_sorted(mapped).inspect(|d| d.debug_assert_normalized())
     }
 }
 
@@ -313,19 +343,30 @@ mod tests {
     }
 
     #[test]
-    fn map_values_scales_support() {
+    fn map_nondecreasing_scales_support() {
         // err ∈ {-0.5, 0, +0.5}, estimate 100 → relevancy {50, 100, 150}.
         let ed = d(&[(-0.5, 0.1), (0.0, 0.5), (0.5, 0.4)]);
-        let rd = ed.map_values(|e| 100.0 * (1.0 + e)).unwrap();
+        let rd = ed.map_nondecreasing(|e| 100.0 * (1.0 + e)).unwrap();
         assert_eq!(rd.points(), &[(50.0, 0.1), (100.0, 0.5), (150.0, 0.4)]);
     }
 
     #[test]
-    fn map_values_merges_collisions() {
+    fn map_nondecreasing_merges_collisions() {
         let ed = d(&[(-1.0, 0.3), (-0.999_999_999_99, 0.2), (1.0, 0.5)]);
-        let rd = ed.map_values(|e| 100.0 * (1.0 + e).max(0.0)).unwrap();
+        let rd = ed
+            .map_nondecreasing(|e| 100.0 * (1.0 + e).max(0.0))
+            .unwrap();
         assert_eq!(rd.len(), 2);
         assert!((rd.prob_eq(0.0) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn map_nondecreasing_rejects_non_finite_values() {
+        let ed = d(&[(1.0, 0.5), (2.0, 0.5)]);
+        assert_eq!(
+            ed.map_nondecreasing(|v| v * f64::MAX * 2.0),
+            Err(DiscreteError::Invalid)
+        );
     }
 
     #[test]
@@ -367,6 +408,25 @@ mod tests {
             let m = dist.mean();
             prop_assert!(m >= dist.min_value() - 1e-9);
             prop_assert!(m <= dist.max_value() + 1e-9);
+        }
+
+        #[test]
+        fn prop_map_nondecreasing_equals_from_weighted_of_mapped_points(
+            pairs in proptest::collection::vec((-2.0f64..40.0, 1e-6f64..10.0), 1..12),
+            base in 0.0f64..1e4
+        ) {
+            // The RD derivation's map: clamping sends every error ≤ −1
+            // to 0, so clamped values collide and merge.
+            let ed = Discrete::from_weighted(&pairs).unwrap();
+            let f = |e: f64| (base * (1.0 + e)).max(0.0);
+            let mapped: Vec<(f64, f64)> = ed.points().iter().map(|&(v, p)| (f(v), p)).collect();
+            let one_pass = ed.map_nondecreasing(f).unwrap();
+            let sorted = Discrete::from_weighted(&mapped).unwrap();
+            prop_assert_eq!(one_pass.len(), sorted.len());
+            for (a, b) in one_pass.points().iter().zip(sorted.points()) {
+                prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
         }
 
         #[test]

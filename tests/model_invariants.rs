@@ -4,7 +4,7 @@
 
 use metaprobe::prelude::*;
 use mp_core::expected::{
-    expected_absolute, expected_partial, marginal_topk_prob, monte_carlo_expected,
+    expected_absolute, expected_partial, marginal_topk_prob, monte_carlo_expected, RdState,
 };
 use mp_core::selection::{baseline_select, best_set};
 use mp_eval::{Testbed, TestbedConfig};
@@ -21,8 +21,9 @@ fn exact_expectations_match_monte_carlo_on_real_rds() {
     let mut rng = StdRng::seed_from_u64(99);
     for (qi, q) in tb.split.test.queries().iter().enumerate().take(12) {
         let rds = tb.rds(q);
+        let state = RdState::new(rds.clone());
         for k in [1usize, 2] {
-            let (set, exact) = best_set(&rds, k, CorrectnessMetric::Absolute);
+            let (set, exact) = best_set(&state, k, CorrectnessMetric::Absolute);
             let mc =
                 monte_carlo_expected(&rds, &set, CorrectnessMetric::Absolute, 30_000, &mut rng);
             assert!(
@@ -30,7 +31,7 @@ fn exact_expectations_match_monte_carlo_on_real_rds() {
                 "query {qi} k={k}: exact {exact} vs MC {mc}"
             );
 
-            let (set_p, exact_p) = best_set(&rds, k, CorrectnessMetric::Partial);
+            let (set_p, exact_p) = best_set(&state, k, CorrectnessMetric::Partial);
             let mc_p =
                 monte_carlo_expected(&rds, &set_p, CorrectnessMetric::Partial, 30_000, &mut rng);
             assert!(
@@ -75,8 +76,8 @@ fn rd_selection_with_impulse_library_equals_baseline() {
     let empty = mp_core::EdLibrary::empty(tb.n_databases(), tb.config.core.clone());
     for q in tb.split.test.queries().iter().take(30) {
         let estimates = tb.estimates(q);
-        let rds = mp_core::rd::derive_all_rds(&estimates, q, &empty);
-        let (rd_set, _) = best_set(&rds, 1, CorrectnessMetric::Absolute);
+        let state = RdState::new(mp_core::rd::derive_all_rds(&estimates, q, &empty));
+        let (rd_set, _) = best_set(&state, 1, CorrectnessMetric::Absolute);
         let base = baseline_select(&estimates, 1);
         assert_eq!(rd_set, base, "query {q:?}");
     }
