@@ -274,8 +274,8 @@ struct ThroughputReport {
     cores: usize,
     scenarios: Vec<ScenarioReport>,
     /// Rolling (windowed) vs cumulative latency percentiles of the
-    /// cached 4-worker configuration (mp-obs window wheel; all zeros
-    /// with the `obs` feature off).
+    /// cached 4-worker configuration (the server's own mp-obs window
+    /// wheel, which records with recording on or off).
     rolling: RollingReport,
     /// `qps(4 workers, cache on) / qps(1 worker, cache off)` — the
     /// acceptance number (must be ≥ 2).
@@ -505,9 +505,9 @@ fn main() {
     let speedup = candidate.qps / baseline.qps;
     eprintln!("serve_throughput speedup (4w cached vs 1w cold): {speedup:.1}x");
 
-    // Open-loop rows. Recording is enabled so the shed row's rolling
-    // p99 (obs-gated) sees real latencies; every row carries the same
-    // recording overhead.
+    // Open-loop rows. Recording is enabled so every row carries the
+    // same recording overhead; the shed row's rolling p99 reads the
+    // server's own window, which records either way.
     mp_obs::set_enabled(true);
     let open = open_loop_requests(&queries, None);
     let mut open_loop = vec![

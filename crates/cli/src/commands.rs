@@ -476,7 +476,7 @@ mod tests {
             "unexpected dump prefix: {}",
             &json[..json.len().min(80)]
         );
-        // The CLI always builds with the obs feature on, so the
+        // Recording is on unless `MP_OBS` switches it off, so the
         // recorder must have captured the slowest requests of the run.
         assert!(json.contains("\"trace\""), "{json}");
         assert!(json.contains("\"reason\""), "{json}");

@@ -445,7 +445,6 @@ mod tests {
     fn flaky_source_retry_count_is_observable_and_bounded() {
         let db = UnreliableDb::new(base_db(), 1.0, 0.0, 0.0, 3).with_retries(3);
         assert_eq!(db.budget(), ProbeBudget::default());
-        #[cfg(feature = "obs")]
         let retries_before = mp_obs::counter("probe.retries").get();
 
         let r = db.search(&[t(1)], 5);
@@ -461,7 +460,6 @@ mod tests {
 
         // The spend also surfaces through the global mp-obs counters
         // (>=: the registry is shared with other tests in this binary).
-        #[cfg(feature = "obs")]
         if mp_obs::is_enabled() {
             assert!(mp_obs::counter("probe.retries").get() >= retries_before + 3);
         }

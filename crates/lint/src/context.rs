@@ -24,8 +24,8 @@ pub const LIBRARY_CRATES: &[&str] = &[
 /// the twin-replay tests pin. L13 bans ambient nondeterminism sources
 /// (`Instant::now`, `SystemTime`, `thread::current().id()`,
 /// `std::env::var`, `RandomState`) in their `src/` outside test code.
-/// `obs` is deliberately absent: timing is its whole point, and it is
-/// feature-gated off the deterministic result path.
+/// `obs` is deliberately absent: timing is its whole point, and
+/// nothing it records feeds the deterministic result path.
 pub const DETERMINISTIC_CRATES: &[&str] = &["core", "hidden", "index", "stats"];
 
 /// Modules registered as counter-only atomic users, where

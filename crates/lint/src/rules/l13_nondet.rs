@@ -15,10 +15,10 @@
 //! declarations, the rule flags: `Instant::now`, any `SystemTime` use,
 //! `thread::current` (id-keying), `std::env::var`/`var_os`, and
 //! `RandomState` (the per-process hasher seed behind the PR 4
-//! hash-order bug). Timing belongs in `obs` (feature-gated off the
-//! result path); configuration belongs in explicit config structs. A
-//! reader that provably cannot affect results carries an `allow(L13)`
-//! justification saying exactly why.
+//! hash-order bug). Timing belongs in `obs` (off the result path:
+//! nothing it records feeds a result); configuration belongs in
+//! explicit config structs. A reader that provably cannot affect
+//! results carries an `allow(L13)` justification saying exactly why.
 
 use super::diag_at;
 use crate::context::Analysis;
@@ -26,8 +26,8 @@ use crate::diagnostics::Diagnostic;
 use crate::lexer::TokKind;
 
 const HINT: &str = "deterministic crates compute results from (inputs, seed) only: \
-                    thread the value in explicitly, move timing behind the obs \
-                    feature, or justify with `// mp-lint: allow(L13): <why results \
+                    thread the value in explicitly, move timing into mp-obs, \
+                    or justify with `// mp-lint: allow(L13): <why results \
                     cannot depend on it>`";
 
 pub(crate) fn check(a: &Analysis) -> Vec<Diagnostic> {

@@ -2,8 +2,8 @@
 //! flame-style self-time table.
 //!
 //! All three are pure functions of the snapshot — no registry access,
-//! no clocks — so they work identically in `--no-default-features`
-//! builds (over the empty snapshot). JSON key order is fixed and every
+//! no clocks — so they render a snapshot taken with recording off the
+//! same way (its values stay 0). JSON key order is fixed and every
 //! row vector is pre-sorted by [`crate::snapshot`], making consecutive
 //! exports of the same state byte-identical: the property the CI
 //! artifact diffing and the snapshot-stability test rely on.

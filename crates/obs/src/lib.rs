@@ -35,19 +35,19 @@
 //!
 //! ## Switching it off
 //!
-//! Two independent kill switches:
+//! One runtime switch: `MP_OBS=0` (also `false`/`off`/`no`) in the
+//! environment, or [`set_enabled`]`(false)` from code. While it is off,
+//! spans, counters, gauges, histograms, registered windows
+//! ([`window!`]) and trace scopes record nothing, each behind one
+//! relaxed [`AtomicBool`] load: no `Instant` read, no registry walk.
+//! Two things ignore it because their owners read them as functional
+//! state, not telemetry: a [`StripedU64`] and a [`WindowWheel`] built
+//! with [`WindowWheel::new`] (the serve layer's hit/miss counts and the
+//! rolling p99 its shedding policy reads). The `apro_scaling` bench
+//! flips the switch to measure the instrumentation overhead
+//! head-to-head in one process.
 //!
-//! * **Compile time** — building with `--no-default-features` (feature
-//!   `obs` off) turns every entry point into an inlineable empty
-//!   function with the identical signature. No registry, no atomics, no
-//!   `Instant` reads.
-//! * **Run time** — `MP_OBS=0` (also `false`/`off`/`no`) in the
-//!   environment, or [`set_enabled`]`(false)` from code, stops all
-//!   recording behind one cached relaxed [`AtomicBool`] load. Used by
-//!   the `apro_scaling` bench to measure the instrumentation overhead
-//!   head-to-head in one process.
-//!
-//! Neither switch changes any engine *result*: observability only ever
+//! The switch never changes any engine *result*: observability only ever
 //! reads clocks and bumps atomics; it never participates in a numeric
 //! reduction (enforced in spirit by mp-lint L8, which keeps ad-hoc
 //! `println!` diagnostics out of library crates).
@@ -69,8 +69,8 @@
 //!     mp_obs::histogram!("doc.sizes", &[1, 8, 64]).record(5);
 //!     mp_obs::snapshot()
 //! };
-//! // With the default `obs` feature the rows are there; without it the
-//! // same code compiles and the snapshot is empty.
+//! // With recording on (the default) the rows are there; under
+//! // `MP_OBS=0` the same code records nothing.
 //! if mp_obs::is_enabled() {
 //!     assert_eq!(snapshot.counters[0].value, 1);
 //! }
@@ -132,25 +132,15 @@ fn flag() -> &'static AtomicBool {
     })
 }
 
-/// Whether recording is active: the `obs` feature is compiled in *and*
-/// the runtime switch (`MP_OBS`, [`set_enabled`]) is on.
-#[cfg(feature = "obs")]
+/// Whether recording is active: the runtime switch (`MP_OBS`,
+/// [`set_enabled`]) is on.
 #[inline]
 pub fn is_enabled() -> bool {
     flag().load(Ordering::Relaxed)
 }
 
-/// Whether recording is active — always `false` in `--no-default-features`
-/// builds (the `obs` feature is compiled out).
-#[cfg(not(feature = "obs"))]
-#[inline]
-pub fn is_enabled() -> bool {
-    false
-}
-
 /// Flips the runtime recording switch. Overrides the `MP_OBS`
-/// environment seed; a no-op (beyond the stored bit) when the `obs`
-/// feature is compiled out. Spans that are open across a flip stay
+/// environment seed. Spans that are open across a flip stay
 /// internally balanced: a guard only pops what it pushed.
 pub fn set_enabled(on: bool) {
     flag().store(on, Ordering::Relaxed);

@@ -4,16 +4,11 @@
 //! from the serve pool's and mp-eval's worker threads with no locks on
 //! the hot path. Handles are `&'static`: the registry leaks one small
 //! allocation per *name* (bounded by the instrumentation taxonomy, not
-//! by load).
-//!
-//! When the `obs` feature is off every type is a unit struct and every
-//! method an empty inlineable body with the identical signature, so
-//! call sites compile unchanged.
+//! by load). While recording is off ([`crate::set_enabled`], `MP_OBS`)
+//! every recording method returns after one relaxed flag load.
 
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-#[cfg(feature = "obs")]
 use crate::stripe::StripedU64;
 
 /// A monotone event counter.
@@ -21,13 +16,11 @@ use crate::stripe::StripedU64;
 /// Backed by a [`StripedU64`], so concurrent workers bumping the same
 /// counter (every probe increments `probe.attempts`) write disjoint
 /// cachelines instead of ping-ponging one; `get()` sums the stripes.
-#[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub struct Counter {
     value: StripedU64,
 }
 
-#[cfg(feature = "obs")]
 impl Counter {
     pub(crate) fn new() -> Self {
         Self::default()
@@ -58,13 +51,11 @@ impl Counter {
 }
 
 /// A signed instantaneous level (set or adjusted, not accumulated).
-#[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
 }
 
-#[cfg(feature = "obs")]
 impl Gauge {
     pub(crate) fn new() -> Self {
         Self::default()
@@ -102,7 +93,6 @@ impl Gauge {
 /// values `v` with `bounds[i-1] < v <= bounds[i]`, and one extra
 /// overflow bucket at the end counts `v > bounds.last()`. Alongside the
 /// buckets it tracks count, sum, min, and max, all atomically.
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
@@ -116,7 +106,6 @@ pub struct Histogram {
     max: AtomicU64,
 }
 
-#[cfg(feature = "obs")]
 impl Histogram {
     pub(crate) fn new(bounds: &'static [u64]) -> Self {
         debug_assert!(
@@ -225,13 +214,11 @@ impl Histogram {
 ///
 /// Prefer the caching [`crate::counter!`] macro on hot paths; this free
 /// function takes the sharded registry lock on every call.
-#[cfg(feature = "obs")]
 pub fn counter(name: &'static str) -> &'static Counter {
     crate::registry::counter(name)
 }
 
 /// Looks up (or registers) the gauge `name`.
-#[cfg(feature = "obs")]
 pub fn gauge(name: &'static str) -> &'static Gauge {
     crate::registry::gauge(name)
 }
@@ -239,123 +226,6 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 /// Looks up (or registers) the histogram `name`. The first registration
 /// fixes the bucket bounds; later calls with different bounds keep the
 /// original (and debug-assert against the mismatch).
-#[cfg(feature = "obs")]
 pub fn histogram(name: &'static str, bounds: &'static [u64]) -> &'static Histogram {
     crate::registry::histogram(name, bounds)
-}
-
-// --- no-op twins (feature `obs` compiled out) ------------------------
-
-/// A monotone event counter (no-op build: records nothing).
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct Counter;
-
-#[cfg(not(feature = "obs"))]
-impl Counter {
-    /// Adds `n` events — a no-op in this build.
-    #[inline]
-    pub fn add(&self, _n: u64) {}
-
-    /// Adds one event — a no-op in this build.
-    #[inline]
-    pub fn incr(&self) {}
-
-    /// Current value — always 0 in this build.
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
-/// A signed instantaneous level (no-op build: records nothing).
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct Gauge;
-
-#[cfg(not(feature = "obs"))]
-impl Gauge {
-    /// Sets the level — a no-op in this build.
-    #[inline]
-    pub fn set(&self, _v: i64) {}
-
-    /// Adjusts the level — a no-op in this build.
-    #[inline]
-    pub fn adjust(&self, _delta: i64) {}
-
-    /// Current level — always 0 in this build.
-    pub fn get(&self) -> i64 {
-        0
-    }
-}
-
-/// A fixed-bucket histogram (no-op build: records nothing).
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct Histogram;
-
-#[cfg(not(feature = "obs"))]
-impl Histogram {
-    /// Records one observation — a no-op in this build.
-    #[inline]
-    pub fn record(&self, _v: u64) {}
-
-    /// Number of observations — always 0 in this build.
-    pub fn count(&self) -> u64 {
-        0
-    }
-
-    /// Sum of all observations — always 0 in this build.
-    pub fn sum(&self) -> u64 {
-        0
-    }
-
-    /// The configured upper bounds — always empty in this build.
-    pub fn bounds(&self) -> &'static [u64] {
-        &[]
-    }
-
-    /// Per-bucket observation counts — always empty in this build.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Smallest observation — always 0 in this build.
-    pub fn min(&self) -> u64 {
-        0
-    }
-
-    /// Largest observation — always 0 in this build.
-    pub fn max(&self) -> u64 {
-        0
-    }
-
-    /// Per-bucket exemplar trace ids — always empty in this build.
-    pub fn exemplar_ids(&self) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-static NOOP_COUNTER: Counter = Counter;
-#[cfg(not(feature = "obs"))]
-static NOOP_GAUGE: Gauge = Gauge;
-#[cfg(not(feature = "obs"))]
-static NOOP_HISTOGRAM: Histogram = Histogram;
-
-/// Looks up the counter `name` — in this build, the shared no-op.
-#[cfg(not(feature = "obs"))]
-pub fn counter(_name: &'static str) -> &'static Counter {
-    &NOOP_COUNTER
-}
-
-/// Looks up the gauge `name` — in this build, the shared no-op.
-#[cfg(not(feature = "obs"))]
-pub fn gauge(_name: &'static str) -> &'static Gauge {
-    &NOOP_GAUGE
-}
-
-/// Looks up the histogram `name` — in this build, the shared no-op.
-#[cfg(not(feature = "obs"))]
-pub fn histogram(_name: &'static str, _bounds: &'static [u64]) -> &'static Histogram {
-    &NOOP_HISTOGRAM
 }

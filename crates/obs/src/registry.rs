@@ -12,14 +12,10 @@
 //! which is what lets the `apro_scaling` bench interleave measured
 //! windows in one process.
 
-#[cfg(feature = "obs")]
 use std::collections::{BTreeSet, HashMap};
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "obs")]
 use std::sync::{Mutex, OnceLock};
 
-#[cfg(feature = "obs")]
 use crate::metrics::{Counter, Gauge, Histogram};
 
 /// Snapshot schema identifier, bumped on any breaking field change.
@@ -27,7 +23,6 @@ use crate::metrics::{Counter, Gauge, Histogram};
 pub const SCHEMA: &str = "mp-obs/2";
 
 /// Per-span aggregate, updated on every span close.
-#[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub(crate) struct SpanStat {
     count: AtomicU64,
@@ -36,7 +31,6 @@ pub(crate) struct SpanStat {
     max_ns: AtomicU64,
 }
 
-#[cfg(feature = "obs")]
 impl SpanStat {
     pub(crate) fn record(&self, total_ns: u64, self_ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -53,16 +47,13 @@ impl SpanStat {
     }
 }
 
-#[cfg(feature = "obs")]
 const SHARDS: usize = 16;
 
 /// A name-keyed intern table: 16 mutex-guarded maps to leaked handles.
-#[cfg(feature = "obs")]
 struct Sharded<T: 'static> {
     shards: [Mutex<HashMap<&'static str, &'static T>>; SHARDS],
 }
 
-#[cfg(feature = "obs")]
 impl<T: 'static> Sharded<T> {
     fn new() -> Self {
         Self {
@@ -101,38 +92,32 @@ impl<T: 'static> Sharded<T> {
     }
 }
 
-#[cfg(feature = "obs")]
 fn spans() -> &'static Sharded<SpanStat> {
     static S: OnceLock<Sharded<SpanStat>> = OnceLock::new();
     S.get_or_init(Sharded::new)
 }
 
-#[cfg(feature = "obs")]
 fn counters() -> &'static Sharded<Counter> {
     static S: OnceLock<Sharded<Counter>> = OnceLock::new();
     S.get_or_init(Sharded::new)
 }
 
-#[cfg(feature = "obs")]
 fn gauges() -> &'static Sharded<Gauge> {
     static S: OnceLock<Sharded<Gauge>> = OnceLock::new();
     S.get_or_init(Sharded::new)
 }
 
-#[cfg(feature = "obs")]
 fn histograms() -> &'static Sharded<Histogram> {
     static S: OnceLock<Sharded<Histogram>> = OnceLock::new();
     S.get_or_init(Sharded::new)
 }
 
-#[cfg(feature = "obs")]
 fn windows() -> &'static Sharded<crate::window::WindowWheel> {
     static S: OnceLock<Sharded<crate::window::WindowWheel>> = OnceLock::new();
     S.get_or_init(Sharded::new)
 }
 
 /// Observed parent→child span pairs, for tree reconstruction.
-#[cfg(feature = "obs")]
 fn edges() -> &'static Mutex<BTreeSet<(&'static str, &'static str)>> {
     static E: OnceLock<Mutex<BTreeSet<(&'static str, &'static str)>>> = OnceLock::new();
     E.get_or_init(|| Mutex::new(BTreeSet::new()))
@@ -140,10 +125,8 @@ fn edges() -> &'static Mutex<BTreeSet<(&'static str, &'static str)>> {
 
 /// Monotone generation for the edge set, bumped by [`reset`] so the
 /// per-thread seen-edge caches know to forget what they've reported.
-#[cfg(feature = "obs")]
 static EDGE_GEN: AtomicU64 = AtomicU64::new(0);
 
-#[cfg(feature = "obs")]
 thread_local! {
     /// Edges this thread already pushed into the global set (tagged with
     /// the generation they were pushed under). A span open consults this
@@ -155,12 +138,10 @@ thread_local! {
         const { std::cell::RefCell::new((0, BTreeSet::new())) };
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn span_stat(name: &'static str) -> &'static SpanStat {
     spans().get_or_insert(name, SpanStat::default)
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn record_edge(parent: &'static str, child: &'static str) {
     // A generation observed here happens-after the edge-set clear it
     // numbers, so a stale thread cache can never resurrect pre-reset
@@ -180,17 +161,14 @@ pub(crate) fn record_edge(parent: &'static str, child: &'static str) {
     }
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn counter(name: &'static str) -> &'static Counter {
     counters().get_or_insert(name, Counter::new)
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn gauge(name: &'static str) -> &'static Gauge {
     gauges().get_or_insert(name, Gauge::new)
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn histogram(name: &'static str, bounds: &'static [u64]) -> &'static Histogram {
     let h = histograms().get_or_insert(name, || Histogram::new(bounds));
     debug_assert!(
@@ -200,13 +178,12 @@ pub(crate) fn histogram(name: &'static str, bounds: &'static [u64]) -> &'static 
     h
 }
 
-#[cfg(feature = "obs")]
 pub(crate) fn window(
     name: &'static str,
     bounds: &'static [u64],
     slots: usize,
 ) -> &'static crate::window::WindowWheel {
-    let w = windows().get_or_insert(name, || crate::window::WindowWheel::new(bounds, slots));
+    let w = windows().get_or_insert(name, || crate::window::WindowWheel::gated(bounds, slots));
     debug_assert!(
         w.bounds() == bounds && w.slot_count() == slots.max(1),
         "window `{name}` registered twice with different bounds or slot count"
@@ -214,7 +191,7 @@ pub(crate) fn window(
     w
 }
 
-// --- snapshot rows (present in both builds) --------------------------
+// --- snapshot rows ---------------------------------------------------
 
 /// One span's aggregate in a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,7 +320,6 @@ pub struct WindowRow {
 /// Cheap relative to any measured region (a few mutex walks); values
 /// recorded concurrently with the walk land in whichever side of the
 /// snapshot the interleaving dictates, as with any live-system capture.
-#[cfg(feature = "obs")]
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot {
         enabled: crate::is_enabled(),
@@ -405,16 +381,9 @@ pub fn snapshot() -> Snapshot {
     snap
 }
 
-/// Copies the registry — always empty in this build (feature `obs` off).
-#[cfg(not(feature = "obs"))]
-pub fn snapshot() -> Snapshot {
-    Snapshot::default()
-}
-
 /// Zeroes every registered span, counter, gauge, and histogram in place
 /// and clears the edge set. Handles stay registered (macro caches remain
 /// valid); names are never forgotten.
-#[cfg(feature = "obs")]
 pub fn reset() {
     spans().for_each(|_, s| s.reset());
     counters().for_each(|_, c| c.reset());
@@ -431,7 +400,3 @@ pub fn reset() {
     // record_edge(), ordering the clear before the new generation number.
     EDGE_GEN.fetch_add(1, Ordering::Release);
 }
-
-/// Zeroes the registry — a no-op in this build (feature `obs` off).
-#[cfg(not(feature = "obs"))]
-pub fn reset() {}

@@ -11,14 +11,11 @@
 //! (a worker thread starts with an empty stack, so its spans become
 //! roots of their own subtree).
 
-#[cfg(feature = "obs")]
 use std::cell::RefCell;
-#[cfg(feature = "obs")]
 use std::time::Instant;
 
 use std::marker::PhantomData;
 
-#[cfg(feature = "obs")]
 struct Frame {
     name: &'static str,
     stat: &'static crate::registry::SpanStat,
@@ -27,7 +24,6 @@ struct Frame {
     child_ns: u64,
 }
 
-#[cfg(feature = "obs")]
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
@@ -40,7 +36,6 @@ thread_local! {
 pub struct SpanGuard {
     /// A guard only pops what it pushed, so toggling [`crate::set_enabled`]
     /// while spans are open cannot unbalance the stack.
-    #[cfg(feature = "obs")]
     active: bool,
     _not_send: PhantomData<*const ()>,
 }
@@ -48,9 +43,8 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Opens the span `name` on the current thread.
     ///
-    /// When recording is off (feature or runtime switch) this returns an
-    /// inert guard without touching the clock or the registry.
-    #[cfg(feature = "obs")]
+    /// When recording is off ([`crate::set_enabled`], `MP_OBS`) this
+    /// returns an inert guard without touching the clock or the registry.
     pub fn enter(name: &'static str) -> Self {
         if !crate::is_enabled() {
             return Self {
@@ -76,18 +70,8 @@ impl SpanGuard {
             _not_send: PhantomData,
         }
     }
-
-    /// Opens the span `name` — a no-op in this build.
-    #[cfg(not(feature = "obs"))]
-    #[inline]
-    pub fn enter(_name: &'static str) -> Self {
-        Self {
-            _not_send: PhantomData,
-        }
-    }
 }
 
-#[cfg(feature = "obs")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.active {

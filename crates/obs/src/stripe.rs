@@ -9,10 +9,10 @@
 //! lines. Reads sum the cells — monotone and exact once writers quiesce,
 //! like any relaxed counter.
 //!
-//! This module is **not** gated on the `obs` feature: the serve layer's
-//! hit/miss statistics are functional output, not optional telemetry,
-//! and use the stripe directly. The feature-gated [`crate::Counter`]
-//! builds on it when `obs` is compiled in.
+//! A stripe ignores the runtime switch ([`crate::set_enabled`]): the
+//! serve layer's hit/miss statistics are functional output, not
+//! optional telemetry, and use the stripe directly. [`crate::Counter`]
+//! builds on it and adds the switch check.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

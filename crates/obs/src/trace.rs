@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-#[cfg(feature = "obs")]
 use std::cell::RefCell;
 use std::marker::PhantomData;
 
@@ -230,9 +229,8 @@ impl Trace {
     }
 }
 
-// --- active-trace capture (feature `obs` compiled in) ----------------
+// --- active-trace capture --------------------------------------------
 
-#[cfg(feature = "obs")]
 struct ActiveTrace {
     id: TraceId,
     /// The request's origin instant (typically submit time), so queue
@@ -242,7 +240,6 @@ struct ActiveTrace {
     dropped: u32,
 }
 
-#[cfg(feature = "obs")]
 impl ActiveTrace {
     fn push(&mut self, event: TraceEvent) {
         if self.events.len() >= MAX_TRACE_EVENTS {
@@ -253,7 +250,6 @@ impl ActiveTrace {
     }
 }
 
-#[cfg(feature = "obs")]
 thread_local! {
     /// The request currently being traced on this thread, if any.
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
@@ -267,12 +263,10 @@ thread_local! {
 /// active per thread — a nested `begin` returns an inert scope, so the
 /// outer request's waterfall is never corrupted.
 pub struct TraceScope {
-    #[cfg(feature = "obs")]
     active: bool,
     _not_send: PhantomData<*const ()>,
 }
 
-#[cfg(feature = "obs")]
 impl TraceScope {
     /// Begins tracing `id` on the current thread. `origin` anchors the
     /// waterfall's timeline (pass the request's submit instant so queue
@@ -320,7 +314,6 @@ impl TraceScope {
     }
 }
 
-#[cfg(feature = "obs")]
 impl Drop for TraceScope {
     fn drop(&mut self) {
         // A scope abandoned without finish() (early return, panic
@@ -331,24 +324,6 @@ impl Drop for TraceScope {
     }
 }
 
-#[cfg(not(feature = "obs"))]
-impl TraceScope {
-    /// Begins tracing — inert in this build (feature `obs` off).
-    #[inline]
-    pub fn begin(_id: TraceId, _origin: Instant) -> Self {
-        Self {
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Ends the scope — always `None` in this build.
-    #[inline]
-    pub fn finish(self) -> Option<Trace> {
-        None
-    }
-}
-
-#[cfg(feature = "obs")]
 fn elapsed_ns(origin: Instant) -> u64 {
     u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -356,7 +331,6 @@ fn elapsed_ns(origin: Instant) -> u64 {
 /// Attaches a point annotation to the thread's active trace, stamped at
 /// the current offset. A no-op when no scope is active (so engine and
 /// probe call sites can annotate unconditionally).
-#[cfg(feature = "obs")]
 pub fn trace_annotate(name: &'static str, value: u64) {
     ACTIVE.with(|a| {
         if let Some(at) = a.borrow_mut().as_mut() {
@@ -373,14 +347,8 @@ pub fn trace_annotate(name: &'static str, value: u64) {
     });
 }
 
-/// Attaches a point annotation — a no-op in this build (feature off).
-#[cfg(not(feature = "obs"))]
-#[inline]
-pub fn trace_annotate(_name: &'static str, _value: u64) {}
-
 /// Injects a synthetic stage (e.g. queue wait, measured before the
 /// worker ever saw the request) into the active trace.
-#[cfg(feature = "obs")]
 pub fn trace_stage(name: &'static str, start_ns: u64, dur_ns: u64) {
     ACTIVE.with(|a| {
         if let Some(at) = a.borrow_mut().as_mut() {
@@ -396,30 +364,16 @@ pub fn trace_stage(name: &'static str, start_ns: u64, dur_ns: u64) {
     });
 }
 
-/// Injects a synthetic stage — a no-op in this build (feature off).
-#[cfg(not(feature = "obs"))]
-#[inline]
-pub fn trace_stage(_name: &'static str, _start_ns: u64, _dur_ns: u64) {}
-
 /// The id of the trace active on this thread, if any. Histograms use
 /// this for exemplar linkage: a bucket remembers the last traced
 /// request that landed in it.
-#[cfg(feature = "obs")]
 pub fn current_trace_id() -> Option<TraceId> {
     ACTIVE.with(|a| a.borrow().as_ref().map(|at| at.id))
-}
-
-/// The active trace id — always `None` in this build (feature off).
-#[cfg(not(feature = "obs"))]
-#[inline]
-pub fn current_trace_id() -> Option<TraceId> {
-    None
 }
 
 /// Span-close hook, called by [`crate::SpanGuard`]'s drop *after* it
 /// releases the span-stack borrow: folds the closed span into the
 /// active trace's waterfall.
-#[cfg(feature = "obs")]
 pub(crate) fn on_span_close(name: &'static str, start: Instant, dur_ns: u64, depth: usize) {
     ACTIVE.with(|a| {
         if let Some(at) = a.borrow_mut().as_mut() {
@@ -606,7 +560,6 @@ mod tests {
         assert_eq!(sink.dropped(), 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn scope_collects_spans_and_notes() {
         crate::set_enabled(true);
@@ -637,7 +590,6 @@ mod tests {
         assert_eq!(outer.depth, 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn nested_scope_is_inert() {
         crate::set_enabled(true);
@@ -651,7 +603,6 @@ mod tests {
         assert_eq!(current_trace_id(), None);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn dropped_scope_clears_thread_state() {
         crate::set_enabled(true);

@@ -12,16 +12,18 @@
 //! All cells are relaxed atomics; a record racing an advance can land in
 //! the slot being recycled (one sample attributed to the wrong tick) —
 //! the usual live-capture semantics, same as any relaxed metric read.
-//! With the `obs` feature off the wheel is a unit struct and every
-//! method an inlineable no-op with the identical signature.
+//!
+//! A wheel reached through the registry ([`window`], [`crate::window!`])
+//! is telemetry and obeys the runtime switch ([`crate::set_enabled`],
+//! `MP_OBS`). A wheel its caller owns ([`WindowWheel::new`]) ignores
+//! the switch: the serve layer's shedding policy reads its own wheel,
+//! and a control input must not vanish with recording.
 
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::registry::HistogramRow;
 
 /// One tick's worth of histogram deltas.
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct WheelSlot {
     buckets: Vec<AtomicU64>,
@@ -30,7 +32,6 @@ struct WheelSlot {
     max: AtomicU64,
 }
 
-#[cfg(feature = "obs")]
 impl WheelSlot {
     fn new(n_buckets: usize) -> Self {
         let mut buckets = Vec::with_capacity(n_buckets);
@@ -59,7 +60,6 @@ impl WheelSlot {
 /// increasing upper bounds plus one trailing overflow bucket. The wheel
 /// does not track a rolling `min` (a windowed minimum cannot be
 /// maintained with monotone atomics); merged rows report `min = 0`.
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 pub struct WindowWheel {
     bounds: &'static [u64],
@@ -68,13 +68,16 @@ pub struct WindowWheel {
     cur: AtomicUsize,
     /// Total advances since construction (or the last reset).
     ticks: AtomicU64,
+    /// Whether [`record`](Self::record) obeys the runtime switch: true
+    /// for registry wheels, false for caller-owned ones.
+    gated: bool,
 }
 
-#[cfg(feature = "obs")]
 impl WindowWheel {
-    /// A wheel with `slots` ticks of history over `bounds` (strictly
-    /// increasing upper bounds; an overflow bucket is added). At least
-    /// one slot is always allocated.
+    /// A caller-owned wheel with `slots` ticks of history over `bounds`
+    /// (strictly increasing upper bounds; an overflow bucket is added).
+    /// At least one slot is always allocated. It records whether or
+    /// not recording is switched on.
     pub fn new(bounds: &'static [u64], slots: usize) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -86,14 +89,24 @@ impl WindowWheel {
             slots: (0..n).map(|_| WheelSlot::new(bounds.len() + 1)).collect(),
             cur: AtomicUsize::new(0),
             ticks: AtomicU64::new(0),
+            gated: false,
         }
     }
 
-    /// Records one observation into the current slot (relaxed; a no-op
-    /// while recording is disabled).
+    /// A registry wheel: like [`new`](Self::new), but
+    /// [`record`](Self::record) is a no-op while recording is off.
+    pub(crate) fn gated(bounds: &'static [u64], slots: usize) -> Self {
+        Self {
+            gated: true,
+            ..Self::new(bounds, slots)
+        }
+    }
+
+    /// Records one observation into the current slot (relaxed). On a
+    /// registry wheel it is a no-op while recording is disabled.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::is_enabled() {
+        if self.gated && !crate::is_enabled() {
             return;
         }
         let slot = &self.slots[self.cur.load(Ordering::Relaxed) % self.slots.len()];
@@ -174,85 +187,19 @@ impl WindowWheel {
     }
 }
 
-// --- no-op twin (feature `obs` compiled out) -------------------------
-
-/// A fixed-slot rolling histogram (no-op build: records nothing).
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default)]
-pub struct WindowWheel;
-
-#[cfg(not(feature = "obs"))]
-impl WindowWheel {
-    /// A wheel — inert in this build.
-    pub fn new(_bounds: &'static [u64], _slots: usize) -> Self {
-        WindowWheel
-    }
-
-    /// Records one observation — a no-op in this build.
-    #[inline]
-    pub fn record(&self, _v: u64) {}
-
-    /// Closes the current tick — a no-op in this build.
-    #[inline]
-    pub fn advance(&self) {}
-
-    /// Advances completed — always 0 in this build.
-    pub fn ticks(&self) -> u64 {
-        0
-    }
-
-    /// Number of slots — always 0 in this build.
-    pub fn slot_count(&self) -> usize {
-        0
-    }
-
-    /// The configured upper bounds — always empty in this build.
-    pub fn bounds(&self) -> &'static [u64] {
-        &[]
-    }
-
-    /// Merges recent slots — always an empty row in this build.
-    pub fn rolling(&self, name: &str, _last_n: usize) -> HistogramRow {
-        HistogramRow {
-            name: name.to_string(),
-            bounds: Vec::new(),
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            exemplars: Vec::new(),
-        }
-    }
-
-    /// Zeroes the wheel — a no-op in this build.
-    pub fn reset(&self) {}
-}
-
-#[cfg(not(feature = "obs"))]
-static NOOP_WINDOW: WindowWheel = WindowWheel;
-
-/// Looks up (or registers) the window wheel `name`. The first
-/// registration fixes `bounds` and `slots`; prefer the caching
-/// [`crate::window!`] macro on hot paths.
-#[cfg(feature = "obs")]
+/// Looks up (or registers) the window wheel `name`, which records only
+/// while recording is on. The first registration fixes `bounds` and
+/// `slots`; prefer the caching [`crate::window!`] macro on hot paths.
 pub fn window(name: &'static str, bounds: &'static [u64], slots: usize) -> &'static WindowWheel {
     crate::registry::window(name, bounds, slots)
 }
 
-/// Looks up the window wheel `name` — in this build, the shared no-op.
-#[cfg(not(feature = "obs"))]
-pub fn window(_name: &'static str, _bounds: &'static [u64], _slots: usize) -> &'static WindowWheel {
-    &NOOP_WINDOW
-}
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rolling_merges_recent_slots_only() {
-        crate::set_enabled(true);
         let w = WindowWheel::new(&[10, 100], 3);
         w.record(5); // tick 0
         w.advance();
@@ -278,7 +225,6 @@ mod tests {
 
     #[test]
     fn advance_evicts_oldest() {
-        crate::set_enabled(true);
         let w = WindowWheel::new(&[10], 2);
         w.record(1); // slot 0
         w.advance();
@@ -292,7 +238,6 @@ mod tests {
 
     #[test]
     fn reset_rewinds() {
-        crate::set_enabled(true);
         let w = WindowWheel::new(&[10], 4);
         w.record(7);
         w.advance();

@@ -1,9 +1,8 @@
 //! Integration tests for mp-obs.
 //!
-//! The registry is process-global, so every test serializes on one
-//! mutex and starts from `reset()`. Enabled-mode tests are gated on the
-//! `obs` feature; the `disabled` module compiles the identical API
-//! surface under `--no-default-features` and asserts it is inert.
+//! The registry and the runtime switch are process-global, so every
+//! test that touches them serializes on one mutex and starts from
+//! `reset()`.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -14,7 +13,6 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[cfg(feature = "obs")]
 mod enabled {
     use super::lock;
     use std::time::{Duration, Instant};
@@ -227,6 +225,40 @@ mod enabled {
         assert!(snap.spans.iter().all(|r| r.name != "t6.off"));
     }
 
+    /// With the switch off, every registry-backed entry point records
+    /// nothing and no trace scope opens.
+    #[test]
+    fn switch_off_makes_the_full_api_inert() {
+        let _g = lock();
+        mp_obs::reset();
+        mp_obs::set_enabled(false);
+        let trace = {
+            let scope = mp_obs::TraceScope::begin(mp_obs::TraceId(1), Instant::now());
+            {
+                let _span = mp_obs::span!("t9.span");
+                mp_obs::counter!("t9.count").add(5);
+                mp_obs::gauge!("t9.level").set(9);
+                mp_obs::histogram!("t9.sizes", &[1, 8]).record(3);
+                mp_obs::window!("t9.window", &[1, 8], 4).record(3);
+                mp_obs::trace_annotate("t9.note", 7);
+            }
+            scope.finish()
+        };
+        let snap = mp_obs::snapshot();
+        mp_obs::set_enabled(true);
+        assert!(trace.is_none(), "no scope opens while recording is off");
+        assert!(!snap.enabled);
+        assert!(snap.spans.iter().all(|r| r.name != "t9.span"));
+        let counter = snap.counters.iter().find(|r| r.name == "t9.count");
+        assert_eq!(counter.map(|r| r.value), Some(0));
+        let gauge = snap.gauges.iter().find(|r| r.name == "t9.level");
+        assert_eq!(gauge.map(|r| r.value), Some(0));
+        let hist = snap.histograms.iter().find(|r| r.name == "t9.sizes");
+        assert_eq!(hist.map(|r| (r.count, r.sum)), Some((0, 0)));
+        let window = snap.windows.iter().find(|r| r.name == "t9.window");
+        assert_eq!(window.map(|r| (r.merged.count, r.merged.sum)), Some((0, 0)));
+    }
+
     #[test]
     fn missing_or_zero_flags_dead_instrumentation() {
         let _g = lock();
@@ -273,9 +305,8 @@ mod enabled {
     }
 }
 
-/// [`HistogramRow`] is plain data present in both builds, so its
-/// quantile math is testable without the registry (and without the
-/// global lock).
+/// [`HistogramRow`] is plain data, so its quantile math is testable
+/// without the registry (and without the global lock).
 mod quantiles {
     use mp_obs::HistogramRow;
     use proptest::prelude::*;
@@ -401,33 +432,5 @@ mod quantiles {
             prop_assert!(lo <= hi, "approx not monotone: {} > {} for {} <= {}", lo, hi, q, q_hi);
             prop_assert!(hi <= r.max, "approx {} above the max {}", hi, r.max);
         }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    use super::lock;
-
-    /// With `--no-default-features` the same call sites compile and do
-    /// nothing: no registry, no rows, `is_enabled()` pinned false.
-    #[test]
-    fn full_api_is_inert() {
-        let _g = lock();
-        assert!(!mp_obs::is_enabled());
-        mp_obs::set_enabled(true); // stores a bit; recording stays off
-        assert!(!mp_obs::is_enabled());
-        {
-            let _span = mp_obs::span!("noop.span");
-            mp_obs::counter!("noop.count").add(5);
-            mp_obs::gauge!("noop.level").set(9);
-            mp_obs::histogram!("noop.h", &[1, 2, 3]).record(2);
-        }
-        assert_eq!(mp_obs::counter("noop.count").get(), 0);
-        assert_eq!(mp_obs::histogram("noop.h", &[1, 2, 3]).count(), 0);
-        let snap = mp_obs::snapshot();
-        assert!(!snap.enabled);
-        assert!(snap.spans.is_empty() && snap.counters.is_empty());
-        assert!(snap.to_json().contains("\"spans\":[]"));
-        mp_obs::reset();
     }
 }

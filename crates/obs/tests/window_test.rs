@@ -9,8 +9,6 @@
 //! schedule. (Single-threaded here, so the relaxed-atomics race window
 //! documented on [`WindowWheel`] never opens.)
 
-#![cfg(feature = "obs")]
-
 use mp_obs::{HistogramRow, TraceId, TraceScope, WindowWheel};
 use proptest::prelude::*;
 use std::time::Instant;

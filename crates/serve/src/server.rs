@@ -38,6 +38,10 @@ use crate::pool;
 use crate::queue::BoundedQueue;
 use crate::stats::{ServeStats, StatsCore};
 
+/// Lock shards per cache (result and RD cache alike): contention
+/// control for the worker pool.
+const CACHE_SHARDS: usize = 8;
+
 /// A probing policy *specification* — cheap to clone, hash, and
 /// compare, and buildable into a fresh [`ProbePolicy`] per computation.
 /// Part of the cache key: two requests share a cached result only when
@@ -262,15 +266,13 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// RD-cache capacity in entries (follows `cache_cap` semantics).
     pub rd_cache_cap: usize,
-    /// Shards per cache (contention control).
-    pub cache_shards: usize,
     /// Fused hits returned per query.
     pub fuse_limit: usize,
     /// Collect per-request waterfalls: each request runs under a
     /// [`mp_obs::TraceScope`], finished traces drain via
     /// [`Server::drain_traces`], and the worst ones persist in the
-    /// flight recorder. Requires the `obs` feature and runtime
-    /// recording to actually capture anything.
+    /// flight recorder. Captures nothing while recording is switched
+    /// off (`MP_OBS=0`, [`mp_obs::set_enabled`]).
     pub trace: bool,
     /// Flights (slow / deadline-missed / shed traces) the flight
     /// recorder retains; 0 disables it.
@@ -279,8 +281,9 @@ pub struct ServeConfig {
     /// slack is below the rolling p99 latency while that p99 exceeds
     /// this limit is answered [`ServeError::Shed`] instead of computed.
     /// `None` disables shedding. Deadline-free requests are never shed.
-    /// The rolling p99 is obs-gated: with recording off it reads 0 and
-    /// nothing sheds.
+    /// The rolling p99 comes from the server's own window, which records
+    /// whether or not recording is switched on, so shedding works under
+    /// `MP_OBS=0` too.
     pub shed_p99_ms: Option<u64>,
 }
 
@@ -291,7 +294,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             cache_cap: 1024,
             rd_cache_cap: 1024,
-            cache_shards: 8,
             fuse_limit: 10,
             trace: false,
             flight_recorder_cap: 16,
@@ -512,10 +514,9 @@ pub struct Server {
 impl Server {
     /// Builds a server over a shared trained facade.
     pub fn new(ms: Arc<Metasearcher>, config: ServeConfig) -> Self {
-        let shards = config.cache_shards.max(1);
         Self {
-            results: ShardedCache::new(config.cache_cap, shards),
-            rds: ShardedCache::new(config.rd_cache_cap, shards),
+            results: ShardedCache::new(config.cache_cap, CACHE_SHARDS),
+            rds: ShardedCache::new(config.rd_cache_cap, CACHE_SHARDS),
             ms,
             stats: StatsCore::new(),
             sink: mp_obs::TraceSink::new(),
@@ -548,8 +549,7 @@ impl Server {
 
     /// Removes and returns every finished per-request trace collected
     /// since the last drain, sorted by [`mp_obs::TraceId`]. Empty
-    /// unless [`ServeConfig::trace`] is set (and the `obs` feature is
-    /// compiled in with recording enabled).
+    /// unless [`ServeConfig::trace`] is set and recording is switched on.
     pub fn drain_traces(&self) -> Vec<mp_obs::Trace> {
         self.sink.drain()
     }
@@ -821,7 +821,6 @@ mod tests {
 
     /// A queue-full rejection is an `overload` flight, counted in
     /// `rejects`; `shed` flights and `sheds` belong to the SLO shedder.
-    #[cfg(feature = "obs")]
     #[test]
     fn queue_full_rejection_records_an_overload_flight() {
         use mp_core::{CoreConfig, IndependenceEstimator, RelevancyDef};

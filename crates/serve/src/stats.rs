@@ -4,8 +4,10 @@
 //! — *local* to the server instance, so tests and multi-tenant
 //! processes never read each other's numbers — mirrored into the global
 //! `mp-obs` registry (counters `serve.*`, histogram `serve.latency_us`)
-//! so `--obs-json` exports the same picture. The local block exists in
-//! both builds; only the mirror vanishes when the `obs` feature is off.
+//! so `--obs-json` exports the same picture. The local block, its
+//! rolling window included, ignores the runtime switch (`MP_OBS`,
+//! [`mp_obs::set_enabled`]); only the mirror stops recording when it is
+//! off.
 //!
 //! Latency quantiles reuse the bucket layout
 //! [`mp_obs::bounds::LATENCY_US`] and the quantile estimator on
@@ -63,17 +65,16 @@ pub struct ServeStats {
     /// 99th-percentile latency (bucket upper bound), microseconds.
     pub p99_us: u64,
     /// Rolling median over the last [`WINDOW_SLOTS`] ticks (bucket
-    /// upper bound), microseconds. Obs-gated telemetry: 0 when the
-    /// `obs` feature is off or recording is disabled.
+    /// upper bound), microseconds. Read off the server's own window,
+    /// which records with recording on or off, like the counters above.
     pub rolling_p50_us: u64,
-    /// Rolling 99th percentile over the window, microseconds (obs-gated
-    /// like [`rolling_p50_us`](Self::rolling_p50_us)).
+    /// Rolling 99th percentile over the window, microseconds.
     pub rolling_p99_us: u64,
-    /// Rolling worst latency over the window, microseconds (obs-gated).
+    /// Rolling worst latency over the window, microseconds.
     pub rolling_max_us: u64,
-    /// Completions observed inside the rolling window (obs-gated).
+    /// Completions observed inside the rolling window.
     pub rolling_count: u64,
-    /// Window ticks elapsed (advances of the wheel; obs-gated).
+    /// Window ticks elapsed (advances of the wheel).
     pub window_ticks: u64,
 }
 
@@ -170,8 +171,8 @@ impl StatsCore {
         mp_obs::counter!("serve.panicked").incr();
     }
 
-    /// The rolling p99 the shed predicate consults. Obs-gated like all
-    /// window reads: 0 (never sheds) when recording is off.
+    /// The rolling p99 the shed predicate consults, read off the
+    /// server's own wheel, so shedding works with recording off.
     pub(crate) fn rolling_p99_us(&self) -> u64 {
         self.window
             .rolling("serve.latency_us.rolling", WINDOW_SLOTS)
@@ -307,10 +308,8 @@ mod tests {
         assert_eq!(s.latency_max_us, 100);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn rolling_window_forgets_old_ticks() {
-        mp_obs::set_enabled(true);
         let core = StatsCore::new();
         core.complete(CacheStatus::Miss, 400_000);
         // Push the slow completion past the window horizon.

@@ -5,8 +5,6 @@
 //! show the cache miss, the engine span, and the probe retries — under
 //! stable [`mp_obs::TraceId`]s that replay across runs.
 
-#![cfg(feature = "obs")]
-
 use std::sync::Arc;
 use std::time::Duration;
 

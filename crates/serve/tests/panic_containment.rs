@@ -198,7 +198,6 @@ fn a_panicking_request_fails_alone_and_the_worker_serves_on() {
     }
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn a_panicked_request_leaves_a_waterfall_and_a_flight() {
     use mp_obs::FlightReason;

@@ -8,10 +8,10 @@
 //! [`ServeError::Shed`] response, the `sheds` stats counter, and the
 //! flight-recorder entry with the `shed` reason.
 //!
-//! The rolling p99 that feeds the predicate is obs-gated (a disabled
-//! window reads 0, which never sheds), so the end-to-end tests compile
-//! only with the `obs` feature; the policy-off and no-deadline
-//! invariants hold in every build.
+//! The tests in `obs_gated` switch recording on, since the flight
+//! recorder needs it. The rolling p99 that feeds the predicate does not:
+//! `shed_recording_off.rs` checks shedding with recording off, in a
+//! binary of its own because the switch is process-global.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,7 +109,6 @@ fn no_deadline_never_sheds() {
     assert_eq!(server.stats().sheds, 0);
 }
 
-#[cfg(feature = "obs")]
 mod obs_gated {
     use super::*;
     use mp_obs::FlightReason;

@@ -15,8 +15,6 @@
 //!    exactly once, sorted by id, no matter which worker's shard it
 //!    landed in.
 
-#![cfg(feature = "obs")]
-
 use std::sync::Arc;
 
 use mp_core::{EdLibrary, IndependenceEstimator, Metasearcher, RelevancyDef};
