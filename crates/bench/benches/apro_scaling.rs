@@ -11,12 +11,17 @@
 //! beyond proptest sizes, run by CI's serve-bench job. The other benches
 //! own the file's other sections.
 //!
-//! Per size the report also records what mp-obs sees: the engine scan
-//! re-measured with recording on (`engine_ns_obs`, overhead budget
-//! ≤ 2% of `engine_ns`), then again under an active per-request trace
-//! scope (`engine_ns_trace` / `trace_overhead_pct` — the marginal cost
-//! of the waterfall, budget ≤ 2% over plain recording); both budgets
-//! are reported, not asserted. Last come the per-phase span averages:
+//! Per size the report also records what mp-obs costs, each from
+//! interleaved pairs of engine scans that alternate which side runs
+//! first: recording off vs on (`obs_overhead_pct`, budget ≤ 2%), and
+//! plain recording vs recording under an active per-request trace scope
+//! (`trace_overhead_pct`, the marginal cost of the waterfall, budget
+//! ≤ 2%). Each overhead is the median of the per-pair overheads, with
+//! their interquartile range and a verdict against the budget: `pass`
+//! when the whole IQR is at or below it, `fail` when the whole IQR is
+//! above it, `inconclusive` when the IQR straddles it. The verdicts are
+//! printed and recorded, not asserted. Last come the per-phase span
+//! averages:
 //! the sweep (`engine.sweep`) vs the reference fallback
 //! (`engine.reference`, driven once via the absolute-metric `k = 2`
 //! branch the sweep cannot serve).
@@ -88,21 +93,54 @@ struct SizeReport {
     engine_ns: f64,
     reference_ns: f64,
     speedup: f64,
-    /// Off/on sample pairs behind `engine_ns` / `engine_ns_obs`.
+    /// Sample pairs behind each overhead.
     engine_repeats: usize,
     /// The engine scan re-measured with mp-obs recording enabled.
     engine_ns_obs: f64,
-    /// `(engine_ns_obs - engine_ns) / engine_ns`, as a percentage.
+    /// Median over pairs of `(on - off) / off`, as a percentage.
     obs_overhead_pct: f64,
+    /// The per-pair overheads' quartiles `[q1, q3]`, as percentages.
+    obs_overhead_iqr_pct: Vec<f64>,
+    /// `obs_overhead_pct`'s verdict against the 2% budget ([`overhead`]).
+    obs_verdict: String,
     /// The engine scan re-measured with recording on *and* an active
     /// per-request trace scope (every engine span also lands in the
     /// request waterfall).
     engine_ns_trace: f64,
-    /// `(engine_ns_trace - engine_ns_obs) / engine_ns_obs`, as a
-    /// percentage — the marginal cost of tracing over plain recording
-    /// (budget: ≤ 2%, reported, not asserted).
+    /// Median over pairs of `(traced - plain) / plain`, as a percentage:
+    /// the marginal cost of tracing over plain recording.
     trace_overhead_pct: f64,
+    /// The per-pair overheads' quartiles `[q1, q3]`, as percentages.
+    trace_overhead_iqr_pct: Vec<f64>,
+    /// `trace_overhead_pct`'s verdict against the 2% budget.
+    trace_verdict: String,
     phases: Vec<PhaseReport>,
+}
+
+/// The overhead budget of recording, and of tracing over recording.
+const BUDGET_PCT: f64 = 2.0;
+
+/// Per-pair overheads of `treated` over `base`, as percentages: their
+/// median, their quartiles, and the verdict against [`BUDGET_PCT`]:
+/// `pass` when the whole IQR is at or below it, `fail` when the whole
+/// IQR is above it, and `inconclusive` when the noise straddles it.
+fn overhead(base: &[f64], treated: &[f64]) -> (f64, [f64; 2], &'static str) {
+    let mut pct: Vec<f64> = base
+        .iter()
+        .zip(treated)
+        .map(|(b, t)| (t - b) / b * 100.0)
+        .collect();
+    pct.sort_by(f64::total_cmp);
+    let at = |q: usize| pct[(pct.len() - 1) * q / 4];
+    let (q1, median, q3) = (at(1), at(2), at(3));
+    let verdict = if q3 <= BUDGET_PCT {
+        "pass"
+    } else if q1 > BUDGET_PCT {
+        "fail"
+    } else {
+        "inconclusive"
+    };
+    (median, [q1, q3], verdict)
 }
 
 #[derive(Serialize)]
@@ -129,58 +167,78 @@ fn median_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
     median
 }
 
-/// Median wall-clock nanoseconds of `f` with mp-obs recording off and
-/// on, measured as interleaved off/on pairs so slow drift (thermal,
-/// scheduler load on a shared runner) hits both sides equally instead
-/// of biasing the overhead comparison. Leaves recording enabled.
-fn paired_medians_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
-    for enabled in [false, true] {
-        mp_obs::set_enabled(enabled);
-        black_box(f()); // warm-up, both modes
-    }
-    let mut off = Vec::with_capacity(repeats);
-    let mut on = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        mp_obs::set_enabled(false);
-        let t = Instant::now();
-        black_box(f());
-        off.push(t.elapsed().as_nanos() as f64);
-        mp_obs::set_enabled(true);
-        let t = Instant::now();
-        black_box(f());
-        on.push(t.elapsed().as_nanos() as f64);
-    }
-    let (_, off_med, _, _) = criterion::summarize(&off);
-    let (_, on_med, _, _) = criterion::summarize(&on);
-    (off_med, on_med)
+/// Wall-clock nanoseconds of one call of `f`.
+fn time_ns<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_nanos() as f64
 }
 
-/// Median wall-clock nanoseconds of `f` with recording on, measured as
-/// interleaved pairs: plain vs under an active per-request trace scope.
-/// Same drift-cancelling protocol as [`paired_medians_ns`]. A fresh
-/// scope is begun per iteration *outside* the timed region (one scope
-/// holds at most `MAX_TRACE_EVENTS` events, so reusing a scope would
-/// measure a saturated — cheaper — waterfall); the timed region then
-/// pays exactly what a traced serve request pays per engine span: the
-/// thread-local push in `on_span_close`. Leaves recording enabled.
-fn traced_medians_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
-    mp_obs::set_enabled(true);
-    black_box(f()); // warm-up
-    let mut plain = Vec::with_capacity(repeats);
-    let mut traced = Vec::with_capacity(repeats);
-    for i in 0..repeats {
-        let t = Instant::now();
-        black_box(f());
-        plain.push(t.elapsed().as_nanos() as f64);
-        let scope = mp_obs::TraceScope::begin(mp_obs::TraceId(i as u64 + 1), Instant::now());
-        let t = Instant::now();
-        black_box(f());
-        traced.push(t.elapsed().as_nanos() as f64);
-        black_box(scope.finish());
+/// `repeats` interleaved pairs of timings, one by `a` and one by `b`
+/// (after one warm-up of each), index-aligned by pair. Slow drift
+/// (thermal, scheduler load on a shared runner) hits both sides of a
+/// pair alike, and the side that runs first alternates, so neither side
+/// always inherits the cache and clock state the other leaves.
+fn interleaved_pairs(
+    repeats: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    a();
+    b();
+    let mut xs = Vec::with_capacity(repeats);
+    let mut ys = Vec::with_capacity(repeats);
+    for pair in 0..repeats {
+        if pair % 2 == 0 {
+            xs.push(a());
+            ys.push(b());
+        } else {
+            ys.push(b());
+            xs.push(a());
+        }
     }
-    let (_, plain_med, _, _) = criterion::summarize(&plain);
-    let (_, traced_med, _, _) = criterion::summarize(&traced);
-    (plain_med, traced_med)
+    (xs, ys)
+}
+
+/// Engine scans with mp-obs recording off and on, as interleaved pairs.
+/// Leaves recording enabled.
+fn obs_pairs(repeats: usize, state: &RdState) -> (Vec<f64>, Vec<f64>) {
+    let run = |enabled: bool| {
+        mp_obs::set_enabled(enabled);
+        time_ns(|| engine_scan(state))
+    };
+    let pairs = interleaved_pairs(repeats, || run(false), || run(true));
+    mp_obs::set_enabled(true);
+    pairs
+}
+
+/// Engine scans with recording on, plain and under an active
+/// per-request trace scope, as interleaved pairs. A fresh scope is begun
+/// per traced run *outside* the timed region (one scope holds at most
+/// `MAX_TRACE_EVENTS` events, so reusing a scope would measure a
+/// saturated — cheaper — waterfall); the timed region then pays exactly
+/// what a traced serve request pays per engine span: the thread-local
+/// push in `on_span_close`.
+fn traced_pairs(repeats: usize, state: &RdState) -> (Vec<f64>, Vec<f64>) {
+    mp_obs::set_enabled(true);
+    let mut id = 0;
+    interleaved_pairs(
+        repeats,
+        || time_ns(|| engine_scan(state)),
+        || {
+            id += 1;
+            let scope = mp_obs::TraceScope::begin(mp_obs::TraceId(id), Instant::now());
+            let ns = time_ns(|| engine_scan(state));
+            black_box(scope.finish());
+            ns
+        },
+    )
+}
+
+/// The median of `samples`.
+fn median(samples: &[f64]) -> f64 {
+    let (_, median, _, _) = criterion::summarize(samples);
+    median
 }
 
 /// Head-to-head measurement written to `BENCH_apro.json`.
@@ -190,9 +248,9 @@ fn write_scaling_report() {
         let state = synthetic_state(n);
         let repeats = if n >= 256 { 3 } else { 7 };
         // The engine scan is cheap enough to sample much harder than
-        // the reference scan — the off/on overhead comparison needs
-        // the extra resolution (budget: ≤ 2%).
-        let engine_repeats = if n >= 256 { 7 } else { 31 };
+        // the reference scan — the overhead comparisons need the extra
+        // resolution (budget: ≤ 2%).
+        let engine_repeats = if n >= 256 { 15 } else { 31 };
         // Checksum parity guards against benchmarking diverging code.
         let e: f64 = engine_scan(&state).iter().map(|&(_, u)| u).sum();
         let r: f64 = reference_scan(&state).iter().map(|&(_, u)| u).sum();
@@ -204,16 +262,17 @@ fn write_scaling_report() {
         // instrumentation site — the historical meaning of `engine_ns`)
         // and on, interleaved; spans from the on-runs give the phases.
         mp_obs::reset();
-        let (engine_ns, engine_ns_obs) = paired_medians_ns(engine_repeats, || engine_scan(&state));
+        let (off, on) = obs_pairs(engine_repeats, &state);
         let fast_snap = mp_obs::snapshot();
-        let obs_overhead_pct = (engine_ns_obs - engine_ns) / engine_ns * 100.0;
+        let (engine_ns, engine_ns_obs) = (median(&off), median(&on));
+        let (obs_overhead_pct, obs_overhead_iqr_pct, obs_verdict) = overhead(&off, &on);
 
         // Marginal cost of an active request trace over plain
         // recording, same interleaved protocol. Reported, not asserted:
         // no job pins run conditions tightly enough for a ≤ 2% gate.
-        let (trace_base_ns, engine_ns_trace) =
-            traced_medians_ns(engine_repeats, || engine_scan(&state));
-        let trace_overhead_pct = (engine_ns_trace - trace_base_ns) / trace_base_ns * 100.0;
+        let (plain, traced) = traced_pairs(engine_repeats, &state);
+        let engine_ns_trace = median(&traced);
+        let (trace_overhead_pct, trace_overhead_iqr_pct, trace_verdict) = overhead(&plain, &traced);
 
         mp_obs::set_enabled(false);
         let reference_ns = median_ns(repeats, || reference_scan(&state));
@@ -249,14 +308,15 @@ fn write_scaling_report() {
             }
         }
 
+        let [obs_q1, obs_q3] = obs_overhead_iqr_pct;
+        let [trace_q1, trace_q3] = trace_overhead_iqr_pct;
         eprintln!(
-            "apro_scaling n={n}: engine {:.3} ms (obs on {:.3} ms, {obs_overhead_pct:+.2}%; \
-             traced {:.3} ms, {trace_overhead_pct:+.2}%), \
-             reference {:.3} ms, speedup {speedup:.1}x",
+            "apro_scaling n={n}: engine {:.3} ms, reference {:.3} ms, speedup {speedup:.1}x; \
+             obs on {obs_overhead_pct:+.2}% (IQR {obs_q1:+.2}..{obs_q3:+.2}%, {obs_verdict}), \
+             traced {trace_overhead_pct:+.2}% (IQR {trace_q1:+.2}..{trace_q3:+.2}%, \
+             {trace_verdict}) against a {BUDGET_PCT}% budget",
             engine_ns / 1e6,
-            engine_ns_obs / 1e6,
-            engine_ns_trace / 1e6,
-            reference_ns / 1e6
+            reference_ns / 1e6,
         );
         sizes.push(SizeReport {
             n,
@@ -267,8 +327,12 @@ fn write_scaling_report() {
             engine_repeats,
             engine_ns_obs,
             obs_overhead_pct,
+            obs_overhead_iqr_pct: obs_overhead_iqr_pct.to_vec(),
+            obs_verdict: obs_verdict.to_string(),
             engine_ns_trace,
             trace_overhead_pct,
+            trace_overhead_iqr_pct: trace_overhead_iqr_pct.to_vec(),
+            trace_verdict: trace_verdict.to_string(),
             phases,
         });
     }

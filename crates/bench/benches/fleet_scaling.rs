@@ -8,8 +8,14 @@
 //! request; adaptive probing cost scales with the probe budget, not the
 //! fleet, and is covered by `apro_scaling`. Each row records a
 //! **selection checksum** (selected sets + expected-correctness bits
-//! folded over the query batch), so a change that moves any answer
-//! shows up in the report.
+//! folded over the query batch).
+//!
+//! The checksums are a bit-identity gate at fleet scale. The bench reads
+//! the committed section's checksums before it runs, writes its own
+//! section, and then exits non-zero if any size's checksum differs from
+//! the committed one. A change that moves answers on purpose commits the
+//! rewritten section, as it would re-bless a golden file. A size with no
+//! committed checksum is reported, not failed.
 //!
 //! Databases are synthetic and deliberately tiny (4–43 documents over a
 //! 4-term vocabulary, varied per-database term correlations): the axis
@@ -94,6 +100,30 @@ fn test_queries() -> Vec<Query> {
     ]
 }
 
+/// The checksum per fleet size in `BENCH_apro.json`'s committed
+/// `fleet_scaling` section (empty when the file or section is missing).
+fn committed_checksums(path: &std::path::Path) -> Vec<(usize, String)> {
+    let Some(root) = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<serde::Value>(&text).ok())
+    else {
+        return Vec::new();
+    };
+    let cells = root
+        .get("fleet_scaling")
+        .and_then(|s| s.get("cells"))
+        .and_then(serde::Value::as_arr)
+        .unwrap_or_default();
+    cells
+        .iter()
+        .filter_map(|cell| {
+            let databases = cell.get("databases")?.as_num()?;
+            let checksum = cell.get("checksum")?.as_str()?;
+            Some((databases as usize, checksum.to_string()))
+        })
+        .collect()
+}
+
 /// Order-sensitive fold of the selection outcome: selected indices in
 /// canonical order plus the exact `E[Cor]` bits. Equal checksums ⇔
 /// equal selections, bit-for-bit.
@@ -135,7 +165,12 @@ struct FleetReport {
     cells: Vec<FleetCell>,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
+    let path = std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_apro.json"
+    ));
+    let committed = committed_checksums(path);
     let k = 2;
     let queries = test_queries();
     let mut cells = Vec::new();
@@ -187,18 +222,38 @@ fn main() {
         });
     }
 
+    let mut moved = 0;
+    for cell in &cells {
+        match committed.iter().find(|(n, _)| *n == cell.databases) {
+            Some((_, was)) if *was != cell.checksum => {
+                moved += 1;
+                eprintln!(
+                    "fleet_scaling databases={}: checksum {} differs from the committed {was}",
+                    cell.databases, cell.checksum
+                );
+            }
+            Some(_) => {}
+            None => eprintln!(
+                "fleet_scaling databases={}: no committed checksum to compare",
+                cell.databases
+            ),
+        }
+    }
     let report = FleetReport {
         bench: "probe-free selection, fleet size".to_string(),
         k,
         queries: queries.len(),
         cells,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_apro.json");
-    mp_bench::merge_bench_json(
-        std::path::Path::new(path),
-        "fleet_scaling",
-        report.to_value(),
-    )
-    .expect("BENCH_apro.json written");
-    eprintln!("wrote {path} (section fleet_scaling)");
+    mp_bench::merge_bench_json(path, "fleet_scaling", report.to_value())
+        .expect("BENCH_apro.json written");
+    eprintln!("wrote {} (section fleet_scaling)", path.display());
+    if moved > 0 {
+        eprintln!(
+            "fleet_scaling: {moved} selection checksum(s) moved; commit the rewritten section \
+             only if the answers were meant to change"
+        );
+        return std::process::ExitCode::FAILURE;
+    }
+    std::process::ExitCode::SUCCESS
 }

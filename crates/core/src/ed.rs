@@ -3,8 +3,9 @@
 
 use crate::config::CoreConfig;
 use crate::error::relative_error;
-use crate::estimator::RelevancyEstimator;
+use crate::estimator::{estimate_all, RelevancyEstimator};
 use crate::query_type::QueryType;
+use crate::rd::derive_rd;
 use crate::relevancy::RelevancyDef;
 use mp_hidden::Mediator;
 use mp_stats::{Discrete, Histogram};
@@ -79,12 +80,22 @@ pub struct EdLibrary {
     /// output is deterministic without an adapter.
     per_db: Vec<HashMap<QueryType, ErrorDistribution>>,
     config: CoreConfig,
-    /// Every `(database, leaf)` ED frozen into the [`Discrete`] an RD
-    /// derivation scales, at `qt.index(..) * n_databases + db`, with
-    /// fallbacks resolved. Built on first use; [`Self::record`] resets
-    /// it. Derived from `per_db`, so it stays out of the wire format and
-    /// of `PartialEq`.
-    frozen: OnceLock<Vec<Option<Discrete>>>,
+    /// Every `(database, leaf)` ED frozen at `qt.index(..) * n_databases
+    /// + db`, with fallbacks resolved. Built on first use;
+    /// [`Self::record`] resets it. Derived from `per_db`, so it stays out
+    /// of the wire format and of `PartialEq`.
+    frozen: OnceLock<Vec<Option<FrozenLeaf>>>,
+}
+
+/// One `(database, leaf)` entry of the frozen table.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenLeaf {
+    /// The ED as the [`Discrete`] an RD derivation scales.
+    pub(crate) ed: Discrete,
+    /// The RD of every estimate at or below the floor:
+    /// `derive_rd(est_floor, Some(&ed))`. Such an estimate scales the
+    /// leaf by the floor itself, so its RD depends on the leaf alone.
+    pub(crate) floor_rd: Discrete,
 }
 
 impl EdLibrary {
@@ -112,8 +123,7 @@ impl EdLibrary {
     ) -> Self {
         let mut lib = Self::empty(mediator.len(), config.clone());
         for q in queries {
-            for i in 0..mediator.len() {
-                let est = estimator.estimate(mediator.summary(i), q);
+            for (i, est) in estimate_all(estimator, mediator, q).into_iter().enumerate() {
                 let actual = def.probe(mediator.db(i), q, config.probe_top_n);
                 lib.record(i, q.len(), est, actual);
             }
@@ -160,12 +170,12 @@ impl EdLibrary {
             .find_map(|fb| self.ed(db, fb))
     }
 
-    /// The error distribution an RD derivation on `db` scales for a
-    /// query of type `qt`: [`Self::ed_or_fallback`]'s choice as a
-    /// [`Discrete`], or `None` when there is none (the RD degrades to an
-    /// impulse). One read of the frozen table, so a query pays no map
-    /// lookup and no fallback search.
-    pub(crate) fn frozen_ed(&self, db: usize, qt: QueryType) -> Option<&Discrete> {
+    /// What an RD derivation on `db` reads for a query of type `qt`:
+    /// [`Self::ed_or_fallback`]'s choice as a [`Discrete`] and its RD at
+    /// the estimate floor, or `None` when there is no ED (the RD degrades
+    /// to an impulse). One read of the frozen table, so a query pays no
+    /// map lookup and no fallback search.
+    pub(crate) fn frozen_leaf(&self, db: usize, qt: QueryType) -> Option<&FrozenLeaf> {
         let n_thresholds = self.config.coverage_thresholds.len();
         self.frozen.get_or_init(|| self.freeze())[qt.index(n_thresholds) * self.per_db.len() + db]
             .as_ref()
@@ -173,14 +183,16 @@ impl EdLibrary {
 
     /// Builds the frozen table, leaf-major. `ed.bucket_occupancy`
     /// records each leaf here, once per freeze.
-    // mp-lint: allow(L6): every element comes from to_discrete, which asserts
-    fn freeze(&self) -> Vec<Option<Discrete>> {
+    fn freeze(&self) -> Vec<Option<FrozenLeaf>> {
         QueryType::all(self.config.coverage_thresholds.len())
             .into_iter()
             .flat_map(|qt| {
                 (0..self.per_db.len()).map(move |db| {
-                    self.ed_or_fallback(db, qt)
-                        .and_then(ErrorDistribution::to_discrete)
+                    let ed = self
+                        .ed_or_fallback(db, qt)
+                        .and_then(ErrorDistribution::to_discrete)?;
+                    let floor_rd = derive_rd(self.config.est_floor, Some(&ed), &self.config);
+                    Some(FrozenLeaf { ed, floor_rd })
                 })
             })
             .collect()

@@ -24,7 +24,7 @@
 //! an independent oracle in tests.
 
 use crate::correctness::{golden_topk, rank_order, CorrectnessMetric};
-use mp_stats::float::{canonical, exact_zero};
+use mp_stats::float::{canonical, desc_key, exact_zero};
 use mp_stats::poisson_binomial::at_most;
 use mp_stats::Discrete;
 use rand::Rng;
@@ -300,18 +300,32 @@ pub(crate) type SupportPoint = (f64, usize, f64, f64);
 /// what every rival has behind before a sweep starts. [`RdState::new`]
 /// keeps it; both sweeps over the support ([`topk_marginals`] and the
 /// greedy engine's) read it there.
+///
+/// The sort runs on integers: each point's key is its value's
+/// [`desc_key`] in the high half and its build position in the low half.
+/// Points are built database-major, so on equal values the lower index
+/// keeps the lower position, and the keys' order is `rank_order`'s.
 fn merged_support(rds: &[Discrete]) -> (Vec<SupportPoint>, Vec<f64>) {
-    let mut order = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
+    let mut points = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
     let mut total = Vec::with_capacity(rds.len());
     for (i, rd) in rds.iter().enumerate() {
         let mut behind = 0.0;
         for &(v, p) in rd.points() {
-            order.push((v, i, p, behind));
+            points.push((v, i, p, behind));
             behind += p;
         }
         total.push(behind);
     }
-    order.sort_unstable_by(|a, b| rank_order(a.1, a.0, b.1, b.0));
+    let mut keys: Vec<u128> = points
+        .iter()
+        .enumerate()
+        .map(|(at, &(v, ..))| u128::from(desc_key(v)) << 64 | at as u128)
+        .collect();
+    keys.sort_unstable();
+    let order = keys
+        .iter()
+        .map(|&key| points[key as u64 as usize])
+        .collect();
     (order, total)
 }
 
@@ -467,7 +481,7 @@ pub fn monte_carlo_expected<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn d(pairs: &[(f64, f64)]) -> Discrete {
         Discrete::from_weighted(pairs).unwrap()
@@ -695,6 +709,98 @@ mod tests {
                 })
                 .collect()
         })
+    }
+
+    /// The support `merged_support` sorted before it sorted integer
+    /// keys: every point ordered by the `rank_order` comparator.
+    fn comparator_support(rds: &[Discrete]) -> Vec<SupportPoint> {
+        let mut order = Vec::new();
+        for (i, rd) in rds.iter().enumerate() {
+            let mut behind = 0.0;
+            for &(v, p) in rd.points() {
+                order.push((v, i, p, behind));
+                behind += p;
+            }
+        }
+        order.sort_by(|a, b| rank_order(a.1, a.0, b.1, b.0));
+        order
+    }
+
+    /// Fails unless `merged_support` of `rds` orders its points exactly
+    /// as the comparator sort does, bit for bit.
+    fn assert_keyed_equals_comparator(rds: &[Discrete]) -> Result<(), TestCaseError> {
+        let bits =
+            |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
+        let (keyed, _) = merged_support(rds);
+        prop_assert_eq!(
+            keyed.iter().map(bits).collect::<Vec<_>>(),
+            comparator_support(rds).iter().map(bits).collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
+    /// Support values that tie across databases and sit one ulp apart:
+    /// both zeros, the smallest subnormal, and 1.0 with its neighbours.
+    fn ulp_grid() -> [f64; 8] {
+        [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.0f64.next_down(),
+            1.0,
+            1.0f64.next_up(),
+            2.0,
+            7.5,
+        ]
+    }
+
+    fn ulp_grid_rd(pts: &[(usize, f64)]) -> Discrete {
+        let pts: Vec<(f64, f64)> = pts.iter().map(|&(v, p)| (ulp_grid()[v], p)).collect();
+        Discrete::from_weighted(&pts).unwrap()
+    }
+
+    #[test]
+    fn keyed_support_equals_the_comparator_sort_on_a_large_state() {
+        // 320 databases over the ulp grid and a coarse integer grid, so
+        // most values tie across many databases.
+        let mut rng = StdRng::seed_from_u64(21);
+        let rds: Vec<Discrete> = (0..320)
+            .map(|i| {
+                let n_points = 1 + i % 6;
+                let pts: Vec<(f64, f64)> = (0..n_points)
+                    .map(|_| {
+                        let v = if rng.gen_bool(0.5) {
+                            ulp_grid()[rng.gen_range(0..8usize)]
+                        } else {
+                            f64::from(rng.gen_range(0u32..40))
+                        };
+                        (v, rng.gen_range(0.05..1.0))
+                    })
+                    .collect();
+                Discrete::from_weighted(&pts).unwrap()
+            })
+            .collect();
+        assert_keyed_equals_comparator(&rds).unwrap();
+        let state = RdState::new(rds);
+        assert_eq!(state.len(), 320);
+        assert!(state.support().0.len() > 2 * state.len());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_keyed_support_equals_the_comparator_sort(
+            grid in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, 0.05f64..1.0), 1..5),
+                2..8
+            ),
+            rds in arb_grid_rds(),
+            wide in arb_rds()
+        ) {
+            let ulps: Vec<Discrete> = grid.iter().map(|pts| ulp_grid_rd(pts)).collect();
+            assert_keyed_equals_comparator(&ulps)?;
+            assert_keyed_equals_comparator(&rds)?;
+            assert_keyed_equals_comparator(&wide)?;
+        }
     }
 
     proptest! {

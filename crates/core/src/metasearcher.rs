@@ -9,7 +9,7 @@
 use crate::config::CoreConfig;
 use crate::correctness::CorrectnessMetric;
 use crate::ed::EdLibrary;
-use crate::estimator::RelevancyEstimator;
+use crate::estimator::{estimate_all, RelevancyEstimator};
 use crate::expected::RdState;
 use crate::fusion::{fuse, FusedHit};
 use crate::probing::{apro, AproConfig, AproOutcome, ProbePolicy};
@@ -119,11 +119,10 @@ impl Metasearcher {
         self.def
     }
 
-    /// Point estimates `r̂(db_i, q)` for every database.
+    /// Point estimates `r̂(db_i, q)` for every database
+    /// ([`estimate_all`]).
     pub fn estimates(&self, query: &Query) -> Vec<f64> {
-        (0..self.mediator.len())
-            .map(|i| self.estimator.estimate(self.mediator.summary(i), query))
-            .collect()
+        estimate_all(self.estimator.as_ref(), &self.mediator, query)
     }
 
     /// The query's relevancy distributions across all databases, in

@@ -37,11 +37,19 @@ pub fn derive_rd(estimate: f64, errors: Option<&Discrete>, config: &CoreConfig) 
 /// database-dependent: paper Section 4.1) and scaling the leaf's frozen
 /// ED.
 ///
+/// An estimate at or below the floor scales the leaf by the floor
+/// itself, so its RD is the one the library froze with the leaf: a copy,
+/// bit for bit what [`derive_rd`] would compute.
+///
 /// `estimate` must be the estimator output for database `db`.
-// mp-lint: allow(L6): pure delegation to derive_rd, which asserts
+// mp-lint: allow(L6): derive_rd asserts, and a frozen floor RD came from it
 pub fn derive_db_rd(estimate: f64, db: usize, query: &Query, lib: &EdLibrary) -> Discrete {
     let qt = lib.classify(query.len(), estimate);
-    derive_rd(estimate, lib.frozen_ed(db, qt), lib.config())
+    let config = lib.config();
+    match lib.frozen_leaf(db, qt) {
+        Some(leaf) if estimate <= config.est_floor => leaf.floor_rd.clone(),
+        leaf => derive_rd(estimate, leaf.map(|leaf| &leaf.ed), config),
+    }
 }
 
 /// Derives the RDs of a query against every database in one call

@@ -170,3 +170,35 @@ fn one_leaf_serves_every_query_type_through_fallbacks() {
         assert!(rds[1].is_impulse(), "db 1 is untrained");
     }
 }
+
+/// A database without an ED keeps the impulse path at and below the
+/// floor, while a trained one reads its frozen floor RD; both equal the
+/// reference before and after a `record` lands on the built table.
+#[test]
+fn floor_estimates_derive_the_reference_with_and_without_an_ed() {
+    use mp_core::rd::derive_db_rd;
+    let mut lib = EdLibrary::empty(2, CoreConfig::default());
+    lib.record(0, 2, 0.0, 0.3);
+    lib.record(0, 2, 0.05, 0.0);
+    let floor = lib.config().est_floor;
+    let estimates = [
+        0.0,
+        floor / 2.0,
+        floor,
+        f64::from_bits(floor.to_bits() + 1),
+        10.0 * floor,
+    ];
+    let q = query(2);
+    for round in 0..2 {
+        for &est in &estimates {
+            let both = [est, est];
+            let expected = bits(&reference_rds(&both, &q, &lib));
+            let got: Vec<Discrete> = (0..2).map(|db| derive_db_rd(est, db, &q, &lib)).collect();
+            assert_eq!(bits(&got), expected, "round {round}, estimate {est}");
+            assert!(got[1].is_impulse(), "db 1 has no ED");
+            assert_eq!(got[1].mean(), est);
+        }
+        // The table is built; this record must reach the floor RD.
+        lib.record(0, 2, 0.0, 2.0);
+    }
+}

@@ -9,10 +9,11 @@
 //! `S = 100` and inches up with larger samples.
 
 use mp_core::error::relative_error;
+use mp_core::estimator::estimate_all;
 use mp_core::query_type::ArityBucket;
-use mp_core::{CoreConfig, IndependenceEstimator, QueryType, RelevancyDef, RelevancyEstimator};
+use mp_core::{CoreConfig, IndependenceEstimator, QueryType, RelevancyDef};
 use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
-use mp_hidden::{ContentSummary, HiddenWebDatabase, SimulatedHiddenDb};
+use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_stats::chi2::histogram_goodness;
 use mp_stats::Histogram;
 use mp_workload::{QueryGenConfig, QueryGenerator};
@@ -111,6 +112,7 @@ pub fn run_sampling_study(config: &SamplingStudyConfig) -> SamplingStudyResult {
         summaries.push(ContentSummary::cooperative(&index));
         dbs.push(Arc::new(SimulatedHiddenDb::new(spec.name, index)));
     }
+    let mediator = Mediator::new(dbs, summaries);
 
     // Pool of distinct queries.
     let mut gen = QueryGenerator::new(
@@ -131,21 +133,24 @@ pub fn run_sampling_study(config: &SamplingStudyConfig) -> SamplingStudyResult {
         guard += 1;
     }
 
-    let estimator = IndependenceEstimator;
     let def = RelevancyDef::DocFrequency;
     let focus_arity = ArityBucket::of(config.arity);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A17);
+    let estimates: Vec<Vec<f64>> = pool
+        .iter()
+        .map(|q| estimate_all(&IndependenceEstimator, &mediator, q))
+        .collect();
 
-    let mut per_db_goodness = Vec::with_capacity(dbs.len());
-    let mut pool_sizes = Vec::with_capacity(dbs.len());
-    for (i, db) in dbs.iter().enumerate() {
+    let mut per_db_goodness = Vec::with_capacity(mediator.len());
+    let mut pool_sizes = Vec::with_capacity(mediator.len());
+    for i in 0..mediator.len() {
         // Errors of the focus type on this database.
         let mut errors = Vec::new();
-        for q in &pool {
-            let est = estimator.estimate(&summaries[i], q);
+        for (q, est) in pool.iter().zip(&estimates) {
+            let est = est[i];
             let qt = QueryType::classify(q.len(), est, &config.core.coverage_thresholds);
             if qt.arity == focus_arity && qt.high_coverage() {
-                let actual = def.probe(db.as_ref(), q, 0);
+                let actual = def.probe(mediator.db(i), q, 0);
                 errors.push(relative_error(actual, est, config.core.est_floor));
             }
         }

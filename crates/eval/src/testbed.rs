@@ -201,9 +201,7 @@ impl Testbed {
 
     /// Point estimates of a query across every database.
     pub fn estimates(&self, query: &mp_workload::Query) -> Vec<f64> {
-        (0..self.mediator.len())
-            .map(|i| self.estimator.estimate(self.mediator.summary(i), query))
-            .collect()
+        mp_core::estimator::estimate_all(self.estimator.as_ref(), &self.mediator, query)
     }
 
     /// The query's relevancy distributions across every database.

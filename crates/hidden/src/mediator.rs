@@ -2,6 +2,7 @@
 
 use crate::db::HiddenWebDatabase;
 use crate::summary::ContentSummary;
+use mp_text::TermId;
 use std::sync::Arc;
 
 /// The mediated database set, pairing each database with its locally
@@ -9,10 +10,76 @@ use std::sync::Arc;
 ///
 /// Databases are addressed by index throughout the library (the paper's
 /// `db_1 … db_n`); the mediator owns the authoritative ordering.
+///
+/// Clones share the summaries and their df postings: a clone copies one
+/// handle per database, not the summaries' tables.
 #[derive(Clone)]
 pub struct Mediator {
     dbs: Vec<Arc<dyn HiddenWebDatabase>>,
+    summaries: Arc<SummaryTable>,
+}
+
+/// The fleet's summaries, with their df tables turned term-major once:
+/// for each term, the `(database, df)` pairs of every summary that gives
+/// it a non-zero df, in database order — an inverted index from terms to
+/// postings. One query's Eq. 1 inputs are then a walk over its terms'
+/// postings instead of one hash lookup per (database, term).
+struct SummaryTable {
     summaries: Vec<ContentSummary>,
+    /// `sizes[i]` is `summaries[i].size()`.
+    sizes: Vec<u32>,
+    /// Term `t`'s postings are `postings[offsets[t]..offsets[t + 1]]`;
+    /// a term past the end of `offsets` has none.
+    offsets: Vec<usize>,
+    /// `(database, df)` pairs, grouped by term.
+    postings: Vec<(u32, u32)>,
+}
+
+impl SummaryTable {
+    /// Builds the postings by counting, so both vectors have their exact
+    /// size and no growth slack, and each term's postings come out in
+    /// database order whatever order the summaries' maps iterate in.
+    fn new(summaries: Vec<ContentSummary>) -> Self {
+        let mut counts: Vec<usize> = Vec::new();
+        for summary in &summaries {
+            for (term, df) in summary.iter() {
+                if df > 0 {
+                    if term.index() >= counts.len() {
+                        counts.resize(term.index() + 1, 0);
+                    }
+                    counts[term.index()] += 1;
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut end = 0;
+        offsets.push(end);
+        for count in &counts {
+            end += count;
+            offsets.push(end);
+        }
+        // `cursor[t]`: where term `t`'s next posting goes. Databases are
+        // visited in index order, so every term's postings are too.
+        let mut cursor = offsets[..counts.len()].to_vec();
+        let mut postings = vec![(0, 0); end];
+        for (db, summary) in summaries.iter().enumerate() {
+            let db = u32::try_from(db).expect("a fleet has fewer than 2^32 databases");
+            for (term, df) in summary.iter() {
+                if df > 0 {
+                    let slot = &mut cursor[term.index()];
+                    postings[*slot] = (db, df);
+                    *slot += 1;
+                }
+            }
+        }
+        let sizes = summaries.iter().map(ContentSummary::size).collect();
+        Self {
+            summaries,
+            sizes,
+            offsets,
+            postings,
+        }
+    }
 }
 
 impl std::fmt::Debug for Mediator {
@@ -36,7 +103,10 @@ impl Mediator {
             "databases and summaries must align"
         );
         assert!(!dbs.is_empty(), "mediator needs at least one database");
-        Self { dbs, summaries }
+        Self {
+            dbs,
+            summaries: Arc::new(SummaryTable::new(summaries)),
+        }
     }
 
     /// Number of mediated databases (`n`).
@@ -61,12 +131,31 @@ impl Mediator {
 
     /// Summary of database `i`.
     pub fn summary(&self, i: usize) -> &ContentSummary {
-        &self.summaries[i]
+        &self.summaries.summaries[i]
     }
 
     /// All summaries, index-aligned.
     pub fn summaries(&self) -> &[ContentSummary] {
-        &self.summaries
+        &self.summaries.summaries
+    }
+
+    /// Every summary's database size `|db|`, index-aligned.
+    pub fn sizes(&self) -> &[u32] {
+        &self.summaries.sizes
+    }
+
+    /// The summaries' postings for `term`: `(database, df)` for every
+    /// database whose summary gives `term` a non-zero df, in index
+    /// order. A database missing from them has `df(term) = 0`.
+    pub fn df_postings(&self, term: TermId) -> impl ExactSizeIterator<Item = (usize, u32)> + '_ {
+        let table = &self.summaries;
+        let range = match table.offsets.get(term.index()..=term.index() + 1) {
+            Some(&[start, end]) => start..end,
+            _ => 0..0,
+        };
+        table.postings[range]
+            .iter()
+            .map(|&(db, df)| (db as usize, df))
     }
 
     /// Database names, index-aligned.
@@ -156,6 +245,47 @@ mod tests {
     fn max_size_hint_spans_the_fleet() {
         let m = mediator();
         assert_eq!(m.max_size_hint(), 20);
+    }
+
+    #[test]
+    fn df_postings_are_the_summaries_term_major() {
+        let df = |pairs: &[(u32, u32)]| pairs.iter().map(|&(t, d)| (TermId(t), d)).collect();
+        let summaries = vec![
+            ContentSummary::new(df(&[(0, 4), (2, 1), (5, 0)]), 9),
+            ContentSummary::new(df(&[]), 0),
+            ContentSummary::new(df(&[(2, 7), (3, 2)]), 8),
+            ContentSummary::new(df(&[(0, 1), (2, 2)]), 3),
+        ];
+        let dbs = (0..4).map(|i| make_db(&format!("d{i}"), 1)).collect();
+        let m = Mediator::new(dbs, summaries.clone());
+        assert_eq!(m.sizes(), &[9, 0, 8, 3]);
+        for t in 0..8 {
+            let expected: Vec<(usize, u32)> = summaries
+                .iter()
+                .enumerate()
+                .map(|(db, s)| (db, s.df(TermId(t))))
+                .filter(|&(_, d)| d > 0)
+                .collect();
+            assert_eq!(
+                m.df_postings(TermId(t)).collect::<Vec<_>>(),
+                expected,
+                "term {t}"
+            );
+        }
+        assert_eq!(m.df_postings(TermId(u32::MAX)).len(), 0);
+        // Counted, not grown: no slack in either vector.
+        let table = &m.summaries;
+        assert_eq!(table.postings.len(), 6);
+        assert_eq!(table.postings.capacity(), table.postings.len());
+        assert_eq!(table.offsets.capacity(), table.offsets.len());
+    }
+
+    #[test]
+    fn clones_share_the_summaries() {
+        let m = mediator();
+        let c = m.clone();
+        assert!(Arc::ptr_eq(&m.summaries, &c.summaries));
+        assert_eq!(c.summary(1), m.summary(1));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   serialized output.
 //! * [`total_cmp_desc`] — descending total order for ranking by float
 //!   score with deterministic tie handling.
+//! * [`desc_key`] — the same order as one integer per value, for sorts
+//!   that compute each key once instead of comparing floats.
 //! * [`round_u32`] / [`round_u64`] — checked float→count conversions
 //!   that make the domain error explicit instead of silently saturating
 //!   through `as`.
@@ -103,6 +105,29 @@ pub fn total_cmp_desc(x: f64, y: f64) -> std::cmp::Ordering {
     }
 }
 
+/// [`total_cmp_desc`] as an integer: `desc_key(x).cmp(&desc_key(y))`
+/// equals `total_cmp_desc(x, y)` for all floats, so ascending keys put
+/// larger values first, `0.0` and `-0.0` on one key, and NaN last.
+///
+/// A sort that computes each value's key once and then orders plain
+/// integers gives the comparator's order without calling it
+/// `O(N log N)` times.
+#[inline]
+pub fn desc_key(x: f64) -> u64 {
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    let bits = canonical(x).to_bits();
+    // Setting the sign bit of a non-negative value and flipping a
+    // negative one whole gives integers that ascend with the floats;
+    // the complement makes them descend.
+    if bits >> 63 == 0 {
+        !(bits | 1 << 63)
+    } else {
+        bits
+    }
+}
+
 /// Rounds a non-negative float to the nearest `u32`, or `None` when the
 /// input is NaN, negative (beyond rounding), or too large.
 #[inline]
@@ -139,6 +164,7 @@ pub fn round_u64(x: f64) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::cmp::Ordering;
 
     #[test]
@@ -192,6 +218,58 @@ mod tests {
         assert_eq!(total_cmp_desc(0.0, -0.0), Ordering::Equal);
         // NaN sorts after every real value in a descending sort.
         assert_eq!(total_cmp_desc(f64::NAN, -1e308), Ordering::Greater);
+    }
+
+    #[test]
+    fn desc_key_orders_the_edge_values() {
+        let tiny = f64::from_bits(1);
+        let descending = [f64::INFINITY, f64::MAX, 1.0, f64::MIN_POSITIVE, tiny, 0.0];
+        for w in descending.windows(2) {
+            assert!(desc_key(w[0]) < desc_key(w[1]), "{} before {}", w[0], w[1]);
+            assert!(
+                desc_key(-w[1]) < desc_key(-w[0]),
+                "{} before {}",
+                -w[1],
+                -w[0]
+            );
+        }
+        assert_eq!(desc_key(0.0), desc_key(-0.0));
+        assert!(desc_key(-tiny) > desc_key(0.0));
+        assert!(desc_key(f64::NEG_INFINITY) < desc_key(f64::NAN));
+        assert_eq!(desc_key(f64::NAN), desc_key(-f64::NAN));
+    }
+
+    /// A float drawn to hit the edges often: raw bit patterns (NaNs
+    /// included), signed zeros and infinities, subnormals of either
+    /// sign, and small integers that tie.
+    fn edge_float() -> impl Strategy<Value = f64> {
+        (0u8..4, 0u64..=u64::MAX).prop_map(|(kind, bits)| match kind {
+            0 => f64::from_bits(bits),
+            1 => [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+            ][(bits % 6) as usize],
+            2 => {
+                let subnormal = f64::from_bits(bits & 0x000F_FFFF_FFFF_FFFF);
+                if bits >> 63 == 0 {
+                    subnormal
+                } else {
+                    -subnormal
+                }
+            }
+            _ => (bits % 7) as f64 - 3.0,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_desc_key_is_total_cmp_desc(x in edge_float(), y in edge_float()) {
+            prop_assert_eq!(desc_key(x).cmp(&desc_key(y)), total_cmp_desc(x, y));
+        }
     }
 
     #[test]

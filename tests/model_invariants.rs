@@ -110,3 +110,77 @@ fn training_is_deterministic_across_builds() {
         }
     }
 }
+
+/// The estimates at which `derive_db_rd` may read the library's frozen
+/// floor RD, and the values either side of that cut: 0, half the floor,
+/// the floor, one ulp above it, and ten times it.
+fn floor_estimates(floor: f64) -> [f64; 5] {
+    [
+        0.0,
+        floor / 2.0,
+        floor,
+        f64::from_bits(floor.to_bits() + 1),
+        10.0 * floor,
+    ]
+}
+
+/// Fails unless `derive_db_rd` gives `derive_rd` of the leaf's ED, bit
+/// for bit, for every database and every leaf, at the floor estimates
+/// and at each coverage threshold and twice it (so every leaf is hit).
+fn assert_db_rds_equal_derive_rd(lib: &mp_core::EdLibrary) {
+    use mp_core::ed::ErrorDistribution;
+    use mp_core::rd::{derive_db_rd, derive_rd};
+    let config = lib.config();
+    let mut estimates = floor_estimates(config.est_floor).to_vec();
+    estimates.extend(
+        config
+            .coverage_thresholds
+            .iter()
+            .flat_map(|&t| [t, 2.0 * t]),
+    );
+    let mut leaves = std::collections::BTreeSet::new();
+    for n_terms in 1..=3u32 {
+        let q = Query::new((0..n_terms).map(mp_text::TermId));
+        for &est in &estimates {
+            let qt = lib.classify(q.len(), est);
+            leaves.insert(qt);
+            for db in 0..lib.n_databases() {
+                let ed = lib
+                    .ed_or_fallback(db, qt)
+                    .and_then(ErrorDistribution::to_discrete);
+                let expected = derive_rd(est, ed.as_ref(), config);
+                let got = derive_db_rd(est, db, &q, lib);
+                let bits = |d: &mp_stats::Discrete| {
+                    d.points()
+                        .iter()
+                        .map(|&(v, p)| (v.to_bits(), p.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&got),
+                    bits(&expected),
+                    "db {db}, {qt:?}, estimate {est}"
+                );
+            }
+        }
+    }
+    let all = mp_core::QueryType::all(config.coverage_thresholds.len());
+    assert_eq!(leaves.len(), all.len(), "every leaf is visited");
+}
+
+#[test]
+fn frozen_floor_rds_equal_derive_rd_on_every_leaf() {
+    let tb = testbed();
+    assert_db_rds_equal_derive_rd(&tb.library);
+    // A record resets the table: the floor RD of the leaf it lands on
+    // must follow the new ED.
+    let mut lib = tb.library.clone();
+    let q = Query::new([mp_text::TermId(0), mp_text::TermId(1)]);
+    let before = mp_core::rd::derive_db_rd(0.0, 0, &q, &lib);
+    for _ in 0..50 {
+        lib.record(0, 2, 0.0, 30.0);
+    }
+    let after = mp_core::rd::derive_db_rd(0.0, 0, &q, &lib);
+    assert_ne!(before.points(), after.points());
+    assert_db_rds_equal_derive_rd(&lib);
+}
