@@ -1,18 +1,17 @@
-//! The rebuilt `cosine_topk` retrieval kernel vs the retained naive
+//! The `cosine_topk` retrieval kernel vs the retained naive
 //! HashMap-accumulator reference, over a (docs × query-terms) matrix of
 //! Zipf-distributed synthetic collections.
 //!
 //! Besides the criterion targets, the bench merges its report into the
 //! `retrieval_kernel` section of `BENCH_apro.json`, recording per
-//! matrix point the naive and rebuilt kernel timings, the speedup, and
-//! the max-score pruning skip-rate observed by mp-obs (`ISSUE 5`
-//! acceptance: ≥ 3× at the largest point with a skip-rate > 0).
+//! matrix point the naive and dense kernel timings, the speedup, and the
+//! documents scored as counted by mp-obs. It fails unless the kernel is
+//! ≥ 3× the naive reference at the largest point.
 //!
-//! Every timed batch is preceded by a bitwise parity check: the
-//! dispatched kernel, the forced-dense kernel, and the forced-pruned
-//! kernel must all return the naive reference's exact doc set, order,
-//! and score bit patterns — a speedup measured against diverging
-//! results would be meaningless.
+//! Every timed batch is preceded by a bitwise parity check: the kernel
+//! must return the naive reference's exact doc set, order, and score
+//! bit patterns — a speedup measured against diverging results would be
+//! meaningless.
 
 use criterion::{black_box, criterion_group, Criterion};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
@@ -33,8 +32,7 @@ const SEED: u64 = 0xD0C5;
 /// Zipf-ish synthetic collection: term ranks drawn with weight
 /// `1 / (rank + 1)` via inverse-CDF sampling, 20–60 occurrences per
 /// document — a few very common terms (long postings, the regime where
-/// the dense accumulator and max-score pruning both matter) and a long
-/// rare tail.
+/// the dense accumulator matters) and a long rare tail.
 fn build_corpus(docs: usize, rng: &mut StdRng) -> InvertedIndex {
     let mut cdf = Vec::with_capacity(VOCAB);
     let mut total = 0.0f64;
@@ -57,7 +55,7 @@ fn build_corpus(docs: usize, rng: &mut StdRng) -> InvertedIndex {
 }
 
 /// Query mix: one frequent head term (rank < 32) plus tail terms — the
-/// shape real keyword queries take, and the one where pruning pays.
+/// shape real keyword queries take.
 fn build_queries(terms: usize, rng: &mut StdRng) -> Vec<Vec<TermId>> {
     (0..QUERIES)
         .map(|_| {
@@ -72,19 +70,14 @@ fn build_queries(terms: usize, rng: &mut StdRng) -> Vec<Vec<TermId>> {
 
 fn assert_bit_parity(idx: &InvertedIndex, queries: &[Vec<TermId>]) {
     for q in queries {
+        let got = idx.cosine_topk(q, TOP_K);
         let reference = idx.cosine_topk_naive(q, TOP_K);
-        for (kernel, got) in [
-            ("dispatch", idx.cosine_topk(q, TOP_K)),
-            ("dense", idx.cosine_topk_dense_for_test(q, TOP_K)),
-            ("pruned", idx.cosine_topk_pruned_for_test(q, TOP_K)),
-        ] {
-            assert_eq!(got.len(), reference.len(), "{kernel}: length mismatch");
-            for (a, b) in got.iter().zip(&reference) {
-                assert!(
-                    a.doc == b.doc && a.score.to_bits() == b.score.to_bits(),
-                    "{kernel} kernel diverged from the naive reference"
-                );
-            }
+        assert_eq!(got.len(), reference.len(), "length mismatch");
+        for (a, b) in got.iter().zip(&reference) {
+            assert!(
+                a.doc == b.doc && a.score.to_bits() == b.score.to_bits(),
+                "kernel diverged from the naive reference"
+            );
         }
     }
 }
@@ -112,23 +105,11 @@ struct PointReport {
     top_k: usize,
     /// Naive HashMap-kernel batch time (all queries once).
     naive_ns: f64,
-    /// Rebuilt dispatched-kernel batch time.
+    /// Dense kernel batch time.
     kernel_ns: f64,
-    /// Forced dense term-at-a-time batch time (dispatch bypassed).
-    dense_ns: f64,
-    /// Forced max-score pruned batch time (dispatch bypassed).
-    pruned_ns: f64,
     speedup: f64,
-    /// Documents the pruned kernel proved unable to enter the top-k
-    /// (skipped without scoring) over one instrumented batch.
-    prune_skipped: u64,
-    /// Documents fully scored over the same batch (both kernels).
+    /// Documents scored over one instrumented batch.
     docs_scored: u64,
-    /// `prune_skipped / (prune_skipped + docs_scored)`.
-    skip_rate: f64,
-    /// Dispatch split over the instrumented batch.
-    queries_pruned: u64,
-    queries_dense: u64,
 }
 
 #[derive(Serialize)]
@@ -156,18 +137,13 @@ fn write_kernel_report() {
         let queries = build_queries(terms, &mut rng);
         assert_bit_parity(&idx, &queries);
 
-        // Skip-rate and dispatch split from one instrumented batch.
+        // Documents scored, from one instrumented batch.
         mp_obs::reset();
         mp_obs::set_enabled(true);
         for q in &queries {
             black_box(idx.cosine_topk(q, TOP_K));
         }
-        let snap = mp_obs::snapshot();
-        let prune_skipped = counter_value(&snap, "index.prune_skipped");
-        let docs_scored = counter_value(&snap, "index.docs_scored");
-        let queries_pruned = counter_value(&snap, "index.queries_pruned");
-        let queries_dense = counter_value(&snap, "index.queries_dense");
-        let skip_rate = prune_skipped as f64 / (prune_skipped + docs_scored).max(1) as f64;
+        let docs_scored = counter_value(&mp_obs::snapshot(), "index.docs_scored");
 
         // Timed batches with recording off (hot-path conditions).
         mp_obs::set_enabled(false);
@@ -183,29 +159,13 @@ fn write_kernel_report() {
                 .map(|q| idx.cosine_topk(q, TOP_K).len())
                 .sum::<usize>()
         });
-        let dense_ns = median_ns(repeats, || {
-            queries
-                .iter()
-                .map(|q| idx.cosine_topk_dense_for_test(q, TOP_K).len())
-                .sum::<usize>()
-        });
-        let pruned_ns = median_ns(repeats, || {
-            queries
-                .iter()
-                .map(|q| idx.cosine_topk_pruned_for_test(q, TOP_K).len())
-                .sum::<usize>()
-        });
         mp_obs::set_enabled(true);
         let speedup = naive_ns / kernel_ns;
         eprintln!(
-            "retrieval_kernel docs={docs} terms={terms}: naive {:.3} ms, rebuilt {:.3} ms \
-             (dense {:.3} ms, pruned {:.3} ms), speedup {speedup:.1}x, skip-rate {:.1}% \
-             ({queries_pruned} pruned / {queries_dense} dense)",
+            "retrieval_kernel docs={docs} terms={terms}: naive {:.3} ms, kernel {:.3} ms, \
+             speedup {speedup:.1}x, {docs_scored} docs scored",
             naive_ns / 1e6,
             kernel_ns / 1e6,
-            dense_ns / 1e6,
-            pruned_ns / 1e6,
-            skip_rate * 100.0
         );
         points.push(PointReport {
             docs,
@@ -214,29 +174,19 @@ fn write_kernel_report() {
             top_k: TOP_K,
             naive_ns,
             kernel_ns,
-            dense_ns,
-            pruned_ns,
             speedup,
-            prune_skipped,
             docs_scored,
-            skip_rate,
-            queries_pruned,
-            queries_dense,
         });
     }
     let largest = points.last().expect("matrix is non-empty");
     assert!(
         largest.speedup >= 3.0,
-        "acceptance: rebuilt kernel must be ≥ 3x the naive reference at the largest point, \
+        "acceptance: the kernel must be ≥ 3x the naive reference at the largest point, \
          got {:.2}x",
         largest.speedup
     );
-    assert!(
-        largest.prune_skipped > 0,
-        "acceptance: max-score pruning must skip documents at the largest point"
-    );
     let report = KernelReport {
-        bench: "cosine_topk rebuilt kernel vs naive HashMap reference".to_string(),
+        bench: "cosine_topk dense kernel vs naive HashMap reference".to_string(),
         vocab: VOCAB,
         repeats,
         points,

@@ -60,7 +60,7 @@ impl IndexBuilder {
             doc_lens: self.doc_lens,
             doc_norms: Vec::new(),
             doc_count,
-            derived: std::sync::OnceLock::new(),
+            forward: std::sync::OnceLock::new(),
         };
         // Two-phase: norms need df values, which need the postings in
         // place first.
@@ -76,10 +76,6 @@ impl IndexBuilder {
             }
         }
         index.doc_norms = norms2.into_iter().map(f64::sqrt).collect();
-        // Seed the derived structures (forward index, score bounds,
-        // summary cache) eagerly so queries never pay a first-call
-        // build; deserialized indices fall back to the lazy path.
-        let _ = index.derived();
         index
     }
 }

@@ -1,119 +1,67 @@
-//! Build-time derived retrieval structures: the forward index, per-term
-//! score bounds, and cached summary data.
+//! The forward index: a derived, non-serialized companion to the
+//! inverted index.
 //!
-//! Everything here is a pure function of the four serialized
-//! [`crate::InvertedIndex`] fields, computed once — eagerly by
-//! [`crate::IndexBuilder::build`], lazily (behind a `OnceLock`) after
-//! deserialization — and never written again. Keeping the data out of
-//! the serialized form leaves the index's JSON byte-identical to the
+//! It is a pure function of the serialized postings, built by the first
+//! [`crate::InvertedIndex::reconstruct_doc`] call (behind a `OnceLock`)
+//! and never written again. Fetching documents is its only reader, so
+//! an index that is only searched never holds one. Keeping it out of the
+//! serialized form leaves the index's JSON byte-identical to the
 //! pre-forward-index layout.
 
 use crate::types::Posting;
-use mp_text::TermId;
 
-/// Derived, non-serialized companions to the inverted index.
-///
-/// * **Forward index** — per-document `(term, tf)` runs sorted by term
-///   id, so reconstructing a document is `O(|doc|)` instead of a scan
-///   over the whole vocabulary, and the pruned retrieval kernel can
-///   fetch one document's tf for one term in `O(log |doc|)`.
-/// * **Per-term normalized score bounds** — for each term, the maximum
-///   over its postings of `tf · idf / doc_norm`: the largest normalized
-///   contribution the term can make to *any* document's cosine score
-///   (Turtle & Flood's max-score optimization, sharpened from the
-///   global `idf² · max_tf / min_doc_norm` form to a per-term
-///   normalized-space bound; see DESIGN.md §12). A very common term has
-///   a low idf *and* its best document's norm is dominated by other
-///   terms, so its bound is small and the pruned kernel can demote its
-///   long postings list almost immediately.
-/// * **df summary pairs / distinct-term count** — `df_summary` and
-///   `distinct_terms` used to rescan all postings per call; both are
-///   now answered from this cache with byte-identical output.
+/// Per-document `(term, tf)` runs sorted by term id, so reconstructing
+/// a document is `O(|doc|)` instead of a scan over the whole
+/// vocabulary.
 #[derive(Debug, Clone)]
-pub(crate) struct Derived {
-    /// Forward-index run boundaries: doc `d`'s terms live at
-    /// `fwd_terms[fwd_offsets[d] .. fwd_offsets[d + 1]]`.
-    pub(crate) fwd_offsets: Vec<usize>,
+pub(crate) struct ForwardIndex {
+    /// Run boundaries: doc `d`'s terms live at
+    /// `terms[offsets[d] .. offsets[d + 1]]`.
+    offsets: Vec<usize>,
     /// Term ids of every (doc, term) pair, doc-major, term-sorted
     /// within each document.
-    pub(crate) fwd_terms: Vec<u32>,
-    /// Term frequencies parallel to `fwd_terms`.
-    pub(crate) fwd_tfs: Vec<u32>,
-    /// Per-term max-score bound: `max over postings of tf · idf /
-    /// doc_norm` (0 for unseen terms) — an upper bound, up to a few
-    /// ulps, on the term's normalized contribution to any cosine score.
-    pub(crate) norm_bound: Vec<f64>,
-    /// `(term, df)` for every term with a non-empty postings list, in
-    /// ascending term order.
-    pub(crate) df_pairs: Vec<(TermId, u32)>,
+    terms: Vec<u32>,
+    /// Term frequencies parallel to `terms`.
+    tfs: Vec<u32>,
 }
 
-impl Derived {
-    /// Builds all derived structures in one pass over the postings.
-    pub(crate) fn build(postings: &[Vec<Posting>], doc_norms: &[f64], doc_count: u32) -> Self {
+impl ForwardIndex {
+    /// Builds the forward index in two passes over the postings.
+    pub(crate) fn build(postings: &[Vec<Posting>], doc_count: u32) -> Self {
         let n = doc_count as usize;
-        let mut norm_bound = vec![0.0f64; postings.len()];
-        let mut df_pairs = Vec::new();
         // Counting sort: postings are term-major with doc-sorted runs,
         // so filling doc-major slots in ascending term order leaves
         // each document's forward run sorted by term id.
-        let mut fwd_offsets = vec![0usize; n + 1];
-        for (i, plist) in postings.iter().enumerate() {
-            if plist.is_empty() {
-                continue;
-            }
-            df_pairs.push((
-                TermId(u32::try_from(i).expect("term ids are u32 by vocabulary construction")),
-                u32::try_from(plist.len()).expect("postings hold at most doc_count (u32) entries"),
-            ));
-            // Same smoothed idf as `InvertedIndex::idf`.
-            let idf = (1.0 + doc_count as f64 / (1.0 + plist.len() as f64)).ln();
-            for p in plist {
-                fwd_offsets[p.doc.index() + 1] += 1;
-                // doc_norms are strictly positive for any posted doc
-                // (the posting itself contributes to the norm).
-                let ratio = (p.tf as f64 * idf) / doc_norms[p.doc.index()];
-                norm_bound[i] = norm_bound[i].max(ratio);
-            }
+        let mut offsets = vec![0usize; n + 1];
+        for p in postings.iter().flatten() {
+            offsets[p.doc.index() + 1] += 1;
         }
         for d in 0..n {
-            fwd_offsets[d + 1] += fwd_offsets[d];
+            offsets[d + 1] += offsets[d];
         }
-        let total = fwd_offsets[n];
-        let mut fwd_terms = vec![0u32; total];
-        let mut fwd_tfs = vec![0u32; total];
-        let mut next = fwd_offsets.clone();
+        let total = offsets[n];
+        let mut terms = vec![0u32; total];
+        let mut tfs = vec![0u32; total];
+        let mut next = offsets.clone();
         for (i, plist) in postings.iter().enumerate() {
             let term = u32::try_from(i).expect("term ids are u32 by vocabulary construction");
             for p in plist {
                 let slot = next[p.doc.index()];
-                fwd_terms[slot] = term;
-                fwd_tfs[slot] = p.tf;
+                terms[slot] = term;
+                tfs[slot] = p.tf;
                 next[p.doc.index()] += 1;
             }
         }
         Self {
-            fwd_offsets,
-            fwd_terms,
-            fwd_tfs,
-            norm_bound,
-            df_pairs,
+            offsets,
+            terms,
+            tfs,
         }
     }
 
     /// One document's forward run: `(term ids, tfs)`, term-sorted.
     pub(crate) fn doc_run(&self, doc: usize) -> (&[u32], &[u32]) {
-        let (lo, hi) = (self.fwd_offsets[doc], self.fwd_offsets[doc + 1]);
-        (&self.fwd_terms[lo..hi], &self.fwd_tfs[lo..hi])
-    }
-
-    /// The tf of `term` in `doc` via binary search over the document's
-    /// forward run — `O(log |doc|)`, 0 when absent.
-    pub(crate) fn tf(&self, doc: usize, term: u32) -> u32 {
-        let (terms, tfs) = self.doc_run(doc);
-        match terms.binary_search(&term) {
-            Ok(pos) => tfs[pos],
-            Err(_) => 0,
-        }
+        let (lo, hi) = (self.offsets[doc], self.offsets[doc + 1]);
+        (&self.terms[lo..hi], &self.tfs[lo..hi])
     }
 }

@@ -2,27 +2,19 @@
 //!
 //! # Retrieval kernel (DESIGN.md §12)
 //!
-//! [`InvertedIndex::cosine_topk`] dispatches between two kernels that
-//! return **bit-identical** results (and are pinned to each other and
-//! to the retained [`InvertedIndex::cosine_topk_naive`] reference by
-//! proptests):
-//!
-//! * a **dense term-at-a-time** kernel — reusable thread-local `f64`
-//!   accumulators plus a touched-doc list instead of the historical
-//!   per-query `HashMap`;
-//! * an **exact max-score document-at-a-time** kernel — terms processed
-//!   in descending upper-bound order, candidates generated only from
-//!   the lists that can still place a document into the current top-k,
-//!   every surviving candidate scored by a fresh sorted-term-order
-//!   accumulation over its forward-index run.
-//!
-//! The determinism contract: every scored document's floating-point
+//! [`InvertedIndex::cosine_topk`] is one dense term-at-a-time kernel:
+//! reusable thread-local `f64` accumulators plus a touched-doc list
+//! instead of the historical per-query `HashMap`. It is pinned
+//! **bit-identical** to the retained [`InvertedIndex::cosine_topk_naive`]
+//! reference by proptests: every scored document's floating-point
 //! summation order (ascending term id) is exactly the historical
-//! kernel's, so every score's bit pattern is unchanged, and pruning is
-//! exact — it only ever skips documents whose rigorous upper bound is
-//! strictly below the k-th best already-exact score.
+//! kernel's, so every score's bit pattern is unchanged.
+//!
+//! The forward index behind [`InvertedIndex::reconstruct_doc`] is built
+//! on the first call, not by the builder: fetching documents is the
+//! only thing that reads it.
 
-use crate::derived::Derived;
+use crate::derived::ForwardIndex;
 use crate::document::Document;
 use crate::scratch::{self, Scratch};
 use crate::topk::TopK;
@@ -30,35 +22,6 @@ use crate::types::{DocId, Posting, ScoredDoc};
 use mp_text::TermId;
 use std::collections::HashMap;
 use std::sync::OnceLock;
-
-/// Multiplicative safety slack applied to every max-score upper bound.
-///
-/// Why pruning stays *exact*: a document's normalized score decomposes
-/// (in real arithmetic) as `Σ_t (wq_t / qnorm) · (tf_{d,t} · idf_t /
-/// dnorm_d)`, and each right factor is dominated by the term's
-/// precomputed bound `norm_bound[t] = max over postings of the same
-/// expression`. Floating point introduces only relative errors — a few
-/// ulps per rounding in the bound products, the summation-reorder
-/// error (≤ `m · 2⁻⁵³` relative for `m` query terms), and the ulps
-/// separating the compared score's computed value from its real value.
-/// Inflating every bound by `1 + 1e-9` dominates the combined relative
-/// error for any `m < 10⁶` while loosening the (already conservative)
-/// bound by a negligible margin, so `upper_bound < θ` rigorously
-/// implies the candidate's *computed* score is below θ — pruning can
-/// never change the top-k set or any score bit.
-const BOUND_SLACK: f64 = 1.0 + 1e-9;
-
-/// The pruned kernel is selected when `k · PRUNE_K_FACTOR` does not
-/// exceed the total postings volume of the query: max-score only pays
-/// off when most candidates can lose to an already-full top-k.
-const PRUNE_K_FACTOR: usize = 16;
-
-/// …and only once the query's total postings volume clears this floor:
-/// below it the dense kernel's straight-line accumulation finishes
-/// before the pruned kernel's per-candidate bookkeeping amortizes
-/// (measured in the `retrieval_kernel` bench: at ~600 postings dense is
-/// ~2.5× faster, at ~10k the pruned kernel wins).
-const PRUNE_MIN_POSTINGS: usize = 4096;
 
 /// An immutable inverted index over a fixed document collection.
 ///
@@ -76,24 +39,16 @@ pub struct InvertedIndex {
     pub(crate) doc_norms: Vec<f64>,
     /// Number of documents.
     pub(crate) doc_count: u32,
-    /// Derived retrieval structures (forward index, per-term bounds,
-    /// cached summaries). Built eagerly by the builder, lazily after
-    /// deserialization; never serialized, so the index's JSON layout is
+    /// The forward index, built by the first [`Self::reconstruct_doc`]
+    /// call. Never serialized, so the index's JSON layout is
     /// byte-identical to the pre-forward-index format.
-    pub(crate) derived: OnceLock<Derived>,
+    pub(crate) forward: OnceLock<ForwardIndex>,
 }
 
 impl InvertedIndex {
     /// Number of documents in the collection (`|db|` in the paper).
     pub fn doc_count(&self) -> u32 {
         self.doc_count
-    }
-
-    /// The derived structures, building them on first use after
-    /// deserialization (the builder seeds them eagerly).
-    pub(crate) fn derived(&self) -> &Derived {
-        self.derived
-            .get_or_init(|| Derived::build(&self.postings, &self.doc_norms, self.doc_count))
     }
 
     /// Document frequency of a term: the paper's `r(db, t)`, the
@@ -202,11 +157,11 @@ impl InvertedIndex {
     }
 
     /// Builds the run-length query term frequencies (ascending term
-    /// id), the per-term weights/idfs/bounds, and returns the query
+    /// id) and the per-term weights and idfs, and returns the query
     /// norm. The qtf iteration order and the `qnorm` accumulation are
     /// exactly the historical kernel's, so all downstream scores keep
     /// their historical bit patterns.
-    pub(crate) fn prepare_query(&self, query: &[TermId], s: &mut Scratch) -> f64 {
+    fn prepare_query(&self, query: &[TermId], s: &mut Scratch) -> f64 {
         s.qterms.clear();
         s.qterms.extend(query.iter().map(|t| t.0));
         s.qterms.sort_unstable();
@@ -217,23 +172,15 @@ impl InvertedIndex {
                 _ => s.qtf.push((t, 1)),
             }
         }
-        let norm_bound = &self.derived().norm_bound;
         s.wq.clear();
         s.idf.clear();
-        s.bound.clear();
         let mut qnorm2 = 0.0;
-        for j in 0..s.qtf.len() {
-            let (t, tfq) = s.qtf[j];
+        for &(t, tfq) in &s.qtf {
             let idf = self.idf(TermId(t));
             let wq = tfq as f64 * idf;
             qnorm2 += wq * wq;
-            let nb = norm_bound.get(t as usize).copied().unwrap_or(0.0);
             s.wq.push(wq);
             s.idf.push(idf);
-            // Bound on the term's contribution to any normalized score,
-            // still unnormalized on the query side (the pruned kernel
-            // divides by qnorm once).
-            s.bound.push(wq * nb);
         }
         qnorm2.sqrt()
     }
@@ -244,8 +191,7 @@ impl InvertedIndex {
     ///
     /// Documents sharing *any* query term are scored (disjunctive
     /// scoring, as vector-space engines do). Results are bit-identical
-    /// to [`Self::cosine_topk_naive`] regardless of which internal
-    /// kernel serves the query.
+    /// to [`Self::cosine_topk_naive`].
     pub fn cosine_topk(&self, query: &[TermId], k: usize) -> Vec<ScoredDoc> {
         if query.is_empty() || k == 0 {
             return Vec::new();
@@ -255,33 +201,9 @@ impl InvertedIndex {
             if mp_stats::float::exact_zero(qnorm) {
                 return Vec::new();
             }
-            self.run_topk(qnorm, k, s);
+            self.topk_dense(qnorm, k, s);
             s.topk.drain_sorted()
         })
-    }
-
-    /// Runs the dispatched kernel, leaving the results in `s.topk`.
-    fn run_topk(&self, qnorm: f64, k: usize, s: &mut Scratch) {
-        let mut sum_df = 0usize;
-        let mut nonempty = 0usize;
-        for j in 0..s.qtf.len() {
-            let df = self.postings(TermId(s.qtf[j].0)).len();
-            sum_df += df;
-            nonempty += usize::from(df > 0);
-        }
-        // Max-score needs at least two lists to discriminate between,
-        // a k small enough that most candidates can be pruned once the
-        // heap fills, and enough postings volume to amortize its
-        // per-candidate bookkeeping; otherwise the dense kernel's
-        // straight-line accumulation wins.
-        if nonempty >= 2
-            && sum_df >= PRUNE_MIN_POSTINGS
-            && k.saturating_mul(PRUNE_K_FACTOR) <= sum_df
-        {
-            self.topk_pruned(qnorm, k, s);
-        } else {
-            self.topk_dense(qnorm, k, s);
-        }
     }
 
     /// Dense term-at-a-time kernel: accumulates every posting of every
@@ -289,7 +211,6 @@ impl InvertedIndex {
     /// into the thread-local dense accumulator, then offers the touched
     /// documents to the top-k heap.
     fn topk_dense(&self, qnorm: f64, k: usize, s: &mut Scratch) {
-        mp_obs::counter!("index.queries_dense").incr();
         s.ensure_doc_capacity(self.doc_count as usize);
         s.touched.clear();
         for j in 0..s.qtf.len() {
@@ -323,172 +244,11 @@ impl InvertedIndex {
         mp_obs::counter!("index.docs_scored").add(u64::try_from(s.touched.len()).unwrap_or(0));
     }
 
-    /// Exact max-score document-at-a-time kernel (Turtle & Flood).
-    ///
-    /// Terms are processed in descending upper-bound order (bounds live
-    /// in normalized score space — see [`Derived::build`]); candidates
-    /// are generated in ascending doc-id order from the *essential*
-    /// prefix of lists — those whose remaining-terms bound can still
-    /// beat the current k-th exact score θ. Each candidate's refined
-    /// bound (the bounds of the essential terms it actually matched +
-    /// the whole non-essential suffix) gates a full sorted-term-order
-    /// scoring pass over the forward index, so every emitted score is
-    /// bit-identical to the dense kernel's, and a skipped document is
-    /// rigorously proven (see [`BOUND_SLACK`]) unable to enter the
-    /// top-k.
-    fn topk_pruned(&self, qnorm: f64, k: usize, s: &mut Scratch) {
-        mp_obs::counter!("index.queries_pruned").incr();
-        let der = self.derived();
-        s.topk.reset(k);
-        let m = s.qtf.len();
-        {
-            // Split borrows: sort the processing order by descending
-            // bound (ties: ascending term id, a total deterministic
-            // order — bounds are finite by construction).
-            let Scratch {
-                ref mut order,
-                ref bound,
-                ref qtf,
-                ..
-            } = *s;
-            order.clear();
-            for (j, &(term, _)) in qtf.iter().enumerate() {
-                if !self.postings(TermId(term)).is_empty() {
-                    order.push(u32::try_from(j).expect("query terms fit u32 by construction"));
-                }
-            }
-            order.sort_unstable_by(|&a, &b| {
-                mp_stats::float::total_cmp_desc(bound[a as usize], bound[b as usize])
-                    .then(qtf[a as usize].0.cmp(&qtf[b as usize].0))
-            });
-        }
-        let n_lists = s.order.len();
-        if n_lists == 0 {
-            return;
-        }
-        s.suffix.clear();
-        s.suffix.resize(n_lists + 1, 0.0);
-        for i in (0..n_lists).rev() {
-            s.suffix[i] = s.bound[s.order[i] as usize] + s.suffix[i + 1];
-        }
-        // Normalized "best score any document drawing only on lists
-        // i.. could reach": the bounds already live in normalized score
-        // space, so only the query norm (and the exactness slack)
-        // remains to fold in.
-        let inv_qnorm = BOUND_SLACK / qnorm;
-        s.suffix_norm.clear();
-        for i in 0..=n_lists {
-            s.suffix_norm.push(s.suffix[i] * inv_qnorm);
-        }
-        s.cursor.clear();
-        s.cursor.resize(n_lists, 0);
-        s.cand_tf.clear();
-        s.cand_tf.resize(m, 0);
-
-        let mut live = n_lists; // essential lists: order[0..live]
-        let mut theta = f64::NEG_INFINITY;
-        let mut scored: u64 = 0;
-        let mut skipped: u64 = 0;
-        loop {
-            // Next candidate: the minimum current doc id across the
-            // essential lists (ascending doc-id traversal).
-            let mut next = u32::MAX;
-            let mut found = false;
-            for i in 0..live {
-                let plist = self.postings(TermId(s.qtf[s.order[i] as usize].0));
-                if s.cursor[i] < plist.len() {
-                    let d = plist[s.cursor[i]].doc.0;
-                    if !found || d < next {
-                        next = d;
-                        found = true;
-                    }
-                }
-            }
-            if !found {
-                break;
-            }
-            // Advance every essential cursor sitting on the candidate,
-            // refining its bound with the matched terms' bounds and
-            // collecting their tf values (free — they're right there in
-            // the postings) for the scoring pass.
-            let mut hit_bound = 0.0f64;
-            for i in 0..live {
-                let j = s.order[i] as usize;
-                let plist = self.postings(TermId(s.qtf[j].0));
-                if s.cursor[i] < plist.len() && plist[s.cursor[i]].doc.0 == next {
-                    hit_bound += s.bound[j];
-                    s.cand_tf[j] = plist[s.cursor[i]].tf;
-                    s.cursor[i] += 1;
-                }
-            }
-            if s.topk.is_full() {
-                let ub = (hit_bound + s.suffix[live]) * inv_qnorm;
-                if ub < theta {
-                    skipped += 1;
-                    for j in 0..m {
-                        s.cand_tf[j] = 0;
-                    }
-                    continue;
-                }
-            }
-            let slot = next as usize;
-            let dnorm = self.doc_norms[slot];
-            debug_assert!(dnorm > 0.0, "posted documents have positive norms");
-            // The candidate may also contain terms whose (demoted)
-            // lists no longer generate candidates: fetch those tfs from
-            // the forward index — typically one probe, for the common
-            // low-bound term whose long list was demoted first.
-            for i in live..n_lists {
-                let j = s.order[i] as usize;
-                s.cand_tf[j] = der.tf(slot, s.qtf[j].0);
-            }
-            // Exact scoring: ascending-term-id accumulation — the
-            // historical summation order, so the score's bit pattern
-            // matches the dense kernel exactly.
-            let mut dot = 0.0f64;
-            for j in 0..m {
-                let tf = s.cand_tf[j];
-                if tf > 0 {
-                    dot += s.wq[j] * (tf as f64 * s.idf[j]);
-                }
-                s.cand_tf[j] = 0;
-            }
-            scored += 1;
-            s.topk.offer(ScoredDoc {
-                doc: DocId(next),
-                score: dot / (qnorm * dnorm),
-            });
-            if s.topk.is_full() {
-                let worst = s
-                    .topk
-                    .threshold()
-                    .map(|x| x.score)
-                    .unwrap_or(f64::NEG_INFINITY);
-                if worst > theta {
-                    theta = worst;
-                    // θ only rises, so the essential prefix only
-                    // shrinks; demoted lists stop generating
-                    // candidates (their remaining docs provably lose).
-                    while live > 0 && s.suffix_norm[live - 1] < theta {
-                        live -= 1;
-                    }
-                }
-            }
-        }
-        // Entries of demoted lists that were never visited are pruned
-        // work too — without demotion each would have been a candidate.
-        for i in live..n_lists {
-            let plist = self.postings(TermId(s.qtf[s.order[i] as usize].0));
-            skipped += u64::try_from(plist.len() - s.cursor[i]).unwrap_or(0);
-        }
-        mp_obs::counter!("index.prune_skipped").add(skipped);
-        mp_obs::counter!("index.docs_scored").add(scored);
-    }
-
     /// The historical HashMap-accumulator kernel, retained as the
-    /// executable reference: the property tests pin both production
-    /// kernels bit-identical to it, and the `retrieval_kernel` bench
-    /// measures the rebuilt kernel's speedup against it.
+    /// executable reference: the property tests pin
+    /// [`Self::cosine_topk`] bit-identical to it, and the
+    /// `retrieval_kernel` bench measures the dense kernel's speedup
+    /// against it.
     pub fn cosine_topk_naive(&self, query: &[TermId], k: usize) -> Vec<ScoredDoc> {
         // Query term frequencies in *sorted* term order: the weighted
         // dot products below are floating-point accumulations, and
@@ -540,92 +300,41 @@ impl InvertedIndex {
         topk.into_sorted()
     }
 
-    /// Forces the dense term-at-a-time kernel (test/bench hook: the
-    /// dispatch in [`Self::cosine_topk`] is a heuristic, but both
-    /// kernels must agree bitwise on every input).
-    #[doc(hidden)]
-    pub fn cosine_topk_dense_for_test(&self, query: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        if query.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        scratch::with_scratch(|s| {
-            let qnorm = self.prepare_query(query, s);
-            if mp_stats::float::exact_zero(qnorm) {
-                return Vec::new();
-            }
-            self.topk_dense(qnorm, k, s);
-            s.topk.drain_sorted()
-        })
-    }
-
-    /// Forces the pruned max-score kernel (test/bench hook; see
-    /// [`Self::cosine_topk_dense_for_test`]).
-    #[doc(hidden)]
-    pub fn cosine_topk_pruned_for_test(&self, query: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        if query.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        scratch::with_scratch(|s| {
-            let qnorm = self.prepare_query(query, s);
-            if mp_stats::float::exact_zero(qnorm) {
-                return Vec::new();
-            }
-            self.topk_pruned(qnorm, k, s);
-            s.topk.drain_sorted()
-        })
-    }
-
-    /// The maximum query-document cosine similarity in the collection —
-    /// the actual relevancy `r(db, q)` under the document-similarity
-    /// definition ("relevancy of the most relevant document", Section
-    /// 2.1). Zero when nothing matches.
-    ///
-    /// Fused allocation-free top-1 path: runs the pruned kernel (where
-    /// `k = 1` makes the θ bar rise fastest) entirely inside the
-    /// thread-local scratch and reads the single retained score without
-    /// materializing a result vector.
-    pub fn max_similarity(&self, query: &[TermId]) -> f64 {
-        if query.is_empty() {
-            return 0.0;
-        }
-        scratch::with_scratch(|s| {
-            let qnorm = self.prepare_query(query, s);
-            if mp_stats::float::exact_zero(qnorm) {
-                return 0.0;
-            }
-            self.run_topk(qnorm, 1, s);
-            // With k = 1 the threshold entry *is* the best hit.
-            let best = s.topk.threshold().map(|x| x.score).unwrap_or(0.0);
-            s.topk.reset(0);
-            best
-        })
-    }
-
     /// Exports the `(term → df)` content summary used by summary-based
-    /// estimators, together with the collection size. Served from the
-    /// build-time cache — the postings are no longer rescanned per
-    /// call, and the map contents (hence any JSON rendering of the
-    /// summary) are identical to the historical scan.
+    /// estimators, together with the collection size: one entry per
+    /// term with a non-empty postings list, its df the list's length.
     pub fn df_summary(&self) -> (HashMap<TermId, u32>, u32) {
-        let map = self.derived().df_pairs.iter().copied().collect();
+        let map = self
+            .postings
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.is_empty())
+            .map(|(t, p)| {
+                let term = u32::try_from(t).expect("term ids are u32 by vocabulary construction");
+                (TermId(term), Self::posting_len(p))
+            })
+            .collect();
         (map, self.doc_count)
     }
 
-    /// Number of distinct terms with non-empty postings (cached at
-    /// build time).
+    /// Number of distinct terms with non-empty postings.
     pub fn distinct_terms(&self) -> usize {
-        self.derived().df_pairs.len()
+        self.postings.iter().filter(|p| !p.is_empty()).count()
     }
 
     /// Reconstructs a [`Document`] term bag from the forward index in
     /// `O(|doc|)` (used by probe responses that "download" top
-    /// documents; historically this walked the entire vocabulary).
+    /// documents; historically this walked the entire vocabulary). The
+    /// first call builds the forward index.
     pub fn reconstruct_doc(&self, doc: DocId) -> Document {
         let mut d = Document::new();
         if doc.index() >= self.doc_count as usize {
             return d;
         }
-        let (terms, tfs) = self.derived().doc_run(doc.index());
+        let forward = self
+            .forward
+            .get_or_init(|| ForwardIndex::build(&self.postings, self.doc_count));
+        let (terms, tfs) = forward.doc_run(doc.index());
         for (i, &t) in terms.iter().enumerate() {
             d.add_term(TermId(t), tfs[i]);
         }
@@ -633,7 +342,7 @@ impl InvertedIndex {
     }
 }
 
-// Manual serde impls: the derived structures must stay out of the wire
+// Manual serde impls: the forward index must stay out of the wire
 // format (the serialized JSON is byte-identical to the historical
 // derive over the four data fields, in declaration order).
 impl serde::Serialize for InvertedIndex {
@@ -672,7 +381,7 @@ impl serde::Deserialize for InvertedIndex {
             doc_lens: serde::Deserialize::from_value(field(v, "doc_lens")?)?,
             doc_norms: serde::Deserialize::from_value(field(v, "doc_norms")?)?,
             doc_count: serde::Deserialize::from_value(field(v, "doc_count")?)?,
-            derived: OnceLock::new(),
+            forward: OnceLock::new(),
         })
     }
 }
@@ -748,27 +457,6 @@ mod tests {
         let idx = index_of(&[&[1, 2, 3], &[4]]);
         let hits = idx.cosine_topk(&[t(1), t(2), t(3)], 1);
         assert!((hits[0].score - 1.0).abs() < 1e-9);
-        assert!((idx.max_similarity(&[t(1), t(2), t(3)]) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_similarity_zero_when_no_match() {
-        let idx = index_of(&[&[1]]);
-        assert_eq!(idx.max_similarity(&[t(7)]), 0.0);
-    }
-
-    #[test]
-    fn max_similarity_matches_top1_of_topk() {
-        let idx = index_of(&[&[1, 2, 5], &[1, 3], &[2, 2, 4], &[5]]);
-        for q in [vec![1u32, 2], vec![2], vec![1, 2, 5, 5], vec![9]] {
-            let query: Vec<TermId> = q.iter().map(|&i| t(i)).collect();
-            let via_topk = idx
-                .cosine_topk(&query, 1)
-                .first()
-                .map(|h| h.score)
-                .unwrap_or(0.0);
-            assert_eq!(idx.max_similarity(&query).to_bits(), via_topk.to_bits());
-        }
     }
 
     #[test]
@@ -779,6 +467,31 @@ mod tests {
         assert_eq!(summary.get(&t(1)), Some(&1));
         assert_eq!(summary.get(&t(2)), Some(&2));
         assert_eq!(summary.len(), 2);
+    }
+
+    /// Only `reconstruct_doc` builds the forward index: retrieval,
+    /// matching and summary export read the postings alone, on a fresh
+    /// build and on a deserialized copy alike.
+    #[test]
+    fn forward_index_is_built_by_the_first_reconstruct_doc() {
+        let built = index_of(&[&[1, 2, 2], &[2, 3], &[4]]);
+        let json = serde_json::to_string(&built).expect("index serializes to JSON");
+        let parsed: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
+        for idx in [built, parsed] {
+            assert!(
+                idx.forward.get().is_none(),
+                "no forward index before any call"
+            );
+            assert_eq!(idx.cosine_topk(&[t(2), t(3)], 2).len(), 2);
+            assert_eq!(idx.cosine_topk_naive(&[t(2)], 5).len(), 2);
+            assert_eq!(idx.count_matching(&[t(2)]), 2);
+            assert_eq!(idx.matching_docs(&[t(2), t(3)]), vec![DocId(1)]);
+            assert_eq!(idx.df_summary().0.len(), 4);
+            assert_eq!(idx.distinct_terms(), 4);
+            assert!(idx.forward.get().is_none(), "queries built a forward index");
+            assert_eq!(idx.reconstruct_doc(DocId(0)).tf(t(2)), 2);
+            assert!(idx.forward.get().is_some(), "reconstruct_doc built none");
+        }
     }
 
     #[test]
@@ -819,7 +532,7 @@ mod tests {
         let back: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
         assert_eq!(back.doc_count(), 2);
         assert_eq!(back.distinct_terms(), 2);
-        // Lazily-derived structures answer queries identically.
+        // The deserialized copy answers queries identically.
         let a = idx.cosine_topk(&[t(2)], 5);
         let b = back.cosine_topk(&[t(2)], 5);
         assert_eq!(a.len(), b.len());
@@ -834,6 +547,17 @@ mod tests {
         docs.iter()
             .filter(|d| query.iter().all(|q| d.contains(q)))
             .count() as u32
+    }
+
+    /// Naive df oracle: one scan over every posting of every list.
+    fn naive_df(idx: &InvertedIndex) -> HashMap<TermId, u32> {
+        let mut df = HashMap::new();
+        for (term, list) in idx.postings.iter().enumerate() {
+            for _ in list {
+                *df.entry(t(term as u32)).or_insert(0) += 1;
+            }
+        }
+        df
     }
 
     fn assert_bit_identical(a: &[ScoredDoc], b: &[ScoredDoc]) {
@@ -857,6 +581,38 @@ mod tests {
             let idx = index_of(&refs);
             let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
             prop_assert_eq!(idx.count_matching(&q), naive_count(&docs, &query));
+        }
+
+        /// `df_summary` and `distinct_terms` equal a scan of every
+        /// posting, on a fresh build and after a JSON round trip. Sparse
+        /// term ids leave empty lists between the used ones, empty
+        /// documents post nothing, and ids past the last list are out of
+        /// the vocabulary.
+        #[test]
+        fn prop_df_summary_matches_a_posting_scan(
+            docs in proptest::collection::vec(
+                proptest::collection::vec((0u32..12).prop_map(|i| i * 3), 0..8), 0..25),
+            oov in 40u32..80
+        ) {
+            let refs: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
+            let built = index_of(&refs);
+            let json = serde_json::to_string(&built).expect("index serializes to JSON");
+            let parsed: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
+            for idx in [built, parsed] {
+                let expected = naive_df(&idx);
+                let (summary, n) = idx.df_summary();
+                prop_assert_eq!(n, docs.len() as u32);
+                prop_assert_eq!(&summary, &expected);
+                prop_assert_eq!(idx.distinct_terms(), expected.len());
+                prop_assert!(!summary.contains_key(&t(oov)));
+                prop_assert_eq!(idx.df(t(oov)), 0);
+                for doc_terms in &docs {
+                    for &term in doc_terms {
+                        let holding = docs.iter().filter(|d| d.contains(&term)).count() as u32;
+                        prop_assert_eq!(summary.get(&t(term)).copied(), Some(holding));
+                    }
+                }
+            }
         }
 
         #[test]

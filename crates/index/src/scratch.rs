@@ -1,8 +1,8 @@
-//! Thread-local scratch pool for the retrieval kernels.
+//! Thread-local scratch pool for the retrieval kernel.
 //!
-//! Every `cosine_topk` / `max_similarity` call needs per-query working
-//! memory: the dense per-document accumulator array, the touched-doc
-//! list, per-term weight/bound tables, and the top-k heap. Allocating
+//! Every `cosine_topk` call needs per-query working memory: the dense
+//! per-document accumulator array, the touched-doc list, the per-term
+//! weight and idf tables, and the top-k heap. Allocating
 //! those per query made the old `HashMap` kernel allocation-bound, so
 //! the pool keeps one [`Scratch`] per thread. A serve worker reuses its
 //! own across every query it serves (and across differently-sized
@@ -11,7 +11,7 @@
 //! queries of its chunk and starts cold on the next map.
 //!
 //! **Invariant:** between queries, every element of `acc` is exactly
-//! `0.0`. The dense kernel restores the invariant by zeroing only the
+//! `0.0`. The kernel restores the invariant by zeroing only the
 //! entries it touched; `ensure_doc_capacity` checks the whole array
 //! under `debug_assertions`. A kernel that unwinds mid-query can leave
 //! touched entries non-zero, so a thread that survives such a panic
@@ -20,7 +20,7 @@
 use crate::topk::TopK;
 use std::cell::RefCell;
 
-/// Reusable per-thread working memory for the retrieval kernels.
+/// Reusable per-thread working memory for the retrieval kernel.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Dense per-document dot-product accumulators (all zero between
@@ -36,22 +36,6 @@ pub(crate) struct Scratch {
     pub(crate) wq: Vec<f64>,
     /// Per `qtf` entry: the term's idf in the queried index.
     pub(crate) idf: Vec<f64>,
-    /// Per `qtf` entry: max-score upper bound on the term's
-    /// contribution to any document's normalized cosine score (scaled
-    /// by `1/qnorm` at use).
-    pub(crate) bound: Vec<f64>,
-    /// Indices into `qtf`, sorted by descending `bound`.
-    pub(crate) order: Vec<u32>,
-    /// Suffix sums of `bound` over `order` (raw, unnormalized).
-    pub(crate) suffix: Vec<f64>,
-    /// `slack · suffix / qnorm`: the normalized score any document
-    /// drawing only on the corresponding list suffix could still reach.
-    pub(crate) suffix_norm: Vec<f64>,
-    /// Per `order` entry: cursor into that term's postings list.
-    pub(crate) cursor: Vec<usize>,
-    /// Per `qtf` entry: the current candidate's tf for that term
-    /// (all zero between candidates).
-    pub(crate) cand_tf: Vec<u32>,
     /// Reusable bounded top-k collector.
     pub(crate) topk: TopK,
     queries: u64,
@@ -93,7 +77,7 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Runs `f` with this thread's scratch. The kernels never re-enter, so
+/// Runs `f` with this thread's scratch. The kernel never re-enters, so
 /// the `RefCell` borrow cannot conflict.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))

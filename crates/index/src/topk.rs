@@ -58,20 +58,6 @@ impl TopK {
         self.heap.clear();
     }
 
-    /// True once `k` results are held — from then on every further
-    /// `offer` must beat [`Self::threshold`] to get in.
-    pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
-    }
-
-    /// The currently-worst kept result (the k-th best so far), if any —
-    /// the exact entry bar a new candidate must clear once the
-    /// collector [`Self::is_full`]. This is the pruning threshold θ of
-    /// the max-score kernel.
-    pub fn threshold(&self) -> Option<ScoredDoc> {
-        self.heap.peek().map(|w| w.0)
-    }
-
     /// Offers a candidate result.
     pub fn offer(&mut self, candidate: ScoredDoc) {
         if self.k == 0 {

@@ -1,8 +1,7 @@
-//! Equivalence pins for the rebuilt retrieval kernel.
+//! Equivalence pins for the retrieval kernel.
 //!
-//! The production `cosine_topk` dispatches between a dense
-//! term-at-a-time kernel and an exact max-score pruned kernel; both
-//! must return results **bit-identical** to the retained naive
+//! The production `cosine_topk` (one dense term-at-a-time kernel) must
+//! return results **bit-identical** to the retained naive
 //! HashMap-accumulator reference (`cosine_topk_naive`) on every input —
 //! same documents, same order, same score bit patterns. These tests are
 //! the workspace determinism contract for the index layer.
@@ -40,59 +39,42 @@ fn assert_bit_identical(label: &str, a: &[ScoredDoc], b: &[ScoredDoc]) {
 
 /// Random collections over a small vocabulary (dense overlap), queries
 /// with duplicate terms and out-of-vocabulary terms (ids ≥ 12 never
-/// occur in documents), and the k regimes the issue calls out:
-/// 0, 1, n (= doc count), and > n.
-fn check_all_kernels(docs: &[Vec<u32>], query: &[u32]) {
+/// occur in documents), and the k regimes 0, 1, n (= doc count) and
+/// > n.
+fn check_against_naive(docs: &[Vec<u32>], query: &[u32]) {
     let idx = index_of(docs);
     let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
     let n = docs.len();
     for k in [0usize, 1, 3, n, n + 7, usize::MAX >> 1] {
-        let reference = idx.cosine_topk_naive(&q, k);
         assert_bit_identical(
-            &format!("dispatch k={k}"),
+            &format!("k={k}"),
             &idx.cosine_topk(&q, k),
-            &reference,
-        );
-        assert_bit_identical(
-            &format!("dense k={k}"),
-            &idx.cosine_topk_dense_for_test(&q, k),
-            &reference,
-        );
-        assert_bit_identical(
-            &format!("pruned k={k}"),
-            &idx.cosine_topk_pruned_for_test(&q, k),
-            &reference,
+            &idx.cosine_topk_naive(&q, k),
         );
     }
-    // The fused top-1 path agrees with the naive reference bitwise too.
-    let best = idx
-        .cosine_topk_naive(&q, 1)
-        .first()
-        .map(|h| h.score)
-        .unwrap_or(0.0);
-    assert_eq!(idx.max_similarity(&q).to_bits(), best.to_bits());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// New kernels (dispatched, forced-dense, forced-pruned) are all
-    /// bit-identical to the naive reference across random indices,
-    /// duplicate query terms, OOV terms, and all k regimes.
+    /// `cosine_topk` is bit-identical to the naive reference across
+    /// random indices, duplicate query terms, OOV terms, and all k
+    /// regimes.
     #[test]
-    fn prop_kernels_bit_identical_to_naive(
+    fn prop_kernel_bit_identical_to_naive(
         docs in proptest::collection::vec(
             proptest::collection::vec(0u32..12, 1..12), 1..30),
         query in proptest::collection::vec(0u32..16, 1..6)
     ) {
-        check_all_kernels(&docs, &query);
+        check_against_naive(&docs, &query);
     }
 
-    /// Skewed frequencies: one hot term everywhere plus rare terms, the
-    /// regime where max-score pruning actually skips documents — the
-    /// skips must not change the selected doc set or any score bit.
+    /// Skewed frequencies: four common terms fill every document and a
+    /// few rare high-idf terms sit in single documents, so small-k
+    /// rankings hinge on ties and on the rare terms — the ranking and
+    /// every score bit must still match.
     #[test]
-    fn prop_pruning_is_exact_under_skew(
+    fn prop_kernel_is_exact_under_skew(
         docs in proptest::collection::vec(
             proptest::collection::vec(0u32..4, 1..6), 4..40),
         rare in proptest::collection::vec(0usize..40, 0..5),
@@ -105,9 +87,7 @@ proptest! {
         }
         let idx = index_of(&docs);
         let q: Vec<TermId> = (0..2).chain(20..25).map(t).collect();
-        let reference = idx.cosine_topk_naive(&q, k);
-        assert_bit_identical("pruned", &idx.cosine_topk_pruned_for_test(&q, k), &reference);
-        assert_bit_identical("dispatch", &idx.cosine_topk(&q, k), &reference);
+        assert_bit_identical("skew", &idx.cosine_topk(&q, k), &idx.cosine_topk_naive(&q, k));
     }
 
     /// Forward-index round-trip: `reconstruct_doc` returns exactly the
@@ -149,9 +129,7 @@ fn scratch_pool_reuse_across_differently_sized_indices() {
                 let s1 = mp_index::scratch::thread_scratch_stats();
                 assert!(s1.queries > s0.queries, "scratch pool not used");
 
-                // Force the dense kernel (the pruned kernel never
-                // touches the dense accumulator).
-                let _ = big.cosine_topk_dense_for_test(&q, 5);
+                let _ = big.cosine_topk(&q, 5);
                 let grown = mp_index::scratch::thread_scratch_stats().acc_len;
                 assert_eq!(grown, 500, "accumulator sized to the big index");
 
@@ -193,4 +171,48 @@ fn warm_prevents_first_query_growth() {
             .join()
             .expect("warm test thread must not panic");
     });
+}
+
+/// A 20,000-document collection with a hot head term in every third
+/// document, a warm term in every seventh and a tail of rarer terms:
+/// long postings lists at small k, the regime where many candidates
+/// tie or fall just below the k-th score.
+#[test]
+fn large_collection_with_a_hot_head_term() {
+    let docs: Vec<Vec<u32>> = (0..20_000u32)
+        .map(|d| {
+            let mut terms = vec![10 + d % 97, 200 + d % 1_009];
+            if d % 3 == 0 {
+                terms.push(0);
+            }
+            if d % 7 == 0 {
+                terms.extend([1, 1]);
+            }
+            if d % 5 == 0 {
+                terms.push(10 + d % 13);
+            }
+            terms
+        })
+        .collect();
+    let idx = index_of(&docs);
+    assert!(idx.postings(t(0)).len() > 6_000, "head term is hot");
+    let queries: [&[u32]; 5] = [
+        &[0, 1],
+        &[0, 15],
+        &[0, 1, 42, 300],
+        &[1, 0, 0, 57],
+        &[0, 1, 9_999],
+    ];
+    for query in queries {
+        let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
+        for k in [1usize, 10] {
+            let got = idx.cosine_topk(&q, k);
+            assert_eq!(got.len(), k, "query {query:?} fills k={k}");
+            assert_bit_identical(
+                &format!("query {query:?} k={k}"),
+                &got,
+                &idx.cosine_topk_naive(&q, k),
+            );
+        }
+    }
 }
