@@ -2,7 +2,9 @@
 //!
 //! Shared testbed builders used by the Criterion benches and the
 //! `repro` binary that regenerates every table and figure of the paper
-//! (see `EXPERIMENTS.md`).
+//! (see `EXPERIMENTS.md`), and the summary math of the `pairs` binary,
+//! which runs the repository benchmark on a parent revision and on the
+//! working tree in alternating pairs ([`pairs`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +14,8 @@ use mp_corpus::{ScenarioConfig, ScenarioKind, TopicModelConfig};
 use mp_eval::experiments::SamplingStudyConfig;
 use mp_eval::{Testbed, TestbedConfig};
 use mp_workload::QueryGenConfig;
+
+pub mod pairs;
 
 /// The full-scale reproduction testbed (paper Section 6.1 shape):
 /// 20 health databases, 1000+1000 train and test queries per arity.

@@ -1,14 +1,26 @@
 //! The inverted index: boolean matching, cosine retrieval, df summaries.
 //!
-//! # Retrieval kernel (DESIGN.md §12)
+//! # Answer page (DESIGN.md §12)
 //!
-//! [`InvertedIndex::cosine_topk`] is one dense term-at-a-time kernel:
-//! reusable thread-local `f64` accumulators plus a touched-doc list
-//! instead of the historical per-query `HashMap`. It is pinned
-//! **bit-identical** to the retained [`InvertedIndex::cosine_topk_naive`]
-//! reference by proptests: every scored document's floating-point
-//! summation order (ascending term id) is exactly the historical
-//! kernel's, so every score's bit pattern is unchanged.
+//! A hidden database answers a query with a page of two parts:
+//! [`InvertedIndex::count_matching`] (the boolean AND count) and
+//! [`InvertedIndex::cosine_topk`] (the top-k documents). Neither does
+//! work whose result is thrown away.
+//!
+//! `cosine_topk` is one dense term-at-a-time kernel: reusable
+//! thread-local `f64` accumulators plus a touched-doc list instead of
+//! the historical per-query `HashMap`. Once its top-k heap is full, the
+//! worst kept score is a floor that skips a lower-scoring document with
+//! one comparison. It is pinned **bit-identical** to the retained
+//! [`InvertedIndex::cosine_topk_naive`] reference by proptests: every
+//! scored document's floating-point summation order (ascending term id)
+//! is exactly the historical kernel's, so every score's bit pattern is
+//! unchanged, and equal scores still meet the doc-id tie-break.
+//!
+//! `count_matching` is a shortest-first merge that counts without
+//! building an intersection: the two shortest lists in step, a cursor
+//! into each further list, all over thread-local scratch, so a call
+//! allocates nothing.
 //!
 //! The forward index behind [`InvertedIndex::reconstruct_doc`] is built
 //! on the first call, not by the builder: fetching documents is the
@@ -80,74 +92,70 @@ impl InvertedIndex {
     ///
     /// Duplicate query terms are deduplicated; an empty query matches
     /// every document (vacuous AND).
+    ///
+    /// A shortest-first merge that only counts: the two shortest
+    /// postings lists are walked in step, and each document they share
+    /// advances one cursor per further list. The first exhausted list
+    /// ends the merge. The distinct terms and the cursors live in the
+    /// thread-local scratch, so a call allocates nothing.
     pub fn count_matching(&self, query: &[TermId]) -> u32 {
-        match self.matching_docs_impl(query, None) {
-            MatchOutcome::Count(c) => c,
-            MatchOutcome::Docs(_) => unreachable!("count mode returns Count"),
+        if query.is_empty() {
+            return self.doc_count;
         }
-    }
-
-    /// Returns the ids of documents containing all query terms.
-    pub fn matching_docs(&self, query: &[TermId]) -> Vec<DocId> {
-        match self.matching_docs_impl(query, Some(usize::MAX)) {
-            MatchOutcome::Docs(d) => d,
-            MatchOutcome::Count(_) => unreachable!("collect mode returns Docs"),
-        }
-    }
-
-    fn matching_docs_impl(&self, query: &[TermId], collect: Option<usize>) -> MatchOutcome {
-        let mut terms: Vec<TermId> = query.to_vec();
-        terms.sort_unstable();
-        terms.dedup();
-        if terms.is_empty() {
-            return match collect {
-                None => MatchOutcome::Count(self.doc_count),
-                Some(limit) => {
-                    // Saturate: `limit` is usually `usize::MAX` ("all").
-                    let limit = u32::try_from(limit).unwrap_or(u32::MAX);
-                    MatchOutcome::Docs((0..self.doc_count.min(limit)).map(DocId).collect())
+        scratch::with_scratch(|s| {
+            s.qterms.clear();
+            s.qterms.extend(query.iter().map(|t| t.0));
+            // Shortest list first; equal terms have equal lengths, so
+            // duplicates sit next to each other.
+            s.qterms
+                .sort_unstable_by_key(|&t| (self.postings(TermId(t)).len(), t));
+            s.qterms.dedup();
+            let lead = self.postings(TermId(s.qterms[0]));
+            let Some(&second) = s.qterms.get(1) else {
+                return Self::posting_len(lead);
+            };
+            let second = self.postings(TermId(second));
+            let further = &s.qterms[2..];
+            s.cursors.clear();
+            s.cursors.resize(further.len(), 0);
+            let (mut i, mut j) = (0, 0);
+            let mut count = 0u32;
+            'merge: while i < lead.len() && j < second.len() {
+                let (doc, other) = (lead[i].doc, second[j].doc);
+                if doc < other {
+                    i += 1;
+                    continue;
                 }
-            };
-        }
-        // Intersect shortest-first: standard merge-intersection, linear
-        // in the smallest postings list.
-        let mut lists: Vec<&[Posting]> = terms.iter().map(|&t| self.postings(t)).collect();
-        lists.sort_by_key(|l| l.len());
-        if lists[0].is_empty() {
-            return match collect {
-                None => MatchOutcome::Count(0),
-                Some(_) => MatchOutcome::Docs(Vec::new()),
-            };
-        }
-        let mut current: Vec<DocId> = lists[0].iter().map(|p| p.doc).collect();
-        for list in &lists[1..] {
-            let mut next = Vec::with_capacity(current.len().min(list.len()));
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < current.len() && j < list.len() {
-                match current[i].cmp(&list[j].doc) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        next.push(current[i]);
-                        i += 1;
-                        j += 1;
+                if doc > other {
+                    j += 1;
+                    continue;
+                }
+                i += 1;
+                j += 1;
+                for (&t, cursor) in further.iter().zip(s.cursors.iter_mut()) {
+                    match Self::seek(self.postings(TermId(t)), cursor, doc) {
+                        None => break 'merge,
+                        Some(false) => continue 'merge,
+                        Some(true) => {}
                     }
                 }
+                count += 1;
             }
-            current = next;
-            if current.is_empty() {
-                break;
+            count
+        })
+    }
+
+    /// Advances `cursor` to the first posting of `list` at or after
+    /// `doc`: `None` once the list is exhausted, else whether that
+    /// posting is `doc`'s.
+    fn seek(list: &[Posting], cursor: &mut usize, doc: DocId) -> Option<bool> {
+        while let Some(p) = list.get(*cursor) {
+            if p.doc >= doc {
+                return Some(p.doc == doc);
             }
+            *cursor += 1;
         }
-        match collect {
-            None => MatchOutcome::Count(
-                u32::try_from(current.len()).expect("matches are bounded by doc_count, a u32"),
-            ),
-            Some(limit) => {
-                current.truncate(limit);
-                MatchOutcome::Docs(current)
-            }
-        }
+        None
     }
 
     /// Inverse document frequency with add-one smoothing:
@@ -210,6 +218,11 @@ impl InvertedIndex {
     /// query term (ascending term id — the historical summation order)
     /// into the thread-local dense accumulator, then offers the touched
     /// documents to the top-k heap.
+    ///
+    /// Once the heap holds `k` documents, its worst kept score is a
+    /// floor: a document scoring strictly below it is skipped with one
+    /// comparison, before a [`ScoredDoc`] is built. Equal scores still
+    /// reach [`TopK::offer`], so the doc-id tie-break is unchanged.
     fn topk_dense(&self, qnorm: f64, k: usize, s: &mut Scratch) {
         s.ensure_doc_capacity(self.doc_count as usize);
         s.touched.clear();
@@ -229,16 +242,22 @@ impl InvertedIndex {
             }
         }
         s.topk.reset(k);
+        let mut floor = f64::NEG_INFINITY;
         for i in 0..s.touched.len() {
             let slot = s.touched[i] as usize;
             let dot = s.acc[slot];
             s.acc[slot] = 0.0; // restore the all-zero invariant
             let dnorm = self.doc_norms[slot];
             if dnorm > 0.0 {
+                let score = dot / (qnorm * dnorm);
+                if score < floor {
+                    continue;
+                }
                 s.topk.offer(ScoredDoc {
                     doc: DocId(s.touched[i]),
-                    score: dot / (qnorm * dnorm),
+                    score,
                 });
+                floor = s.topk.worst_score().unwrap_or(f64::NEG_INFINITY);
             }
         }
         mp_obs::counter!("index.docs_scored").add(u64::try_from(s.touched.len()).unwrap_or(0));
@@ -386,11 +405,6 @@ impl serde::Deserialize for InvertedIndex {
     }
 }
 
-enum MatchOutcome {
-    Count(u32),
-    Docs(Vec<DocId>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,13 +446,6 @@ mod tests {
     fn duplicate_query_terms_are_deduplicated() {
         let idx = index_of(&[&[1], &[1, 2]]);
         assert_eq!(idx.count_matching(&[t(1), t(1)]), 2);
-    }
-
-    #[test]
-    fn matching_docs_returns_ids() {
-        let idx = index_of(&[&[1, 2], &[1], &[1, 2]]);
-        let got = idx.matching_docs(&[t(1), t(2)]);
-        assert_eq!(got, vec![DocId(0), DocId(2)]);
     }
 
     #[test]
@@ -485,7 +492,7 @@ mod tests {
             assert_eq!(idx.cosine_topk(&[t(2), t(3)], 2).len(), 2);
             assert_eq!(idx.cosine_topk_naive(&[t(2)], 5).len(), 2);
             assert_eq!(idx.count_matching(&[t(2)]), 2);
-            assert_eq!(idx.matching_docs(&[t(2), t(3)]), vec![DocId(1)]);
+            assert_eq!(idx.count_matching(&[t(2), t(3)]), 1);
             assert_eq!(idx.df_summary().0.len(), 4);
             assert_eq!(idx.distinct_terms(), 4);
             assert!(idx.forward.get().is_none(), "queries built a forward index");
@@ -571,16 +578,39 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// `count_matching` equals a scan of every document, on two
+        /// differently sized indexes whose calls alternate on one thread
+        /// (the cursors live in thread-local scratch): the query as
+        /// drawn, its terms duplicated, the empty query (every
+        /// document), a term past the last postings list, and twelve
+        /// distinct terms.
         #[test]
         fn prop_count_matching_matches_naive_scan(
             docs in proptest::collection::vec(
-                proptest::collection::vec(0u32..20, 0..15), 0..40),
-            query in proptest::collection::vec(0u32..25, 0..4)
+                proptest::collection::vec(0u32..20, 0..30), 0..40),
+            wide in proptest::collection::vec(
+                proptest::collection::vec(0u32..20, 0..30), 40..120),
+            query in proptest::collection::vec(0u32..25, 0..4),
+            twelve in proptest::collection::hash_set(0u32..20, 12),
+            oov in 20u32..60
         ) {
-            let refs: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
-            let idx = index_of(&refs);
-            let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
-            prop_assert_eq!(idx.count_matching(&q), naive_count(&docs, &query));
+            let mut twelve: Vec<u32> = twelve.into_iter().collect();
+            twelve.sort_unstable();
+            prop_assert_eq!(twelve.len(), 12);
+            let doubled: Vec<u32> = query.iter().chain(query.iter().rev()).copied().collect();
+            let past: Vec<u32> = query.iter().copied().chain([oov]).collect();
+            let queries: [&[u32]; 5] = [&query, &doubled, &[], &past, &twelve];
+            let small_refs: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
+            let wide_refs: Vec<&[u32]> = wide.iter().map(Vec::as_slice).collect();
+            let small = index_of(&small_refs);
+            let large = index_of(&wide_refs);
+            for query in queries {
+                let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
+                for (idx, collection) in [(&small, &docs), (&large, &wide)] {
+                    prop_assert_eq!(idx.count_matching(&q), naive_count(collection, query));
+                }
+            }
+            prop_assert_eq!(small.count_matching(&[]), docs.len() as u32);
         }
 
         /// `df_summary` and `distinct_terms` equal a scan of every

@@ -2,13 +2,15 @@
 //!
 //! Every `cosine_topk` call needs per-query working memory: the dense
 //! per-document accumulator array, the touched-doc list, the per-term
-//! weight and idf tables, and the top-k heap. Allocating
-//! those per query made the old `HashMap` kernel allocation-bound, so
-//! the pool keeps one [`Scratch`] per thread. A serve worker reuses its
-//! own across every query it serves (and across differently-sized
-//! indices: buffers only ever grow); one of mp-eval's fork-join threads
-//! lives for one per-query map, so it reuses its scratch across the
-//! queries of its chunk and starts cold on the next map.
+//! weight and idf tables, and the top-k heap; every `count_matching`
+//! call needs its distinct terms and one cursor per postings list.
+//! Allocating those per query made the old `HashMap` kernel
+//! allocation-bound, so the pool keeps one [`Scratch`] per thread. A
+//! serve worker reuses its own across every query it serves (and across
+//! differently-sized indices: buffers only ever grow); one of mp-eval's
+//! fork-join threads lives for one per-query map, so it reuses its
+//! scratch across the queries of its chunk and starts cold on the next
+//! map.
 //!
 //! **Invariant:** between queries, every element of `acc` is exactly
 //! `0.0`. The kernel restores the invariant by zeroing only the
@@ -28,8 +30,12 @@ pub(crate) struct Scratch {
     pub(crate) acc: Vec<f64>,
     /// Documents with a non-zero accumulator this query.
     pub(crate) touched: Vec<u32>,
-    /// Query term-id sort buffer (raw, before run-length encoding).
+    /// Query term-id sort buffer (raw, before run-length encoding; for
+    /// `count_matching`, the distinct terms shortest list first).
     pub(crate) qterms: Vec<u32>,
+    /// `count_matching`'s position in each postings list after the two
+    /// shortest.
+    pub(crate) cursors: Vec<usize>,
     /// Run-length-encoded query term frequencies, ascending term id.
     pub(crate) qtf: Vec<(u32, u32)>,
     /// Per `qtf` entry: query-side tf-idf weight `tfq · idf`.

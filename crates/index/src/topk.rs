@@ -1,4 +1,8 @@
 //! Bounded top-k collection over scored documents.
+//!
+//! [`TopK::offer`] decides membership by the total ranking order alone;
+//! [`TopK::worst_score`] lets a caller skip candidates that score
+//! strictly below the worst kept result without building them.
 
 use crate::types::ScoredDoc;
 use std::cmp::Ordering;
@@ -72,6 +76,17 @@ impl TopK {
             self.heap.pop();
             self.heap.push(WorstFirst(candidate));
         }
+    }
+
+    /// The worst kept result's score once `k` results are held, `None`
+    /// while every offer is still kept. A candidate scoring strictly
+    /// below it cannot enter; one scoring equal to it still may, on the
+    /// doc-id tie-break.
+    pub fn worst_score(&self) -> Option<f64> {
+        if self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|w| w.0.score)
     }
 
     /// Number of results currently held.

@@ -90,6 +90,43 @@ proptest! {
         assert_bit_identical("skew", &idx.cosine_topk(&q, k), &idx.cosine_topk_naive(&q, k));
     }
 
+    /// Tied k-th scores. Each pair holds two groups of identical
+    /// documents over different terms with equal dfs and tfs, so every
+    /// document of the pair scores exactly alike. The group over the
+    /// higher term id takes the lower doc ids, so the kernel meets those
+    /// tied documents after their higher-id rivals. Every k, including
+    /// each one that cuts through a tie group, must match the naive
+    /// reference bit for bit: the score floor has to let an equal score
+    /// reach the doc-id tie-break.
+    #[test]
+    fn prop_kernel_is_exact_through_tie_groups(
+        pairs in proptest::collection::vec((1usize..6, 1u32..4), 1..5),
+        filler in proptest::collection::vec(
+            proptest::collection::vec(40u32..48, 1..6), 0..10)
+    ) {
+        let mut docs: Vec<Vec<u32>> = Vec::new();
+        let mut query = Vec::new();
+        for (p, &(size, tf)) in pairs.iter().enumerate() {
+            let (lo, hi) = (10 + 2 * p as u32, 11 + 2 * p as u32);
+            query.extend([lo, hi]);
+            for term in [hi, lo] {
+                let mut doc = vec![term; tf as usize];
+                doc.push(30);
+                docs.extend(std::iter::repeat_n(doc, size));
+            }
+        }
+        docs.extend(filler);
+        let idx = index_of(&docs);
+        let q: Vec<TermId> = query.iter().map(|&i| t(i)).collect();
+        for k in 1..=docs.len() + 1 {
+            assert_bit_identical(
+                &format!("tie groups k={k}"),
+                &idx.cosine_topk(&q, k),
+                &idx.cosine_topk_naive(&q, k),
+            );
+        }
+    }
+
     /// Forward-index round-trip: `reconstruct_doc` returns exactly the
     /// term bag the builder was fed.
     #[test]
