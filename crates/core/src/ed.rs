@@ -4,6 +4,7 @@
 use crate::config::CoreConfig;
 use crate::error::relative_error;
 use crate::estimator::{estimate_all, RelevancyEstimator};
+use crate::expected::FloorRun;
 use crate::query_type::QueryType;
 use crate::rd::derive_rd;
 use crate::relevancy::RelevancyDef;
@@ -80,22 +81,24 @@ pub struct EdLibrary {
     /// output is deterministic without an adapter.
     per_db: Vec<HashMap<QueryType, ErrorDistribution>>,
     config: CoreConfig,
-    /// Every `(database, leaf)` ED frozen at `qt.index(..) * n_databases
-    /// + db`, with fallbacks resolved. Built on first use;
-    /// [`Self::record`] resets it. Derived from `per_db`, so it stays out
-    /// of the wire format and of `PartialEq`.
-    frozen: OnceLock<Vec<Option<FrozenLeaf>>>,
+    /// The frozen table and the floor runs, built together on first use;
+    /// [`Self::record`] resets both. Derived from `per_db`, so they stay
+    /// out of the wire format and of `PartialEq`.
+    frozen: OnceLock<Frozen>,
 }
 
-/// One `(database, leaf)` entry of the frozen table.
+/// What a query reads of the library, frozen.
 #[derive(Debug, Clone)]
-pub(crate) struct FrozenLeaf {
-    /// The ED as the [`Discrete`] an RD derivation scales.
-    pub(crate) ed: Discrete,
-    /// The RD of every estimate at or below the floor:
-    /// `derive_rd(est_floor, Some(&ed))`. Such an estimate scales the
-    /// leaf by the floor itself, so its RD depends on the leaf alone.
-    pub(crate) floor_rd: Discrete,
+struct Frozen {
+    /// Every `(database, leaf)` ED as the [`Discrete`] an RD derivation
+    /// scales, at `qt.index(..) * n_databases + db`, with fallbacks
+    /// resolved.
+    eds: Vec<Option<Discrete>>,
+    /// Per leaf, in [`QueryType::all`] order, the RD of every estimate at
+    /// or below the floor on each database, `derive_rd(est_floor,
+    /// Some(&ed))`, with its points pre-ranked. Such an estimate scales
+    /// the leaf by the floor itself, so its RD depends on the leaf alone.
+    runs: Vec<FloorRun>,
 }
 
 impl EdLibrary {
@@ -173,29 +176,51 @@ impl EdLibrary {
     /// What an RD derivation on `db` reads for a query of type `qt`:
     /// [`Self::ed_or_fallback`]'s choice as a [`Discrete`] and its RD at
     /// the estimate floor, or `None` when there is no ED (the RD degrades
-    /// to an impulse). One read of the frozen table, so a query pays no
-    /// map lookup and no fallback search.
-    pub(crate) fn frozen_leaf(&self, db: usize, qt: QueryType) -> Option<&FrozenLeaf> {
-        let n_thresholds = self.config.coverage_thresholds.len();
-        self.frozen.get_or_init(|| self.freeze())[qt.index(n_thresholds) * self.per_db.len() + db]
-            .as_ref()
+    /// to an impulse). Reads of the frozen table, so a query pays no map
+    /// lookup and no fallback search.
+    pub(crate) fn frozen_leaf(&self, db: usize, qt: QueryType) -> Option<(&Discrete, &Discrete)> {
+        let leaf = qt.index(self.config.coverage_thresholds.len());
+        let frozen = self.frozen();
+        let ed = frozen.eds[leaf * self.per_db.len() + db].as_ref()?;
+        Some((ed, frozen.runs[leaf].rd(db)?))
     }
 
-    /// Builds the frozen table, leaf-major. `ed.bucket_occupancy`
-    /// records each leaf here, once per freeze.
-    fn freeze(&self) -> Vec<Option<FrozenLeaf>> {
-        QueryType::all(self.config.coverage_thresholds.len())
+    /// The floor run of the leaf an estimate at the floor classifies to
+    /// for an `n_terms`-term query. A state built with it
+    /// ([`crate::expected::RdState::with_floor_run`]) takes the points of
+    /// every database whose RD is its floor RD there from the run.
+    pub(crate) fn floor_run(&self, n_terms: usize) -> &FloorRun {
+        let qt = self.classify(n_terms, self.config.est_floor);
+        &self.frozen().runs[qt.index(self.config.coverage_thresholds.len())]
+    }
+
+    fn frozen(&self) -> &Frozen {
+        self.frozen.get_or_init(|| self.freeze())
+    }
+
+    /// Builds the frozen table, leaf-major, and each leaf's floor run.
+    /// `ed.bucket_occupancy` records each leaf here, once per freeze.
+    fn freeze(&self) -> Frozen {
+        let mut eds = Vec::new();
+        let runs = QueryType::all(self.config.coverage_thresholds.len())
             .into_iter()
-            .flat_map(|qt| {
-                (0..self.per_db.len()).map(move |db| {
-                    let ed = self
-                        .ed_or_fallback(db, qt)
-                        .and_then(ErrorDistribution::to_discrete)?;
-                    let floor_rd = derive_rd(self.config.est_floor, Some(&ed), &self.config);
-                    Some(FrozenLeaf { ed, floor_rd })
-                })
+            .map(|qt| {
+                let floor_rds = (0..self.per_db.len())
+                    .map(|db| {
+                        let ed = self
+                            .ed_or_fallback(db, qt)
+                            .and_then(ErrorDistribution::to_discrete);
+                        let floor_rd = ed
+                            .as_ref()
+                            .map(|ed| derive_rd(self.config.est_floor, Some(ed), &self.config));
+                        eds.push(ed);
+                        floor_rd
+                    })
+                    .collect();
+                FloorRun::new(floor_rds)
             })
-            .collect()
+            .collect();
+        Frozen { eds, runs }
     }
 
     /// Classifies a query for database `db` given its estimate there.
@@ -329,6 +354,54 @@ mod tests {
             coverage: 0,
         };
         assert!(lib.ed_or_fallback(0, qt).is_none());
+    }
+
+    #[test]
+    fn record_after_a_state_was_built_leaves_no_stale_run() {
+        use crate::expected::RdState;
+        use crate::rd::derive_all_rds;
+        let bits = |rd: &Discrete| {
+            rd.points()
+                .iter()
+                .map(|&(v, p)| (v.to_bits(), p.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut lib = EdLibrary::empty(3, config());
+        for db in 0..3 {
+            lib.record(db, 2, 0.0, 2.0 + db as f64);
+            lib.record(db, 2, 0.0, 0.0);
+        }
+        let q = Query::new([mp_text::TermId(0), mp_text::TermId(1)]);
+        let before = derive_all_rds(&[0.0; 3], &q, &lib);
+        let built = RdState::with_floor_run(before.clone(), lib.floor_run(q.len()));
+        assert_eq!(
+            built.support_bits(),
+            RdState::new(before.clone()).support_bits()
+        );
+
+        // Database 1's floor leaf learns a new error: its floor RD moves.
+        for _ in 0..5 {
+            lib.record(1, 2, 0.0, 9.0);
+        }
+        let after = derive_all_rds(&[0.0; 3], &q, &lib);
+        assert_ne!(bits(&after[1]), bits(&before[1]));
+        let run = lib.floor_run(q.len());
+        for (db, after_rd) in after.iter().enumerate() {
+            let floor = run.rd(db).expect("every database has an ED");
+            let ed = lib.ed_or_fallback(db, lib.classify(2, 0.0));
+            let ed = ed.and_then(ErrorDistribution::to_discrete).unwrap();
+            let fresh = derive_rd(config().est_floor, Some(&ed), &config());
+            assert_eq!(bits(floor), bits(&fresh), "db {db}'s run is stale");
+            assert_eq!(bits(floor), bits(after_rd));
+        }
+        // The fresh RDs borrow the new run; the stale vector's database 1
+        // no longer matches it, so its points are sorted instead.
+        for rds in [after, before] {
+            assert_eq!(
+                RdState::with_floor_run(rds.clone(), run).support_bits(),
+                RdState::new(rds).support_bits()
+            );
+        }
     }
 
     #[test]

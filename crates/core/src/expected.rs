@@ -47,15 +47,23 @@ pub struct RdState {
 }
 
 impl RdState {
-    /// Builds the state from initial (unprobed) RDs.
+    /// Builds the state from initial (unprobed) RDs. It is the crate's
+    /// one state build with an empty floor run, so every support point
+    /// goes through the sort.
     pub fn new(rds: Vec<Discrete>) -> Self {
+        Self::with_floor_run(rds, &FloorRun::default())
+    }
+
+    /// Builds the state from initial (unprobed) RDs, taking the ranked
+    /// points of every RD that is bit for bit its database's floor RD in
+    /// `run` from the run ([`merged_support`]). The state is the same,
+    /// bit for bit, whatever `run` holds.
+    pub(crate) fn with_floor_run(rds: Vec<Discrete>, run: &FloorRun) -> Self {
         assert!(!rds.is_empty(), "need at least one database");
-        let support_size = mp_obs::histogram!("rd.support_size", mp_obs::bounds::POW2);
-        for rd in &rds {
-            support_size.record(u64::try_from(rd.points().len()).unwrap_or(u64::MAX));
-        }
         let probed = vec![false; rds.len()];
-        let (support, total) = merged_support(&rds);
+        let (support, total) = merged_support(&rds, run);
+        mp_obs::histogram!("rd.support_points", mp_obs::bounds::POW2)
+            .record(u64::try_from(support.len()).unwrap_or(u64::MAX));
         Self {
             rds,
             probed,
@@ -152,6 +160,21 @@ impl RdState {
         let mut c = self.clone();
         c.probe(i, value);
         c
+    }
+}
+
+#[cfg(test)]
+impl RdState {
+    /// The support, then the totals, as bits: equal for two states
+    /// exactly when their supports and totals are equal bit for bit.
+    pub(crate) fn support_bits(&self) -> Vec<u64> {
+        let points = self
+            .support
+            .iter()
+            .flat_map(|&(v, i, p, behind)| [v.to_bits(), i as u64, p.to_bits(), behind.to_bits()]);
+        points
+            .chain(self.total.iter().map(|t| t.to_bits()))
+            .collect()
     }
 }
 
@@ -295,38 +318,147 @@ fn sweep<C: Clone + AsRef<[f64]> + AsMut<[f64]>>(state: &RdState, zero: C) -> Ve
 /// behind)`, where `behind` is the mass of the database's lower points.
 pub(crate) type SupportPoint = (f64, usize, f64, f64);
 
+/// The floor RDs of one query-type leaf, with their support points
+/// ranked once.
+///
+/// At or below the estimate floor a database's RD is a fixed function of
+/// its leaf ([`crate::ed::EdLibrary`] freezes it), and most databases of
+/// a query on a large fleet sit there. The library builds one run per
+/// leaf, next to its frozen table, and a state built with
+/// [`RdState::with_floor_run`] takes those databases' points from the
+/// run instead of sorting them again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FloorRun {
+    /// Database `i`'s RD at the floor, or `None` when it has no ED.
+    rds: Vec<Option<Discrete>>,
+    /// Each floor RD's total mass, summed as [`push_points`] sums it
+    /// (`0.0` without an RD).
+    total: Vec<f64>,
+    /// Every floor RD's points in rank order, each with its merge key:
+    /// the value's [`desc_key`] in the high half, the database in the
+    /// low half.
+    points: Vec<(u128, SupportPoint)>,
+}
+
+impl FloorRun {
+    /// Ranks the points of `rds`, database `i`'s floor RD at `rds[i]`.
+    pub(crate) fn new(rds: Vec<Option<Discrete>>) -> Self {
+        let mut points = Vec::new();
+        let total = rds
+            .iter()
+            .enumerate()
+            .map(|(i, rd)| {
+                rd.as_ref()
+                    .map_or(0.0, |rd| push_points(&mut points, i, rd))
+            })
+            .collect();
+        let points = ranked_keys(&points)
+            .into_iter()
+            .map(|key| {
+                let point = points[key as u64 as usize];
+                (merge_key(key, point), point)
+            })
+            .collect();
+        Self { rds, total, points }
+    }
+
+    /// Database `db`'s floor RD, if it has an ED.
+    pub(crate) fn rd(&self, db: usize) -> Option<&Discrete> {
+        self.rds.get(db)?.as_ref()
+    }
+}
+
 /// The merged support of all RDs, sorted by
 /// [`crate::correctness::rank_order`], and each database's total mass:
-/// what every rival has behind before a sweep starts. [`RdState::new`]
-/// keeps it; both sweeps over the support ([`topk_marginals`] and the
-/// greedy engine's) read it there.
+/// what every rival has behind before a sweep starts. [`RdState`] keeps
+/// it; both sweeps over the support ([`topk_marginals`] and the greedy
+/// engine's) read it there.
 ///
-/// The sort runs on integers: each point's key is its value's
-/// [`desc_key`] in the high half and its build position in the low half.
-/// Points are built database-major, so on equal values the lower index
-/// keeps the lower position, and the keys' order is `rank_order`'s.
-fn merged_support(rds: &[Discrete]) -> (Vec<SupportPoint>, Vec<f64>) {
-    let mut points = Vec::with_capacity(rds.iter().map(Discrete::len).sum());
+/// Three steps:
+///
+/// 1. Every database whose RD is bit for bit its floor RD in `run`
+///    (compared with `to_bits`, so a stale or foreign RD never matches)
+///    takes its points and total from the run.
+/// 2. The other databases' points are keyed and sorted
+///    ([`ranked_keys`]).
+/// 3. One linear pass merges the two lists. A run point and a sorted
+///    point always belong to different databases, so their merge keys
+///    (value, then database) never tie, and within each list the order
+///    is already `rank_order`'s.
+///
+/// With an empty run (see [`RdState::new`]) the first and last steps
+/// take nothing.
+fn merged_support(rds: &[Discrete], run: &FloorRun) -> (Vec<SupportPoint>, Vec<f64>) {
+    let mut from_run = vec![false; rds.len()];
+    let mut run_len = 0;
+    let mut points = Vec::new();
     let mut total = Vec::with_capacity(rds.len());
     for (i, rd) in rds.iter().enumerate() {
-        let mut behind = 0.0;
-        for &(v, p) in rd.points() {
-            points.push((v, i, p, behind));
-            behind += p;
+        if run.rd(i).is_some_and(|floor| same_bits(floor, rd)) {
+            from_run[i] = true;
+            run_len += rd.len();
+            total.push(run.total[i]);
+        } else {
+            total.push(push_points(&mut points, i, rd));
         }
-        total.push(behind);
     }
+    let mut order = Vec::with_capacity(run_len + points.len());
+    let mut run_points = run
+        .points
+        .iter()
+        .filter(|&&(_, (_, i, ..))| from_run.get(i).is_some_and(|&taken| taken))
+        .peekable();
+    for key in ranked_keys(&points) {
+        let point = points[key as u64 as usize];
+        let at = merge_key(key, point);
+        while let Some(&(_, ahead)) = run_points.next_if(|&&(run_key, _)| run_key < at) {
+            order.push(ahead);
+        }
+        order.push(point);
+    }
+    order.extend(run_points.map(|&(_, point)| point));
+    (order, total)
+}
+
+/// Appends database `i`'s points to `points`, value ascending, each with
+/// the mass of its lower points, and returns the RD's total mass.
+fn push_points(points: &mut Vec<SupportPoint>, i: usize, rd: &Discrete) -> f64 {
+    let mut behind = 0.0;
+    for &(v, p) in rd.points() {
+        points.push((v, i, p, behind));
+        behind += p;
+    }
+    behind
+}
+
+/// `points`' sort keys in rank order. The sort runs on integers: each
+/// point's key is its value's [`desc_key`] in the high half and its
+/// position in `points` in the low half. Points are built
+/// database-major, so on equal values the lower index keeps the lower
+/// position, and the keys' order is `rank_order`'s.
+fn ranked_keys(points: &[SupportPoint]) -> Vec<u128> {
     let mut keys: Vec<u128> = points
         .iter()
         .enumerate()
         .map(|(at, &(v, ..))| u128::from(desc_key(v)) << 64 | at as u128)
         .collect();
     keys.sort_unstable();
-    let order = keys
-        .iter()
-        .map(|&key| points[key as u64 as usize])
-        .collect();
-    (order, total)
+    keys
+}
+
+/// The merge key of `point`, whose sort key is `key`: the same value
+/// half, with the database in place of the position.
+fn merge_key(key: u128, point: SupportPoint) -> u128 {
+    key >> 64 << 64 | point.1 as u128
+}
+
+/// Whether two RDs have the same points, bit for bit.
+fn same_bits(a: &Discrete, b: &Discrete) -> bool {
+    a.len() == b.len()
+        && a.points()
+            .iter()
+            .zip(b.points())
+            .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
 }
 
 /// Writes one rival's "ranks ahead" pmf into its leaf: `behind` at
@@ -677,7 +809,7 @@ mod tests {
     /// `merged_support` of its RDs, bit for bit.
     fn assert_fresh_support(state: &RdState) -> Result<(), TestCaseError> {
         let (support, total) = state.support();
-        let (fresh, fresh_total) = merged_support(state.rds());
+        let (fresh, fresh_total) = merged_support(state.rds(), &FloorRun::default());
         let bits =
             |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
         prop_assert_eq!(
@@ -731,7 +863,7 @@ mod tests {
     fn assert_keyed_equals_comparator(rds: &[Discrete]) -> Result<(), TestCaseError> {
         let bits =
             |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
-        let (keyed, _) = merged_support(rds);
+        let (keyed, _) = merged_support(rds, &FloorRun::default());
         prop_assert_eq!(
             keyed.iter().map(bits).collect::<Vec<_>>(),
             comparator_support(rds).iter().map(bits).collect::<Vec<_>>()
@@ -834,6 +966,112 @@ mod tests {
                 hyp.probe(i, near);
                 assert_fresh_support(&hyp)?;
                 state.probe(i, outcome);
+                assert_fresh_support(&state)?;
+            }
+        }
+    }
+
+    /// Fails unless `state` holds the comparator sort of its RDs and their
+    /// totals, bit for bit.
+    fn assert_comparator_state(state: &RdState) -> Result<(), TestCaseError> {
+        let bits =
+            |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
+        let (support, total) = state.support();
+        prop_assert_eq!(
+            support.iter().map(bits).collect::<Vec<_>>(),
+            comparator_support(state.rds())
+                .iter()
+                .map(bits)
+                .collect::<Vec<_>>()
+        );
+        let fresh_total = state
+            .rds()
+            .iter()
+            .map(|rd| rd.points().iter().fold(0.0, |behind, &(_, p)| behind + p));
+        prop_assert_eq!(
+            total.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+            fresh_total.map(f64::to_bits).collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
+    /// Database `i`'s RD against its floor RD `floor` (`None`: no ED), by
+    /// `kind`: the floor RD itself, another RD of the grid, the floor RD
+    /// with one value moved one ulp or its zero negated, or, without an
+    /// ED, an impulse.
+    fn run_case_rd(floor: Option<&Discrete>, other: &[(usize, f64)], kind: u8) -> Discrete {
+        let Some(floor) = floor else {
+            return Discrete::impulse(ulp_grid()[other[0].0]);
+        };
+        let moved = |f: fn(f64) -> f64| {
+            let mut pts = floor.points().to_vec();
+            let last = pts.len() - 1;
+            pts[last].0 = f(pts[last].0);
+            Discrete::from_weighted(&pts).unwrap()
+        };
+        match kind {
+            0..=3 => floor.clone(),
+            4 => ulp_grid_rd(other),
+            5 => moved(f64::next_up),
+            6 => moved(f64::next_down),
+            _ => {
+                let pts: Vec<(f64, f64)> = floor
+                    .points()
+                    .iter()
+                    .map(|&(v, p)| (if exact_zero(v) { -v } else { v }, p))
+                    .collect();
+                Discrete::from_weighted(&pts).unwrap()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_run_merged_support_equals_the_comparator_sort(
+            dbs in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..8, 0.05f64..1.0), 1..5),
+                    proptest::collection::vec((0usize..8, 0.05f64..1.0), 1..5),
+                    0u8..10,
+                ),
+                1..12
+            ),
+            probes in proptest::collection::vec((0usize..12, 0usize..12, 0u8..5), 0..6)
+        ) {
+            // Kinds 8 and 9 have no ED, so no floor RD.
+            let floors: Vec<Option<Discrete>> = dbs
+                .iter()
+                .map(|(floor, _, kind)| (*kind < 8).then(|| ulp_grid_rd(floor)))
+                .collect();
+            let rds: Vec<Discrete> = dbs
+                .iter()
+                .zip(&floors)
+                .map(|((_, other, kind), floor)| run_case_rd(floor.as_ref(), other, *kind))
+                .collect();
+            let run = FloorRun::new(floors);
+            let mut state = RdState::with_floor_run(rds.clone(), &run);
+            assert_comparator_state(&state)?;
+            // Runs of other fleets' sizes lend nothing they should not.
+            let short = FloorRun::new(run.rds[..run.rds.len() / 2].to_vec());
+            assert_comparator_state(&RdState::with_floor_run(rds.clone(), &short))?;
+            let long = FloorRun::new(run.rds.iter().chain(&run.rds).cloned().collect());
+            assert_comparator_state(&RdState::with_floor_run(rds.clone(), &long))?;
+            // Probes splice into the run-merged support as into a sorted one.
+            for (db, src, kind) in probes {
+                let i = db % state.len();
+                let pts = state.rds()[src % state.len()].points();
+                let near = pts[src % pts.len()].0;
+                let outcome = match kind {
+                    0 => -0.0,
+                    1 => near,
+                    2 => near.next_up(),
+                    3 => near.next_down(),
+                    _ => near + 0.5,
+                };
+                state.probe(i, outcome);
+                assert_comparator_state(&state)?;
                 assert_fresh_support(&state)?;
             }
         }

@@ -132,6 +132,13 @@ impl Metasearcher {
         derive_all_rds(&self.estimates(query), query, &self.library)
     }
 
+    /// The selection state of `query` over its RDs `rds`, built with the
+    /// library's floor run for the query: the state [`RdState::new`]
+    /// builds, bit for bit, without sorting the floor RDs' points again.
+    fn state(&self, query: &Query, rds: Vec<Discrete>) -> RdState {
+        RdState::with_floor_run(rds, self.library.floor_run(query.len()))
+    }
+
     /// Baseline selection (pure estimate ranking, paper Section 2.2).
     pub fn select_baseline(&self, query: &Query, k: usize) -> Vec<usize> {
         baseline_select(&self.estimates(query), k)
@@ -145,7 +152,7 @@ impl Metasearcher {
         k: usize,
         metric: CorrectnessMetric,
     ) -> (Vec<usize>, f64) {
-        best_set(&RdState::new(self.rds(query)), k, metric)
+        best_set(&self.state(query, self.rds(query)), k, metric)
     }
 
     /// Full adaptive selection: RD-based start, then `APro` probing via
@@ -176,7 +183,7 @@ impl Metasearcher {
             self.mediator.len(),
             "RD vector does not cover the mediated databases"
         );
-        let mut state = RdState::new(rds);
+        let mut state = self.state(query, rds);
         let probe_top_n = self.library.config().probe_top_n;
         let mut probe_fn = |i: usize| self.def.probe(self.mediator.db(i), query, probe_top_n);
         apro(&mut state, config, policy, &mut probe_fn)

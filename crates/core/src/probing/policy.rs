@@ -2,8 +2,10 @@
 
 use crate::correctness::CorrectnessMetric;
 use crate::expected::RdState;
+use mp_stats::Discrete;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 
 /// Chooses which database `APro` probes next (paper Figure 11, step (6):
 /// `SelectDb`).
@@ -60,13 +62,7 @@ impl ProbePolicy for ByEstimatePolicy {
     }
 
     fn select_db(&mut self, state: &RdState, _k: usize, _m: CorrectnessMetric) -> Option<usize> {
-        state.unprobed().into_iter().max_by(|&a, &b| {
-            state.rds()[a]
-                .mean()
-                .partial_cmp(&state.rds()[b].mean())
-                .expect("finite means")
-                .then(b.cmp(&a)) // tie → lower index
-        })
+        argmax_unprobed(state, Discrete::mean)
     }
 }
 
@@ -81,20 +77,32 @@ impl ProbePolicy for UncertaintyPolicy {
     }
 
     fn select_db(&mut self, state: &RdState, _k: usize, _m: CorrectnessMetric) -> Option<usize> {
-        state.unprobed().into_iter().max_by(|&a, &b| {
-            state.rds()[a]
-                .variance()
-                .partial_cmp(&state.rds()[b].variance())
-                .expect("finite variances")
-                .then(b.cmp(&a))
-        })
+        argmax_unprobed(state, Discrete::variance)
     }
+}
+
+/// The unprobed database whose RD scores highest under `score`, ties to
+/// the lower index, or `None` when every database is probed. One pass
+/// scores each candidate once.
+fn argmax_unprobed(state: &RdState, score: impl Fn(&Discrete) -> f64) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, rd) in state.rds().iter().enumerate() {
+        if state.is_probed(i) {
+            continue;
+        }
+        let s = score(rd);
+        // Only a strictly higher score displaces the lower index.
+        if best.is_none_or(|(b, _)| s.partial_cmp(&b).expect("finite scores") == Ordering::Greater)
+        {
+            best = Some((s, i));
+        }
+    }
+    best.map(|(_, i)| i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_stats::Discrete;
 
     fn d(pairs: &[(f64, f64)]) -> Discrete {
         Discrete::from_weighted(pairs).unwrap()
@@ -147,6 +155,33 @@ mod tests {
         // Impulse at 31 is probed; among unprobed {0, 1}, db1 has the
         // higher mean.
         assert_eq!(p.select_db(&s, 1, CorrectnessMetric::Absolute), Some(1));
+    }
+
+    #[test]
+    fn policies_break_exact_ties_to_the_lower_index() {
+        // db1 and db3 tie on the highest unprobed mean (20) and db0 and
+        // db2 on the highest unprobed variance (100); probed db4 holds
+        // both maxima and must be skipped.
+        let mut s = RdState::new(vec![
+            d(&[(0.0, 0.5), (20.0, 0.5)]),  // mean 10, var 100
+            d(&[(20.0, 1.0)]),              // mean 20, var 0
+            d(&[(5.0, 0.5), (25.0, 0.5)]),  // mean 15, var 100
+            d(&[(19.0, 0.5), (21.0, 0.5)]), // mean 20, var 1
+            d(&[(0.0, 0.5), (90.0, 0.5)]),  // mean 45, var 2025
+        ]);
+        s.probe(4, 90.0);
+        let m = CorrectnessMetric::Partial;
+        assert_eq!(ByEstimatePolicy.select_db(&s, 1, m), Some(1));
+        assert_eq!(UncertaintyPolicy.select_db(&s, 1, m), Some(0));
+        // Probing the winners hands the tie to the next index.
+        s.probe(1, 20.0);
+        s.probe(0, 0.0);
+        assert_eq!(ByEstimatePolicy.select_db(&s, 1, m), Some(3));
+        assert_eq!(UncertaintyPolicy.select_db(&s, 1, m), Some(2));
+        s.probe(2, 5.0);
+        s.probe(3, 21.0);
+        assert_eq!(ByEstimatePolicy.select_db(&s, 1, m), None);
+        assert_eq!(UncertaintyPolicy.select_db(&s, 1, m), None);
     }
 
     #[test]

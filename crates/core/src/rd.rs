@@ -47,8 +47,8 @@ pub fn derive_db_rd(estimate: f64, db: usize, query: &Query, lib: &EdLibrary) ->
     let qt = lib.classify(query.len(), estimate);
     let config = lib.config();
     match lib.frozen_leaf(db, qt) {
-        Some(leaf) if estimate <= config.est_floor => leaf.floor_rd.clone(),
-        leaf => derive_rd(estimate, leaf.map(|leaf| &leaf.ed), config),
+        Some((_, floor_rd)) if estimate <= config.est_floor => floor_rd.clone(),
+        leaf => derive_rd(estimate, leaf.map(|(ed, _)| ed), config),
     }
 }
 

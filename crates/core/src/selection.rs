@@ -4,17 +4,32 @@
 use crate::correctness::CorrectnessMetric;
 use crate::expected::{expected_absolute, topk_marginals, RdState};
 use mp_stats::float::total_cmp_desc;
+use mp_stats::Discrete;
+use std::cmp::Ordering;
 
 /// The `k` largest marginal top-k probabilities as `(database, marginal)`,
 /// ranked descending with ties to the lower index — the shared first step
 /// of [`best_set`] and [`best_set_score_quick`]. Every marginal comes from
 /// one [`topk_marginals`] sweep.
 fn top_marginals(state: &RdState, k: usize) -> Vec<(usize, f64)> {
-    let mut marginals: Vec<(usize, f64)> =
-        topk_marginals(state, k).into_iter().enumerate().collect();
-    marginals.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
-    marginals.truncate(k);
-    marginals
+    top_k(topk_marginals(state, k), k)
+}
+
+/// The `k` best `(index, value)` pairs of `values` by [`total_cmp_desc`],
+/// ties to the lower index, in that order: the first `k` of a sort of
+/// all `n`, from one scan that keeps them. The scan runs in index order,
+/// so a value equal to a kept one ranks behind it.
+fn top_k(values: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
+    let mut top: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
+    for (i, m) in values.into_iter().enumerate() {
+        if top.len() == k && total_cmp_desc(m, top[k - 1].1) != Ordering::Less {
+            continue;
+        }
+        let at = top.partition_point(|&(_, kept)| total_cmp_desc(kept, m) != Ordering::Greater);
+        top.insert(at, (i, m));
+        top.truncate(k);
+    }
+    top
 }
 
 /// `E[Cor_p]` of the top-ranked set: the mean of its marginals.
@@ -47,7 +62,6 @@ pub fn baseline_select(estimates: &[f64], k: usize) -> Vec<usize> {
 pub fn best_set(state: &RdState, k: usize, metric: CorrectnessMetric) -> (Vec<usize>, f64) {
     assert!(k >= 1 && k <= state.len(), "k out of range");
     let _span = mp_obs::span!("selection.best_set");
-    let rds = state.rds();
     let top = top_marginals(state, k);
     let mut set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
     set.sort_unstable();
@@ -62,33 +76,36 @@ pub fn best_set(state: &RdState, k: usize, metric: CorrectnessMetric) -> (Vec<us
 
     match metric {
         CorrectnessMetric::Partial => (set, mean_marginal(&top)),
-        CorrectnessMetric::Absolute => {
-            let mut score = expected_absolute(rds, &set);
-            // First-improvement swap local search.
-            let mut improved = true;
-            while improved {
-                improved = false;
-                'outer: for pos in 0..set.len() {
-                    for cand in 0..rds.len() {
-                        if set.contains(&cand) {
-                            continue;
-                        }
-                        let mut trial = set.clone();
-                        trial[pos] = cand;
-                        trial.sort_unstable();
-                        let s = expected_absolute(rds, &trial);
-                        if s > score + 1e-12 {
-                            set = trial;
-                            score = s;
-                            improved = true;
-                            break 'outer;
-                        }
-                    }
+        CorrectnessMetric::Absolute => swap_search(state.rds(), set),
+    }
+}
+
+/// First-improvement swap local search for the absolute metric, from the
+/// ascending set `set`: returns the improved set and its `E[Cor_a]`.
+fn swap_search(rds: &[Discrete], mut set: Vec<usize>) -> (Vec<usize>, f64) {
+    let mut score = expected_absolute(rds, &set);
+    let mut improved = true;
+    while improved {
+        improved = false;
+        'outer: for pos in 0..set.len() {
+            for cand in 0..rds.len() {
+                if set.contains(&cand) {
+                    continue;
+                }
+                let mut trial = set.clone();
+                trial[pos] = cand;
+                trial.sort_unstable();
+                let s = expected_absolute(rds, &trial);
+                if s > score + 1e-12 {
+                    set = trial;
+                    score = s;
+                    improved = true;
+                    break 'outer;
                 }
             }
-            (set, score)
         }
     }
+    (set, score)
 }
 
 /// RD-based selection (paper Section 3.3): the set with the highest
@@ -226,6 +243,100 @@ mod tests {
                 .map(|pts| Discrete::from_weighted(&pts).unwrap())
                 .collect()
         })
+    }
+
+    /// [`top_k`] by a full sort: the selection it replaced, kept as its
+    /// oracle.
+    fn sorted_top_k(values: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
+        let mut all: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
+        all.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    /// [`best_set`] seeded by the sort-based selection.
+    fn sort_based_best_set(
+        state: &RdState,
+        k: usize,
+        metric: CorrectnessMetric,
+    ) -> (Vec<usize>, f64) {
+        let top = sorted_top_k(topk_marginals(state, k), k);
+        let mut set: Vec<usize> = top.iter().map(|&(i, _)| i).collect();
+        set.sort_unstable();
+        match metric {
+            _ if k == 1 => (set, top[0].1),
+            CorrectnessMetric::Partial => (set, mean_marginal(&top)),
+            CorrectnessMetric::Absolute => swap_search(state.rds(), set),
+        }
+    }
+
+    fn pair_bits(top: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        top.iter().map(|&(i, m)| (i, m.to_bits())).collect()
+    }
+
+    #[test]
+    fn best_set_equals_the_sort_based_selection_on_exact_ties() {
+        let shared = d(&[(1.0, 0.25), (3.0, 0.5), (4.0, 0.25)]);
+        let states = [
+            // Identical RDs: ranks apart only by the index tie-break.
+            vec![shared.clone(); 6],
+            // Impulses at one value: marginals tie at exactly 1 and 0.
+            vec![Discrete::impulse(5.0); 5],
+            // Signed zeros rank as one value.
+            vec![
+                d(&[(-0.0, 1.0)]),
+                Discrete::impulse(0.0),
+                d(&[(-0.0, 0.5), (2.0, 0.5)]),
+                d(&[(0.0, 0.5), (2.0, 0.5)]),
+                Discrete::impulse(0.0),
+            ],
+            // Identical RDs around a distinct leader and a tail.
+            vec![
+                shared.clone(),
+                Discrete::impulse(9.0),
+                shared.clone(),
+                Discrete::impulse(0.0),
+                shared,
+            ],
+        ];
+        for rds in states {
+            let n = rds.len();
+            let state = RdState::new(rds);
+            for k in [1, 2, 3, n - 1, n] {
+                assert_eq!(
+                    pair_bits(&top_marginals(&state, k)),
+                    pair_bits(&sorted_top_k(topk_marginals(&state, k), k)),
+                    "n {n}, k {k}"
+                );
+                for metric in [CorrectnessMetric::Absolute, CorrectnessMetric::Partial] {
+                    let (set, score) = best_set(&state, k, metric);
+                    let (oracle, oracle_score) = sort_based_best_set(&state, k, metric);
+                    assert_eq!(set, oracle, "n {n}, k {k}, {metric:?}");
+                    assert_eq!(score.to_bits(), oracle_score.to_bits());
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_top_k_equals_the_sort_on_tied_values(
+            grid in proptest::collection::vec(0usize..6, 1..14)
+        ) {
+            // Exact ties everywhere, `-0.0` against `0.0` among them.
+            let values: Vec<f64> = grid
+                .iter()
+                .map(|&g| [-0.0, 0.0, 0.25, 0.5, 0.5f64.next_up(), 1.0][g])
+                .collect();
+            for k in 1..=values.len() {
+                prop_assert_eq!(
+                    pair_bits(&top_k(values.clone(), k)),
+                    pair_bits(&sorted_top_k(values.clone(), k))
+                );
+            }
+        }
     }
 
     proptest! {

@@ -12,6 +12,11 @@
 //!   `k`, threshold bits, metric, probe budget, policy), holding
 //!   completed [`MetasearchResult`]s.
 //!
+//! Both hold their values in `Arc`s, so a lookup, a publish and a dedup
+//! join share one value rather than copying it. A computed request
+//! copies its RD vector once, into the state it probes, and each
+//! [`ServeResponse`] copies its result once, outside every lock.
+//!
 //! **Why results are worker-count-invariant.** Each request's answer is
 //! a pure function of `(Metasearcher, request)`: the facade is shared
 //! immutably, every policy is constructed fresh per computation from
@@ -501,8 +506,8 @@ impl<'s> Client<'s> {
 pub struct Server {
     ms: Arc<Metasearcher>,
     config: ServeConfig,
-    results: ShardedCache<CacheKey, MetasearchResult>,
-    rds: ShardedCache<Query, Vec<Discrete>>,
+    results: ShardedCache<CacheKey, Arc<MetasearchResult>>,
+    rds: ShardedCache<Query, Arc<Vec<Discrete>>>,
     pub(crate) stats: StatsCore,
     /// Finished per-request waterfalls, striped per worker thread (no
     /// cross-worker lock on the completion path).
@@ -593,20 +598,22 @@ impl Server {
         })
     }
 
-    /// The full per-request computation (both caches cold).
-    fn compute(&self, req: &ServeRequest) -> MetasearchResult {
+    /// The full per-request computation (both caches cold). The RD
+    /// vector is copied once, into the state the search probes; the
+    /// cached one stays shared and untouched.
+    fn compute(&self, req: &ServeRequest) -> Arc<MetasearchResult> {
         let (rds, rd_outcome) = self
             .rds
-            .get_or_compute(req.query.clone(), || self.ms.rds(&req.query));
+            .get_or_compute(req.query.clone(), || Arc::new(self.ms.rds(&req.query)));
         self.stats.rd_lookup(rd_outcome == CacheOutcome::Hit);
         let mut policy = req.policy.build();
-        self.ms.search_with_rds(
+        Arc::new(self.ms.search_with_rds(
             &req.query,
-            rds,
+            Arc::unwrap_or_clone(rds),
             req.apro_config(),
             policy.as_mut(),
             self.config.fuse_limit,
-        )
+        ))
     }
 
     /// Executes one job: deadline check, SLO shed check, cache/dedup
@@ -715,7 +722,7 @@ impl Server {
         self.stats.complete(status, latency_us);
         self.land_trace(scope, latency_us, mp_obs::FlightReason::Slow);
         slot.fill(Ok(ServeResponse {
-            result,
+            result: Arc::unwrap_or_clone(result),
             cache: status,
             latency_us,
         }));

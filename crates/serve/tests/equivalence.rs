@@ -135,3 +135,58 @@ fn duplicate_heavy_stream_is_answered_from_the_cache() {
     assert_eq!(stats.hits, total - unique.len() as u64);
     assert_eq!(stats.dedup_joins, 0);
 }
+
+#[test]
+fn rd_cache_hits_answer_like_sequential_search() {
+    let tb = Testbed::build(TestbedConfig::tiny(13));
+    let ms = shared_metasearcher(&tb);
+    // Distinct queries, so the first request of each misses both caches.
+    let mut queries: Vec<Query> = Vec::new();
+    for q in tb.split.test.queries() {
+        if !queries.contains(q) {
+            queries.push(q.clone());
+        }
+    }
+    // Each query at two result-cache keys: the second request of a
+    // query misses the result cache and reuses the first one's RDs, which
+    // the first request's probes must have left untouched.
+    let requests: Vec<ServeRequest> = queries
+        .iter()
+        .flat_map(|q| {
+            [(2, 0.85), (1, 0.95)].map(|(k, threshold)| ServeRequest::new(q.clone(), k, threshold))
+        })
+        .collect();
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|req| {
+            let config = AproConfig {
+                k: req.k,
+                threshold: req.threshold,
+                metric: CorrectnessMetric::Partial,
+                max_probes: None,
+            };
+            ms.search(&req.query, config, &mut GreedyPolicy, FUSE_LIMIT)
+        })
+        .collect();
+    assert!(
+        expected.iter().any(|r| r.probes_used > 0),
+        "the stream must probe"
+    );
+
+    for workers in [1usize, 4] {
+        let server = Server::new(Arc::clone(&ms), ServeConfig::new(workers, 256));
+        let responses = server.serve_batch(requests.iter().cloned());
+        for (i, resp) in responses.into_iter().enumerate() {
+            let resp = resp.unwrap_or_else(|e| panic!("request {i} rejected: {e}"));
+            assert_eq!(resp.result, expected[i], "request {i}, workers={workers}");
+            assert_eq!(resp.cache, CacheStatus::Miss);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.rd_hits + stats.rd_misses, requests.len() as u64);
+        if workers == 1 {
+            // FIFO drain: every second request finds its query's RDs.
+            assert_eq!(stats.rd_hits, queries.len() as u64);
+            assert_eq!(stats.rd_misses, queries.len() as u64);
+        }
+    }
+}
