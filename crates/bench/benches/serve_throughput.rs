@@ -105,8 +105,8 @@ struct ScenarioReport {
     dedup_joins: u64,
 }
 
-/// One open-loop row. These rows run with the result cache **off**
-/// (every skewed duplicate is a cold miss) but the RD cache **on**.
+/// One open-loop row. These rows run with the result cache **off**, so
+/// every arrival, skewed duplicates included, computes on the cold path.
 #[derive(Serialize)]
 struct OpenLoopReport {
     workers: usize,
@@ -171,12 +171,7 @@ fn run_open_loop(
     let mut walls = Vec::with_capacity(OPEN_LOOP_RUNS);
     let mut last_stats = None;
     for measured in [false, true, true, true] {
-        let config = ServeConfig {
-            cache_cap: 0,       // every arrival computes: cold-path rows
-            rd_cache_cap: 1024, // RD derivation shared across arrivals
-            ..ServeConfig::new(workers, 0)
-        }
-        .with_shed_p99_ms(shed_p99_ms);
+        let config = ServeConfig::new(workers, 0).with_shed_p99_ms(shed_p99_ms);
         let server = Server::new(Arc::clone(ms), config);
         let t = Instant::now();
         server.run(|client| {

@@ -300,8 +300,8 @@ pub fn run_serve(
         stats.panicked
     ));
     out.push_str(&format!(
-        "result cache: {} hits, {} misses, {} dedup joins; rd cache: {} hits, {} misses\n",
-        stats.hits, stats.misses, stats.dedup_joins, stats.rd_hits, stats.rd_misses
+        "result cache: {} hits, {} misses, {} dedup joins\n",
+        stats.hits, stats.misses, stats.dedup_joins
     ));
     out.push_str(&format!(
         "latency p50 {} µs, p99 {} µs, max {} µs\n",

@@ -163,27 +163,7 @@ impl Metasearcher {
         config: AproConfig,
         policy: &mut dyn ProbePolicy,
     ) -> AproOutcome {
-        self.select_adaptive_with_rds(query, self.rds(query), config, policy)
-    }
-
-    /// [`Self::select_adaptive`] with the query's RDs supplied by the
-    /// caller — the serving layer caches RD vectors per query (they
-    /// depend only on the query, not on `k`/threshold/policy) and
-    /// replays them here. `rds` must be what [`Self::rds`] returns for
-    /// this query; the result is then identical to `select_adaptive`.
-    pub fn select_adaptive_with_rds(
-        &self,
-        query: &Query,
-        rds: Vec<Discrete>,
-        config: AproConfig,
-        policy: &mut dyn ProbePolicy,
-    ) -> AproOutcome {
-        assert_eq!(
-            rds.len(),
-            self.mediator.len(),
-            "RD vector does not cover the mediated databases"
-        );
-        let mut state = self.state(query, rds);
+        let mut state = self.state(query, self.rds(query));
         let probe_top_n = self.library.config().probe_top_n;
         let mut probe_fn = |i: usize| self.def.probe(self.mediator.db(i), query, probe_top_n);
         apro(&mut state, config, policy, &mut probe_fn)
@@ -199,20 +179,7 @@ impl Metasearcher {
         policy: &mut dyn ProbePolicy,
         fuse_limit: usize,
     ) -> MetasearchResult {
-        self.search_with_rds(query, self.rds(query), config, policy, fuse_limit)
-    }
-
-    /// [`Self::search`] with caller-supplied RDs (see
-    /// [`Self::select_adaptive_with_rds`] for the contract).
-    pub fn search_with_rds(
-        &self,
-        query: &Query,
-        rds: Vec<Discrete>,
-        config: AproConfig,
-        policy: &mut dyn ProbePolicy,
-        fuse_limit: usize,
-    ) -> MetasearchResult {
-        let outcome = self.select_adaptive_with_rds(query, rds, config, policy);
+        let outcome = self.select_adaptive(query, config, policy);
         let top_n = self.library.config().probe_top_n.max(fuse_limit);
         let responses: Vec<_> = outcome
             .selected

@@ -10,12 +10,12 @@
 //!   buffering unboundedly — drained by a fixed-size `thread::scope`
 //!   worker pool ([`pool`], the crate's only thread source, L4-exempt
 //!   like mp-eval's per-query fork-join);
-//! * a **sharded LRU cache** with **single-flight deduplication**
-//!   ([`cache`]): repeated queries hit, concurrent identical queries
-//!   compute once and everyone else joins the leader's flight. Two
-//!   layers mirror the pipeline — RD vectors keyed by query, completed
+//! * a **sharded LRU result cache** with **single-flight
+//!   deduplication** ([`cache`]): completed
 //!   [`MetasearchResult`](mp_core::MetasearchResult)s keyed by the full
-//!   request identity ([`CacheKey`]);
+//!   request identity ([`CacheKey`]), so repeated requests hit and
+//!   concurrent identical ones compute once while everyone else joins
+//!   the leader's flight;
 //! * per-request **deadline checks** and a [`ServeStats`] snapshot
 //!   (hits / misses / dedup joins / rejects / sheds / panics, p50/p99
 //!   latency on the `mp_obs::bounds::LATENCY_US` buckets), mirrored

@@ -1,21 +1,17 @@
 //! The server: shared state, request/response types, and the handler.
 //!
-//! A [`Server`] owns an `Arc<Metasearcher>` plus two caches and a stats
-//! block; worker threads (see [`crate::pool`]) call
+//! A [`Server`] owns an `Arc<Metasearcher>` plus a result cache and a
+//! stats block; worker threads (see [`crate::pool`]) call
 //! [`Server::handle`](Server) on jobs drained from the bounded queue.
-//! The caches are layered the way the pipeline is:
 //!
-//! * an **RD cache** keyed by the [`Query`] alone — the relevancy
-//!   distributions depend only on the query (estimates + trained EDs),
-//!   so every `(k, threshold, policy)` variant of a query shares them;
-//! * a **result cache** keyed by the full [`CacheKey`] (query terms,
-//!   `k`, threshold bits, metric, probe budget, policy), holding
-//!   completed [`MetasearchResult`]s.
-//!
-//! Both hold their values in `Arc`s, so a lookup, a publish and a dedup
-//! join share one value rather than copying it. A computed request
-//! copies its RD vector once, into the state it probes, and each
-//! [`ServeResponse`] copies its result once, outside every lock.
+//! The **result cache** is keyed by the full [`CacheKey`] (query terms,
+//! `k`, threshold bits, metric, probe budget, policy) and holds
+//! completed [`MetasearchResult`]s in `Arc`s, so a lookup, a publish and
+//! a dedup join share one value rather than copying it; each
+//! [`ServeResponse`] copies its result once, outside every lock. A
+//! computed request derives its query's RDs itself, moves them into the
+//! state it probes, and drops them when it ends: no RD vector outlives
+//! its request.
 //!
 //! **Why results are worker-count-invariant.** Each request's answer is
 //! a pure function of `(Metasearcher, request)`: the facade is shared
@@ -35,7 +31,6 @@ use mp_core::probing::{
     ByEstimatePolicy, GreedyPolicy, ProbePolicy, RandomPolicy, UncertaintyPolicy,
 };
 use mp_core::{AproConfig, CorrectnessMetric, MetasearchResult, Metasearcher};
-use mp_stats::Discrete;
 use mp_workload::Query;
 
 use crate::cache::{CacheOutcome, ShardedCache};
@@ -43,8 +38,8 @@ use crate::pool;
 use crate::queue::BoundedQueue;
 use crate::stats::{ServeStats, StatsCore};
 
-/// Lock shards per cache (result and RD cache alike): contention
-/// control for the worker pool.
+/// Lock shards of the result cache: contention control for the worker
+/// pool.
 const CACHE_SHARDS: usize = 8;
 
 /// A probing policy *specification* — cheap to clone, hash, and
@@ -269,8 +264,6 @@ pub struct ServeConfig {
     /// Result-cache capacity in entries; 0 disables caching and
     /// deduplication entirely.
     pub cache_cap: usize,
-    /// RD-cache capacity in entries (follows `cache_cap` semantics).
-    pub rd_cache_cap: usize,
     /// Fused hits returned per query.
     pub fuse_limit: usize,
     /// Collect per-request waterfalls: each request runs under a
@@ -298,7 +291,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 64,
             cache_cap: 1024,
-            rd_cache_cap: 1024,
             fuse_limit: 10,
             trace: false,
             flight_recorder_cap: 16,
@@ -309,12 +301,11 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// A config with `workers` workers and `cache_cap` result-cache
-    /// entries (RD cache sized identically); other knobs default.
+    /// entries; other knobs default.
     pub fn new(workers: usize, cache_cap: usize) -> Self {
         Self {
             workers,
             cache_cap,
-            rd_cache_cap: cache_cap,
             ..Self::default()
         }
     }
@@ -507,7 +498,6 @@ pub struct Server {
     ms: Arc<Metasearcher>,
     config: ServeConfig,
     results: ShardedCache<CacheKey, Arc<MetasearchResult>>,
-    rds: ShardedCache<Query, Arc<Vec<Discrete>>>,
     pub(crate) stats: StatsCore,
     /// Finished per-request waterfalls, striped per worker thread (no
     /// cross-worker lock on the completion path).
@@ -521,7 +511,6 @@ impl Server {
     pub fn new(ms: Arc<Metasearcher>, config: ServeConfig) -> Self {
         Self {
             results: ShardedCache::new(config.cache_cap, CACHE_SHARDS),
-            rds: ShardedCache::new(config.rd_cache_cap, CACHE_SHARDS),
             ms,
             stats: StatsCore::new(),
             sink: mp_obs::TraceSink::new(),
@@ -569,10 +558,9 @@ impl Server {
         self.results.len()
     }
 
-    /// Drops both caches' entries (stats are kept).
+    /// Drops the result cache's entries (stats are kept).
     pub fn clear_cache(&self) {
         self.results.clear();
-        self.rds.clear();
     }
 
     /// Runs a serving session: spawns the worker pool, hands the
@@ -598,18 +586,12 @@ impl Server {
         })
     }
 
-    /// The full per-request computation (both caches cold). The RD
-    /// vector is copied once, into the state the search probes; the
-    /// cached one stays shared and untouched.
+    /// The full per-request computation: a sequential
+    /// [`Metasearcher::search`] with a fresh policy.
     fn compute(&self, req: &ServeRequest) -> Arc<MetasearchResult> {
-        let (rds, rd_outcome) = self
-            .rds
-            .get_or_compute(req.query.clone(), || Arc::new(self.ms.rds(&req.query)));
-        self.stats.rd_lookup(rd_outcome == CacheOutcome::Hit);
         let mut policy = req.policy.build();
-        Arc::new(self.ms.search_with_rds(
+        Arc::new(self.ms.search(
             &req.query,
-            Arc::unwrap_or_clone(rds),
             req.apro_config(),
             policy.as_mut(),
             self.config.fuse_limit,

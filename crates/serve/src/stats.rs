@@ -38,9 +38,12 @@ pub struct ServeStats {
     pub misses: u64,
     /// Requests that joined another request's in-flight computation.
     pub dedup_joins: u64,
-    /// RD-vector cache hits (the query-keyed first-level cache).
+    /// Computed requests that reused another request's RDs: always 0,
+    /// because no RD vector outlives the request that derived it.
     pub rd_hits: u64,
-    /// RD-vector cache misses.
+    /// Computed requests that derived their query's RDs: always equal
+    /// to [`Self::misses`], because each computed request derives them
+    /// exactly once.
     pub rd_misses: u64,
     /// Admission-control rejections (queue full → `Overload`).
     pub rejects: u64,
@@ -91,8 +94,6 @@ pub(crate) struct StatsCore {
     hits: StripedU64,
     misses: StripedU64,
     dedup_joins: StripedU64,
-    rd_hits: StripedU64,
-    rd_misses: StripedU64,
     rejects: StripedU64,
     invalid: StripedU64,
     deadline_misses: StripedU64,
@@ -117,8 +118,6 @@ impl StatsCore {
             hits: StripedU64::new(),
             misses: StripedU64::new(),
             dedup_joins: StripedU64::new(),
-            rd_hits: StripedU64::new(),
-            rd_misses: StripedU64::new(),
             rejects: StripedU64::new(),
             invalid: StripedU64::new(),
             deadline_misses: StripedU64::new(),
@@ -187,16 +186,6 @@ impl StatsCore {
         self.window.record(latency_us);
     }
 
-    pub(crate) fn rd_lookup(&self, hit: bool) {
-        if hit {
-            self.rd_hits.incr();
-            mp_obs::counter!("serve.rd_cache_hits").incr();
-        } else {
-            self.rd_misses.incr();
-            mp_obs::counter!("serve.rd_cache_misses").incr();
-        }
-    }
-
     pub(crate) fn complete(&self, status: CacheStatus, latency_us: u64) {
         self.completed.incr();
         match status {
@@ -244,13 +233,14 @@ impl StatsCore {
         let rolling = self
             .window
             .rolling("serve.latency_us.rolling", WINDOW_SLOTS);
+        let misses = self.misses.get();
         ServeStats {
             completed: self.completed.get(),
             hits: self.hits.get(),
-            misses: self.misses.get(),
+            misses,
             dedup_joins: self.dedup_joins.get(),
-            rd_hits: self.rd_hits.get(),
-            rd_misses: self.rd_misses.get(),
+            rd_hits: 0,
+            rd_misses: misses,
             rejects: self.rejects.get(),
             invalid: self.invalid.get(),
             deadline_misses: self.deadline_misses.get(),

@@ -1,7 +1,7 @@
 //! Satellite (a): the serving layer is a *transparent* concurrency and
 //! caching wrapper — for every request, the response equals what a
 //! direct sequential [`Metasearcher::search`] call produces, regardless
-//! of worker count and whether the caches are on.
+//! of worker count and whether the result cache is on.
 //!
 //! Each answer is a pure function of `(Metasearcher, request)`, so
 //! threads can only reorder *which* request computes first, never
@@ -38,49 +38,60 @@ fn serving_is_equivalent_to_sequential_search() {
     let tb = Testbed::build(TestbedConfig::tiny(11));
     let queries: Vec<Query> = tb.split.test.queries().to_vec();
     assert_eq!(queries.len(), 200, "tiny testbed ships 200 test queries");
-
-    let ms = shared_metasearcher(&tb);
-    let expected: Vec<_> = queries
+    // Each query at two result-cache keys, so every query computes
+    // twice, from RDs of its own each time.
+    let requests: Vec<ServeRequest> = queries
         .iter()
-        .map(|q| {
-            let mut policy = GreedyPolicy;
-            ms.search(
-                q,
-                AproConfig {
-                    k: K,
-                    threshold: THRESHOLD,
-                    metric: CorrectnessMetric::Partial,
-                    max_probes: None,
-                },
-                &mut policy,
-                FUSE_LIMIT,
-            )
+        .flat_map(|q| {
+            [(K, THRESHOLD), (1, 0.95)]
+                .map(|(k, threshold)| ServeRequest::new(q.clone(), k, threshold))
         })
         .collect();
+
+    let ms = shared_metasearcher(&tb);
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|req| {
+            let config = AproConfig {
+                k: req.k,
+                threshold: req.threshold,
+                metric: CorrectnessMetric::Partial,
+                max_probes: None,
+            };
+            ms.search(&req.query, config, &mut GreedyPolicy, FUSE_LIMIT)
+        })
+        .collect();
+    assert!(
+        expected.iter().any(|r| r.probes_used > 0),
+        "the stream must probe"
+    );
 
     for workers in [1usize, 4, 8] {
         for cache_cap in [0usize, 256] {
             let server = Server::new(Arc::clone(&ms), ServeConfig::new(workers, cache_cap));
-            let responses = server.serve_batch(queries.iter().map(request));
-            assert_eq!(responses.len(), queries.len());
+            let responses = server.serve_batch(requests.iter().cloned());
+            assert_eq!(responses.len(), requests.len());
             for (i, resp) in responses.into_iter().enumerate() {
                 let resp = resp.unwrap_or_else(|e| {
-                    panic!("query {i} rejected under workers={workers} cache={cache_cap}: {e}")
+                    panic!("request {i} rejected under workers={workers} cache={cache_cap}: {e}")
                 });
                 assert_eq!(
                     resp.result, expected[i],
-                    "query {i} diverged under workers={workers} cache={cache_cap}"
+                    "request {i} diverged under workers={workers} cache={cache_cap}"
                 );
                 if cache_cap == 0 {
                     assert_eq!(resp.cache, CacheStatus::Bypass);
                 }
             }
             let stats = server.stats();
-            assert_eq!(stats.completed, queries.len() as u64);
+            assert_eq!(stats.completed, requests.len() as u64);
             assert_eq!(stats.rejects, 0);
             if cache_cap == 0 {
                 assert_eq!(stats.hits + stats.dedup_joins, 0, "cap 0 disables caching");
             }
+            // Each computed request derives its own RDs, exactly once.
+            assert_eq!(stats.rd_hits, 0);
+            assert_eq!(stats.rd_misses, stats.misses);
         }
     }
 }
@@ -134,59 +145,4 @@ fn duplicate_heavy_stream_is_answered_from_the_cache() {
     assert_eq!(stats.misses, unique.len() as u64);
     assert_eq!(stats.hits, total - unique.len() as u64);
     assert_eq!(stats.dedup_joins, 0);
-}
-
-#[test]
-fn rd_cache_hits_answer_like_sequential_search() {
-    let tb = Testbed::build(TestbedConfig::tiny(13));
-    let ms = shared_metasearcher(&tb);
-    // Distinct queries, so the first request of each misses both caches.
-    let mut queries: Vec<Query> = Vec::new();
-    for q in tb.split.test.queries() {
-        if !queries.contains(q) {
-            queries.push(q.clone());
-        }
-    }
-    // Each query at two result-cache keys: the second request of a
-    // query misses the result cache and reuses the first one's RDs, which
-    // the first request's probes must have left untouched.
-    let requests: Vec<ServeRequest> = queries
-        .iter()
-        .flat_map(|q| {
-            [(2, 0.85), (1, 0.95)].map(|(k, threshold)| ServeRequest::new(q.clone(), k, threshold))
-        })
-        .collect();
-    let expected: Vec<_> = requests
-        .iter()
-        .map(|req| {
-            let config = AproConfig {
-                k: req.k,
-                threshold: req.threshold,
-                metric: CorrectnessMetric::Partial,
-                max_probes: None,
-            };
-            ms.search(&req.query, config, &mut GreedyPolicy, FUSE_LIMIT)
-        })
-        .collect();
-    assert!(
-        expected.iter().any(|r| r.probes_used > 0),
-        "the stream must probe"
-    );
-
-    for workers in [1usize, 4] {
-        let server = Server::new(Arc::clone(&ms), ServeConfig::new(workers, 256));
-        let responses = server.serve_batch(requests.iter().cloned());
-        for (i, resp) in responses.into_iter().enumerate() {
-            let resp = resp.unwrap_or_else(|e| panic!("request {i} rejected: {e}"));
-            assert_eq!(resp.result, expected[i], "request {i}, workers={workers}");
-            assert_eq!(resp.cache, CacheStatus::Miss);
-        }
-        let stats = server.stats();
-        assert_eq!(stats.rd_hits + stats.rd_misses, requests.len() as u64);
-        if workers == 1 {
-            // FIFO drain: every second request finds its query's RDs.
-            assert_eq!(stats.rd_hits, queries.len() as u64);
-            assert_eq!(stats.rd_misses, queries.len() as u64);
-        }
-    }
 }
