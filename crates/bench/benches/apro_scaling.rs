@@ -26,6 +26,11 @@
 //! (`engine.reference`, driven once via the absolute-metric `k = 2`
 //! branch the sweep cannot serve).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench times its runs with the wall clock"
+)]
+
 use criterion::{black_box, criterion_group, Criterion};
 use mp_core::expected::RdState;
 use mp_core::probing::GreedyPolicy;

@@ -24,6 +24,13 @@
 //! `BENCH_apro.json`; CI uploads it as an artifact next to the other
 //! sections.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::disallowed_methods,
+    reason = "fleet sizes and document counts are small integers, and the bench times its runs with the wall clock"
+)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -13,6 +13,12 @@
 //! bit patterns — a speedup measured against diverging results would be
 //! meaningless.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "term ids come from a small vocabulary, and the bench times its runs with the wall clock"
+)]
+
 use criterion::{black_box, criterion_group, Criterion};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
 use mp_text::TermId;

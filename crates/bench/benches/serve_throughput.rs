@@ -47,6 +47,11 @@
 //! `retrieval_kernel` benches own the file's other sections) before
 //! any guard fires, so a failing run still records its readings.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench times its runs with the wall clock"
+)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -355,6 +355,10 @@ impl FloorRun {
         let points = ranked_keys(&points)
             .into_iter()
             .map(|key| {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a sort key's low 64 bits hold a position in `points`"
+                )]
                 let point = points[key as u64 as usize];
                 (merge_key(key, point), point)
             })
@@ -409,6 +413,10 @@ fn merged_support(rds: &[Discrete], run: &FloorRun) -> (Vec<SupportPoint>, Vec<f
         .filter(|&&(_, (_, i, ..))| from_run.get(i).is_some_and(|&taken| taken))
         .peekable();
     for key in ranked_keys(&points) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a sort key's low 64 bits hold a position in `points`"
+        )]
         let point = points[key as u64 as usize];
         let at = merge_key(key, point);
         while let Some(&(_, ahead)) = run_points.next_if(|&&(run_key, _)| run_key < at) {

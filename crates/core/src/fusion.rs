@@ -54,6 +54,11 @@ pub fn fuse(responses: &[(usize, SearchResponse)], limit: usize) -> Vec<FusedHit
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::cast_possible_truncation,
+        reason = "test lists are a handful of documents long"
+    )]
+
     use super::*;
     use mp_index::ScoredDoc;
 

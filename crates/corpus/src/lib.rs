@@ -27,6 +27,7 @@
 //!    reproducible [`scenario::Scenario`]s.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod database_gen;

@@ -134,6 +134,11 @@ impl TopicModel {
         // Topic vocabularies: own core plus an overlap slice borrowed
         // from the next topic (ring order). Borrowed terms are spliced at
         // random ranks so shared terms are popular in both topics.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a fraction of a usize count; the cast's floor is the intended rounding"
+        )]
         let borrow = (config.terms_per_topic as f64 * config.overlap_fraction) as usize;
         let mut topics = Vec::with_capacity(config.n_topics);
         for t in 0..config.n_topics {

@@ -22,8 +22,16 @@ pub fn pseudo_word(i: u64) -> String {
     // Always emit at least three syllables so words are >= 6 chars and
     // never collide with real stopwords or each other's prefixes.
     for _ in 0..3 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below CONSONANTS.len()"
+        )]
         let c = CONSONANTS[(n % CONSONANTS.len() as u64) as usize];
         n /= CONSONANTS.len() as u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below VOWELS.len()"
+        )]
         let v = VOWELS[(n % VOWELS.len() as u64) as usize];
         n /= VOWELS.len() as u64;
         word.push(c as char);

@@ -1,8 +1,9 @@
 //! The experiment harness's fork-join: an order-preserving map that
 //! chunks a test trace's queries over scoped threads, one per core.
 //!
-//! This is the workspace's one fork-join (lint rule L4 exempts this
-//! file, and mp-serve's worker pool is the only other thread owner).
+//! This is the workspace's one fork-join (its `thread::scope` is one of
+//! the two `#[expect]`ed `disallowed_methods` uses, and mp-serve's
+//! worker pool is the only other thread owner).
 //! mp-core itself is sequential, so every query's evaluation runs the
 //! same code on whichever thread picks it up, and results are collected
 //! in index order: every reduction downstream (mean, sort, argmax) sees
@@ -51,6 +52,10 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this fork-join is one of the two thread owners (LINT.md)"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .step_by(chunk)

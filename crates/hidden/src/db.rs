@@ -252,6 +252,11 @@ impl HiddenWebDatabase for SimulatedHiddenDb {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "the test runs concurrent searches on its own threads"
+    )]
+
     use super::*;
     use mp_index::{Document, IndexBuilder};
 

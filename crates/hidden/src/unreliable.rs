@@ -118,7 +118,8 @@ impl ProbeStream {
         self.state = self.state.wrapping_add(GAMMA);
         let bits = mix64(self.state) >> 11;
         // `bits` has at most 53 significant bits after the shift, so
-        // both u64 -> f64 conversions are exact (L2 allows int -> f64).
+        // both u64 -> f64 conversions are exact (the cast lints allow
+        // int -> f64).
         bits as f64 / (1u64 << 53) as f64
     }
 }

@@ -10,6 +10,11 @@
 //! concurrently from multiple threads) and require bit-identical
 //! per-query responses plus exactly equal [`ProbeBudget`] accounting.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test runs concurrent callers on its own threads"
+)]
+
 use std::sync::Arc;
 
 use mp_hidden::{HiddenWebDatabase, ProbeBudget, SimulatedHiddenDb, UnreliableDb};

@@ -407,6 +407,11 @@ impl serde::Deserialize for InvertedIndex {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::cast_possible_truncation,
+        reason = "test corpora hold far fewer than 2^32 documents"
+    )]
+
     use super::*;
     use crate::builder::IndexBuilder;
     use proptest::prelude::*;

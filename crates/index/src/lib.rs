@@ -14,6 +14,7 @@
 //! Build with [`IndexBuilder`]; query through [`InvertedIndex`].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod builder;

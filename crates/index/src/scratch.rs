@@ -121,6 +121,11 @@ pub fn thread_scratch_stats() -> ScratchStats {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "the tests check per-thread scratch from their own threads"
+    )]
+
     use super::*;
 
     #[test]

@@ -118,6 +118,11 @@ impl TopK {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::cast_possible_truncation,
+        reason = "test lists are far shorter than 2^32"
+    )]
+
     use super::*;
     use crate::types::DocId;
     use proptest::prelude::*;

@@ -6,6 +6,12 @@
 //! same documents, same order, same score bit patterns. These tests are
 //! the workspace determinism contract for the index layer.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "test corpora hold far fewer than 2^32 documents and terms, and the concurrency checks run their own threads"
+)]
+
 use mp_index::types::{DocId, ScoredDoc};
 use mp_index::{Document, IndexBuilder, InvertedIndex};
 use mp_text::TermId;

@@ -8,25 +8,15 @@ use crate::rules::rule_by_name;
 use crate::syntax::FileSyntax;
 
 /// Crates whose `src/` is held to the library-crate rules (L3
-/// no-unwrap, L8 no-println, L10 no-hash-order-iteration). The single
-/// source of truth — `walk::classify` and the rules all read this
-/// list. The binary-facing crates (`cli`, `bench`) are not on it:
-/// `expect` on malformed CLI arguments and printing to stdout *are*
-/// their job.
+/// no-unwrap, L10 no-hash-order-iteration). The single source of truth
+/// — `walk::classify` and the rules all read this list. The
+/// binary-facing crates (`cli`, `bench`) are not on it: `expect` on
+/// malformed CLI arguments *is* their job. The same eleven crate roots
+/// deny clippy's print lints (LINT.md, "Retired rules").
 pub const LIBRARY_CRATES: &[&str] = &[
     "stats", "text", "index", "corpus", "hidden", "workload", "core", "eval", "lint", "obs",
     "serve",
 ];
-
-/// Crates under the deterministic-output contract: every public result
-/// must be a pure function of (inputs, seed), bit-identical across
-/// thread counts and runs — the property the equivalence harness and
-/// the twin-replay tests pin. L13 bans ambient nondeterminism sources
-/// (`Instant::now`, `SystemTime`, `thread::current().id()`,
-/// `std::env::var`, `RandomState`) in their `src/` outside test code.
-/// `obs` is deliberately absent: timing is its whole point, and
-/// nothing it records feeds the deterministic result path.
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "hidden", "index", "stats"];
 
 /// Modules registered as counter-only atomic users, where
 /// `Ordering::Relaxed` is sound by construction: every atomic in them
@@ -51,17 +41,11 @@ pub const RELAXED_COUNTER_MODULES: &[&str] = &[
 /// apply (see LINT.md "Scope").
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
-    /// Whole file is test/bench/example code: L1–L6 and L8 are skipped.
+    /// Whole file is test/bench/example code: the rules that exempt
+    /// test code skip all of it.
     pub test_file: bool,
     /// File belongs to a library crate: L3 (unwrap/expect) applies.
     pub l3_library: bool,
-    /// File is a sanctioned thread-spawn site (mp-eval's fork-join,
-    /// mp-serve's worker pool): L4 is skipped.
-    pub l4_exempt: bool,
-    /// File belongs to a library crate: L8 (no print macros) applies.
-    /// Tracks `l3_library` today; kept separate so the two scopes can
-    /// diverge without re-classifying the workspace.
-    pub l8_library: bool,
     /// File is a serve-hot-path module (the worker-facing serving and
     /// probe layers): L9 applies — every shared-lock primitive must
     /// carry an `allow(L9)` audit note or be removed.
@@ -72,10 +56,6 @@ pub struct FileClass {
     /// File is a registered counter-only atomics module
     /// ([`RELAXED_COUNTER_MODULES`]): `Ordering::Relaxed` is permitted.
     pub l11_relaxed_ok: bool,
-    /// File belongs to a deterministic-contract crate
-    /// ([`DETERMINISTIC_CRATES`]): L13 (ambient nondeterminism sources)
-    /// applies.
-    pub l13_deterministic: bool,
 }
 
 /// A parsed `// mp-lint: allow(rule, …): justification` comment. The
@@ -83,7 +63,7 @@ pub struct FileClass {
 /// directly below (so it can sit on the offending line or above it).
 #[derive(Debug, Clone)]
 pub struct Suppression {
-    /// Canonical rule ids the comment allows (e.g. `["L2"]`).
+    /// Canonical rule ids the comment allows (e.g. `["L1"]`).
     pub rules: Vec<&'static str>,
     /// Line the comment starts on.
     pub line: u32,
@@ -449,16 +429,17 @@ mod tests {
 
     #[test]
     fn suppression_requires_justification() {
-        let good = analyze("// mp-lint: allow(L2): bounded by vocabulary size < 2^32\nlet x = 1;");
+        let good =
+            analyze("// mp-lint: allow(L1): exact sentinel copied from the config\nlet x = 1;");
         assert_eq!(good.suppressions.len(), 1);
-        assert_eq!(good.suppressions[0].rules, vec!["L2"]);
+        assert_eq!(good.suppressions[0].rules, vec!["L1"]);
         assert!(good.meta_diags.is_empty());
-        assert!(good.suppressed("L2", 1));
-        assert!(good.suppressed("L2", 2));
-        assert!(!good.suppressed("L2", 3));
-        assert!(!good.suppressed("L1", 2));
+        assert!(good.suppressed("L1", 1));
+        assert!(good.suppressed("L1", 2));
+        assert!(!good.suppressed("L1", 3));
+        assert!(!good.suppressed("L3", 2));
 
-        let bad = analyze("// mp-lint: allow(L2)\nlet x = 1;");
+        let bad = analyze("// mp-lint: allow(L1)\nlet x = 1;");
         assert!(bad.suppressions.is_empty());
         assert_eq!(bad.meta_diags.len(), 1);
         assert_eq!(bad.meta_diags[0].rule, "A0");
@@ -466,10 +447,15 @@ mod tests {
 
     #[test]
     fn suppression_rejects_unknown_rules_and_accepts_names() {
-        let named = analyze("// mp-lint: allow(lossy-cast): count bounded by config max\nx;");
-        assert_eq!(named.suppressions[0].rules, vec!["L2"]);
+        let named = analyze("// mp-lint: allow(float-eq): exact sentinel from the config\nx;");
+        assert_eq!(named.suppressions[0].rules, vec!["L1"]);
         let unknown = analyze("// mp-lint: allow(L99): because I said so\nx;");
         assert!(unknown.suppressions.is_empty());
         assert!(!unknown.meta_diags.is_empty());
+        // Retired ids are unknown, so a leftover suppression is an A0
+        // error rather than a silent no-op.
+        let retired = analyze("// mp-lint: allow(L2): count bounded by config max\nx;");
+        assert!(retired.suppressions.is_empty());
+        assert_eq!(retired.meta_diags[0].rule, "A0");
     }
 }

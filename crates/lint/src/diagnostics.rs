@@ -23,7 +23,7 @@ impl Level {
 /// One finding, pointing at `path:line:col`.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Canonical rule id (`L1` … `L7`, `A0`).
+    /// Canonical rule id (`L1` … `L12`, `A0`/`A1`).
     pub rule: &'static str,
     /// Severity after any promotion.
     pub level: Level,
@@ -39,18 +39,6 @@ pub struct Diagnostic {
     pub snippet: String,
     /// How to fix it.
     pub hint: String,
-}
-
-impl Diagnostic {
-    /// Stable identity content for [`Report::fingerprints`]: everything
-    /// that survives unrelated edits (no line/col — a finding that
-    /// merely moves keeps its fingerprint).
-    fn fingerprint_seed(&self) -> String {
-        format!(
-            "{}|{}|{}|{}",
-            self.rule, self.path, self.snippet, self.message
-        )
-    }
 }
 
 /// A full linting run: every diagnostic plus scan statistics.
@@ -118,34 +106,10 @@ impl Report {
         out
     }
 
-    /// Stable per-finding fingerprints, parallel to `diagnostics`.
-    ///
-    /// Each is a 16-hex-digit FNV-1a hash of
-    /// `rule|path|snippet|message|occurrence-index`, where the
-    /// occurrence index counts identical seeds within the report — so
-    /// two verbatim-identical findings in one file stay distinct, and a
-    /// finding keeps its fingerprint when unrelated edits shift its
-    /// line number. CI diffs these against `lint-baseline.json`: a new
-    /// fingerprint is a new finding even if older ones moved around.
-    pub fn fingerprints(&self) -> Vec<String> {
-        let mut seen: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
-        self.diagnostics
-            .iter()
-            .map(|d| {
-                let seed = d.fingerprint_seed();
-                let occ = seen.entry(seed.clone()).or_insert(0);
-                let fp = format!("{:016x}", fnv1a64(format!("{seed}|{occ}").as_bytes()));
-                *occ += 1;
-                fp
-            })
-            .collect()
-    }
-
     /// JSON rendering (stable shape, see LINT.md "Output formats").
     pub fn render_json(&self) -> String {
-        let fps = self.fingerprints();
         let mut out = String::from("{");
-        out.push_str("\"version\":2,");
+        out.push_str("\"version\":3,");
         out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
         out.push_str(&format!(
             "\"errors\":{},\"warnings\":{},",
@@ -158,7 +122,7 @@ impl Report {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"rule\":{},\"level\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{},\"hint\":{},\"fingerprint\":{}}}",
+                "{{\"rule\":{},\"level\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{},\"hint\":{}}}",
                 json_str(d.rule),
                 json_str(d.level.as_str()),
                 json_str(&d.path),
@@ -167,86 +131,10 @@ impl Report {
                 json_str(&d.message),
                 json_str(&d.snippet),
                 json_str(&d.hint),
-                json_str(&fps[i]),
             ));
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// 64-bit FNV-1a — the standard offset basis and prime, dependency-free
-/// and stable across platforms (fingerprints are committed in the CI
-/// baseline, so the hash must never vary by target).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Extracts every 16-hex-digit fingerprint string from a baseline JSON
-/// file's text. Deliberately not a JSON parser: the baseline is written
-/// by `render_json` (or is the committed empty report), and scanning
-/// for quoted 16-hex tokens is robust to field reordering and hand
-/// edits while keeping this crate dependency-free.
-pub fn baseline_fingerprints(json: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = json.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != b'"' {
-                if bytes[j] == b'\\' {
-                    j += 1;
-                }
-                j += 1;
-            }
-            if j <= bytes.len() {
-                let s = &json[start..j.min(json.len())];
-                if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    out.push(s.to_string());
-                }
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// The command that regenerates the committed baseline from a clean
-/// tree.
-pub const BASELINE_REBLESS: &str = "cargo run -p mp-lint -- --deny-all --json > lint-baseline.json";
-
-/// Checks a baseline report's header against this scan: `Err` names the
-/// drift when the baseline's `files_scanned` is missing or differs from
-/// `files_scanned`, so a committed baseline cannot silently describe a
-/// different tree. Like [`baseline_fingerprints`], a scan of the text,
-/// not a JSON parse.
-pub fn check_baseline_header(json: &str, files_scanned: usize) -> Result<(), String> {
-    let key = "\"files_scanned\":";
-    let recorded = json.find(key).and_then(|at| {
-        let rest = json[at + key.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse::<usize>().ok()
-    });
-    match recorded {
-        Some(n) if n == files_scanned => Ok(()),
-        Some(n) => Err(format!(
-            "baseline records files_scanned {n}, but this scan covered {files_scanned} files; \
-             re-bless it with `{BASELINE_REBLESS}`"
-        )),
-        None => Err(format!(
-            "baseline records no files_scanned; re-bless it with `{BASELINE_REBLESS}`"
-        )),
     }
 }
 
@@ -300,56 +188,11 @@ mod tests {
     #[test]
     fn json_output_escapes_and_counts() {
         let json = sample().render_json();
+        assert!(json.contains("\"version\":3"));
         assert!(json.contains("\"errors\":1"));
         assert!(json.contains("\\t"));
         assert!(json.contains("\\\"tol\\\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn fingerprints_are_stable_against_moves_and_distinct_per_occurrence() {
-        let mut r = sample();
-        let before = r.fingerprints();
-        assert_eq!(before.len(), 1);
-        assert_eq!(before[0].len(), 16);
-        // Moving the finding (line/col churn from unrelated edits)
-        // keeps its fingerprint.
-        r.diagnostics[0].line = 77;
-        r.diagnostics[0].col = 1;
-        assert_eq!(r.fingerprints(), before);
-        // A verbatim-identical second finding gets a distinct one.
-        let twin = r.diagnostics[0].clone();
-        r.diagnostics.push(twin);
-        let fps = r.fingerprints();
-        assert_eq!(fps[0], before[0]);
-        assert_ne!(fps[0], fps[1]);
-        // …and a different rule changes it.
-        r.diagnostics[1].rule = "L2";
-        assert_ne!(r.fingerprints()[1], fps[1]);
-    }
-
-    #[test]
-    fn json_carries_fingerprints_and_baseline_extraction_roundtrips() {
-        let r = sample();
-        let json = r.render_json();
-        assert!(json.contains("\"version\":2"));
-        assert!(json.contains("\"fingerprint\":\""));
-        assert_eq!(baseline_fingerprints(&json), r.fingerprints());
-        // The committed-empty baseline yields no fingerprints.
-        let empty = Report::default().render_json();
-        assert!(baseline_fingerprints(&empty).is_empty());
-    }
-
-    #[test]
-    fn baseline_header_must_match_the_scan() {
-        let json = sample().render_json();
-        assert_eq!(check_baseline_header(&json, 2), Ok(()));
-        let drift = check_baseline_header(&json, 3).unwrap_err();
-        assert!(drift.contains("files_scanned 2"), "{drift}");
-        assert!(drift.contains("covered 3 files"), "{drift}");
-        assert!(drift.contains(BASELINE_REBLESS), "{drift}");
-        let headless = check_baseline_header("{\"diagnostics\":[]}", 2).unwrap_err();
-        assert!(headless.contains("no files_scanned"), "{headless}");
     }
 
     #[test]

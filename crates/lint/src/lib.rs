@@ -1,13 +1,16 @@
 //! # mp-lint — workspace-native static analysis for `metaprobe`
 //!
-//! The probabilistic engine's correctness rests on invariants `cargo
-//! clippy` cannot express: no float `==` outside tests (L1), no lossy
-//! `as` casts on counts and indices (L2), no `unwrap()` in library
-//! crates (L3), no thread spawns outside the two sanctioned thread
-//! owners (L4), normalization `debug_assert`s in every pmf constructor
-//! (L6), and issue-tracked TODOs (L7). This crate is a
-//! zero-dependency, token-level analyzer that enforces them across the
-//! whole workspace.
+//! The probabilistic engine's correctness rests on contracts that
+//! clippy does not check as this workspace needs them: no float `==`
+//! outside tests, comparisons with zero and `INFINITY` included (L1), no
+//! `unwrap()` or unjustified `expect()` in library crates (L3),
+//! normalization `debug_assert`s in every pmf constructor (L6),
+//! issue-tracked TODOs (L7), and the lock, hash-order and atomic-ordering
+//! disciplines (L9–L12). This crate is a zero-dependency, token-level
+//! analyzer that enforces them across the whole workspace. The
+//! contracts clippy does check (lossy casts, thread owners, printing in
+//! library code, nondeterminism sources) are configured in the root
+//! `Cargo.toml` and `crates/clippy.toml` instead.
 //!
 //! See `LINT.md` at the workspace root for the rule catalog with
 //! rationales, the suppression syntax, and the exact heuristics.
@@ -15,12 +18,11 @@
 //! ## Entry points
 //!
 //! * [`lint_workspace`] — walk a checkout and lint everything (the CLI
-//!   and the `repro` preflight use this);
-//! * [`lint_source`] — lint one in-memory file (fixtures and tests);
-//! * [`preflight`] — convenience wrapper returning `Err(report)` text
-//!   when the tree has deny-level findings.
+//!   uses this);
+//! * [`lint_source`] — lint one in-memory file (fixtures and tests).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod context;
@@ -68,26 +70,4 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     }
     report.files_scanned = files.len();
     Ok(report)
-}
-
-/// Runs the linter as a blocking preflight (used by `repro` before
-/// spending hours regenerating figures): returns the human-rendered
-/// report as `Err` when any deny-level diagnostic exists.
-///
-/// Warnings are promoted (`--deny-all` semantics): a preflight exists
-/// to stop drift before an expensive run, so it uses the strict CI
-/// configuration.
-pub fn preflight(root: &Path) -> Result<(), String> {
-    let mut report = match lint_workspace(root) {
-        Ok(r) => r,
-        // A missing source tree (e.g. an installed binary run outside
-        // the checkout) is not a lint failure; skip silently.
-        Err(_) => return Ok(()),
-    };
-    report.deny_all();
-    if report.denies() > 0 {
-        Err(report.render_human())
-    } else {
-        Ok(())
-    }
 }

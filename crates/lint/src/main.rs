@@ -1,15 +1,12 @@
 //! The `mp-lint` CLI.
 //!
 //! ```text
-//! mp-lint [ROOT] [--json] [--deny-all] [--rule <id|name>]...
-//!         [--baseline <file>] [--list-rules]
+//! mp-lint [ROOT] [--json] [--deny-all] [--rule <id|name>]... [--list-rules]
 //! ```
 //!
-//! Exit codes: `0` clean (warnings allowed), `1` deny-level findings or
-//! new-vs-baseline fingerprints, `2` usage or I/O error. CI runs
-//! `mp-lint --deny-all --json --baseline lint-baseline.json`.
+//! Exit codes: `0` clean (warnings allowed), `1` deny-level findings,
+//! `2` usage or I/O error. CI runs `mp-lint --deny-all --json`.
 
-use mp_lint::diagnostics::{baseline_fingerprints, check_baseline_header};
 use mp_lint::{lint_workspace, rule_by_name, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,23 +16,18 @@ struct Args {
     json: bool,
     deny_all: bool,
     rules: Vec<&'static str>,
-    baseline: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: mp-lint [ROOT] [--json] [--deny-all] [--rule <id|name>]...\n\
-     \x20              [--baseline <file>] [--list-rules]\n\
+    "usage: mp-lint [ROOT] [--json] [--deny-all] [--rule <id|name>]... [--list-rules]\n\
      \n\
      Lints the metaprobe workspace at ROOT (default: the current\n\
-     directory) against the numeric/concurrency contract rules L1-L13.\n\
+     directory) against the numeric/concurrency contract rules L1-L12.\n\
      See LINT.md for the rule catalog.\n\
      \n\
-     --json         machine-readable output (stable shape, version 2)\n\
+     --json         machine-readable output (stable shape, version 3)\n\
      --deny-all     promote warnings (L7, A1) to errors - the CI configuration\n\
      --rule R       only report rule R (repeatable)\n\
-     --baseline F   fail (exit 1) listing any finding whose fingerprint\n\
-     \x20              is not in the JSON report F, or when F's files_scanned\n\
-     \x20              differs from this scan - CI's lint-diff gate\n\
      --list-rules   print the rule catalog and exit"
 }
 
@@ -45,7 +37,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         json: false,
         deny_all: false,
         rules: Vec::new(),
-        baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -56,10 +47,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let name = it.next().ok_or("--rule needs a value")?;
                 let info = rule_by_name(&name).ok_or(format!("unknown rule `{name}`"))?;
                 args.rules.push(info.id);
-            }
-            "--baseline" => {
-                let f = it.next().ok_or("--baseline needs a file path")?;
-                args.baseline = Some(PathBuf::from(f));
             }
             "--list-rules" => {
                 for r in RULES {
@@ -112,52 +99,7 @@ fn main() -> ExitCode {
     } else {
         print!("{}", report.render_human());
     }
-    let mut failed = report.denies() > 0;
-    if let Some(baseline_path) = &args.baseline {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "mp-lint: cannot read baseline `{}`: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(drift) = check_baseline_header(&text, report.files_scanned) {
-            eprintln!("mp-lint: `{}`: {drift}", baseline_path.display());
-            failed = true;
-        }
-        let baseline = baseline_fingerprints(&text);
-        let fps = report.fingerprints();
-        let mut fresh = 0usize;
-        for (d, fp) in report.diagnostics.iter().zip(&fps) {
-            if !baseline.contains(fp) {
-                fresh += 1;
-                eprintln!(
-                    "mp-lint: new finding vs baseline: {fp} {}:{}:{} {}[{}] {}",
-                    d.path,
-                    d.line,
-                    d.col,
-                    if matches!(d.level, mp_lint::Level::Deny) {
-                        "deny"
-                    } else {
-                        "warn"
-                    },
-                    d.rule,
-                    d.message
-                );
-            }
-        }
-        if fresh > 0 {
-            eprintln!(
-                "mp-lint: {fresh} finding(s) not in baseline `{}`",
-                baseline_path.display()
-            );
-            failed = true;
-        }
-    }
-    if failed {
+    if report.denies() > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

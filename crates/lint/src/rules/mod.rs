@@ -8,14 +8,10 @@
 
 mod l10_hash_order;
 mod l11_atomic;
-mod l13_nondet;
 mod l1_float_eq;
-mod l2_lossy_cast;
 mod l3_unwrap;
-mod l4_thread;
 mod l6_pmf_audit;
 mod l7_todo;
-mod l8_println;
 mod l9_hot_mutex;
 
 use crate::context::Analysis;
@@ -26,7 +22,8 @@ use crate::lexer::{TokKind, Token};
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Canonical id (`L1` … `L13`, `A0`/`A1`).
+    /// Canonical id (`L1` … `L12`, `A0`/`A1`; retired ids are not
+    /// reused).
     pub id: &'static str,
     /// Human name, also accepted in `allow(...)`.
     pub name: &'static str,
@@ -45,21 +42,9 @@ pub const RULES: &[RuleInfo] = &[
         default_level: Level::Deny,
     },
     RuleInfo {
-        id: "L2",
-        name: "lossy-cast",
-        summary: "lossy `as` cast on count/index/float values",
-        default_level: Level::Deny,
-    },
-    RuleInfo {
         id: "L3",
         name: "unwrap-expect",
         summary: "`unwrap()`/unjustified `expect()` in library crates",
-        default_level: Level::Deny,
-    },
-    RuleInfo {
-        id: "L4",
-        name: "thread-spawn",
-        summary: "thread spawn/scope outside mp-eval's fork-join and mp-serve's pool",
         default_level: Level::Deny,
     },
     RuleInfo {
@@ -73,12 +58,6 @@ pub const RULES: &[RuleInfo] = &[
         name: "todo-ref",
         summary: "TODO/FIXME without an issue reference",
         default_level: Level::Warn,
-    },
-    RuleInfo {
-        id: "L8",
-        name: "no-println-in-lib",
-        summary: "`println!`-family macro in library crate code",
-        default_level: Level::Deny,
     },
     RuleInfo {
         id: "L9",
@@ -105,12 +84,6 @@ pub const RULES: &[RuleInfo] = &[
         default_level: Level::Deny,
     },
     RuleInfo {
-        id: "L13",
-        name: "nondet-source",
-        summary: "ambient nondeterminism source in a deterministic crate",
-        default_level: Level::Deny,
-    },
-    RuleInfo {
         id: "A0",
         name: "suppression",
         summary: "malformed or unjustified mp-lint suppression comment",
@@ -124,7 +97,7 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Looks a rule up by id (`L2`) or name (`lossy-cast`), case-insensitive.
+/// Looks a rule up by id (`L3`) or name (`unwrap-expect`), case-insensitive.
 pub fn rule_by_name(s: &str) -> Option<&'static RuleInfo> {
     RULES
         .iter()
@@ -147,16 +120,12 @@ pub(crate) fn level_of(id: &str) -> Level {
 pub(crate) fn per_file_rules(a: &Analysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     out.extend(l1_float_eq::check(a));
-    out.extend(l2_lossy_cast::check(a));
     out.extend(l3_unwrap::check(a));
-    out.extend(l4_thread::check(a));
     out.extend(l6_pmf_audit::check(a));
     out.extend(l7_todo::check(a));
-    out.extend(l8_println::check(a));
     out.extend(l9_hot_mutex::check(a));
     out.extend(l10_hash_order::check(a));
     out.extend(l11_atomic::check(a));
-    out.extend(l13_nondet::check(a));
     out
 }
 
@@ -260,24 +229,4 @@ pub(crate) fn is_float_evidence(t: &Token) -> bool {
         ),
         _ => false,
     }
-}
-
-/// Index of the `(` matching the `)` at `close`, scanning backward.
-pub(crate) fn matching_open_paren(code: &[Token], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for i in (0..=close).rev() {
-        if code[i].kind == TokKind::Punct {
-            match code[i].text.as_str() {
-                ")" => depth += 1,
-                "(" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
 }

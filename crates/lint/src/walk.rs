@@ -8,7 +8,7 @@
 //! linter's own intentionally-violating fixtures under
 //! `crates/lint/tests/fixtures/`.
 
-use crate::context::{FileClass, DETERMINISTIC_CRATES, LIBRARY_CRATES, RELAXED_COUNTER_MODULES};
+use crate::context::{FileClass, LIBRARY_CRATES, RELAXED_COUNTER_MODULES};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -88,16 +88,12 @@ pub fn classify(rel: &str) -> FileClass {
     match parts.as_slice() {
         ["src", rest @ ..] => {
             class.l3_library = !binary_path(rest);
-            class.l8_library = class.l3_library;
             class.l10_library = class.l3_library;
         }
         ["tests" | "examples" | "benches", ..] => class.test_file = true,
         ["crates", krate, "src", rest @ ..] => {
             class.l3_library = LIBRARY_CRATES.contains(krate) && !binary_path(rest);
-            class.l8_library = class.l3_library;
             class.l10_library = class.l3_library;
-            class.l4_exempt = (*krate == "eval" && rest == ["par.rs"])
-                || (*krate == "serve" && rest == ["pool.rs"]);
             // The modules a cold serve request traverses per probe: the
             // PR-6 de-contention audit holds them lock-free by default.
             class.l9_hot_path = (*krate == "serve"
@@ -107,7 +103,6 @@ pub fn classify(rel: &str) -> FileClass {
                 ))
                 || (*krate == "hidden" && matches!(rest, ["db.rs" | "unreliable.rs"]));
             class.l11_relaxed_ok = RELAXED_COUNTER_MODULES.contains(&rel);
-            class.l13_deterministic = DETERMINISTIC_CRATES.contains(krate);
         }
         ["crates", _, "tests" | "benches", ..] => class.test_file = true,
         _ => {}
@@ -138,17 +133,8 @@ mod tests {
         // linted, no exemptions.
         assert!(classify("crates/index/src/derived.rs").l3_library);
         assert!(classify("crates/index/src/scratch.rs").l3_library);
-        assert!(classify("crates/index/src/derived.rs").l8_library);
-        assert!(classify("crates/index/src/scratch.rs").l8_library);
-        assert!(!classify("crates/index/src/scratch.rs").l4_exempt);
         assert!(classify("crates/index/tests/kernel_equivalence.rs").test_file);
         assert!(classify("crates/bench/benches/retrieval_kernel.rs").test_file);
-
-        assert!(classify("crates/eval/src/par.rs").l4_exempt);
-        assert!(classify("crates/serve/src/pool.rs").l4_exempt);
-        assert!(!classify("crates/core/src/par.rs").l4_exempt);
-        assert!(!classify("crates/serve/src/cache.rs").l4_exempt);
-        assert!(!classify("crates/eval/src/runner.rs").l4_exempt);
         assert!(classify("crates/serve/src/server.rs").l3_library);
 
         // PR 6 shared-nothing audit: the serve-hot-path modules are
@@ -160,18 +146,11 @@ mod tests {
         assert!(classify("crates/serve/src/pool.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/db.rs").l9_hot_path);
         assert!(classify("crates/hidden/src/unreliable.rs").l9_hot_path);
-        assert!(!classify("crates/serve/src/lib.rs").l13_deterministic);
         assert!(!classify("crates/core/src/metasearcher.rs").l9_hot_path);
         assert!(!classify("crates/serve/src/lib.rs").l9_hot_path);
         assert!(!classify("crates/hidden/src/mediator.rs").l9_hot_path);
         assert!(!classify("crates/obs/src/registry.rs").l9_hot_path);
         assert!(!classify("crates/serve/tests/queue_stress.rs").l9_hot_path);
-
-        assert!(classify("crates/obs/src/export.rs").l8_library);
-        assert!(classify("src/lib.rs").l8_library);
-        assert!(!classify("crates/cli/src/main.rs").l8_library);
-        assert!(!classify("crates/bench/src/bin/repro.rs").l8_library);
-        assert!(!classify("crates/lint/src/main.rs").l8_library);
 
         assert!(classify("tests/end_to_end.rs").test_file);
         assert!(classify("examples/quickstart.rs").test_file);
@@ -191,33 +170,5 @@ mod tests {
         assert!(classify("crates/serve/src/stats.rs").l11_relaxed_ok);
         assert!(!classify("crates/serve/src/server.rs").l11_relaxed_ok);
         assert!(!classify("crates/core/src/engine.rs").l11_relaxed_ok);
-
-        // L13: the deterministic-contract crates, src only.
-        assert!(classify("crates/core/src/engine.rs").l13_deterministic);
-        assert!(classify("crates/stats/src/discrete.rs").l13_deterministic);
-        assert!(classify("crates/index/src/index.rs").l13_deterministic);
-        assert!(classify("crates/hidden/src/unreliable.rs").l13_deterministic);
-        assert!(!classify("crates/obs/src/span.rs").l13_deterministic);
-        assert!(!classify("crates/serve/src/server.rs").l13_deterministic);
-        assert!(!classify("crates/core/tests/engine_equivalence.rs").l13_deterministic);
-    }
-
-    #[test]
-    fn the_engine_has_no_thread_spawn_exemption() {
-        // mp-core is sequential: none of its source files may spawn
-        // threads, so none is L4-exempt, and exactly the two sanctioned
-        // thread owners are.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let files = discover(&root).expect("the checkout is readable");
-        assert!(files.iter().any(|f| f.rel.starts_with("crates/core/src/")));
-        let exempt: Vec<&str> = files
-            .iter()
-            .filter(|f| f.class.l4_exempt)
-            .map(|f| f.rel.as_str())
-            .collect();
-        assert_eq!(
-            exempt,
-            ["crates/eval/src/par.rs", "crates/serve/src/pool.rs"]
-        );
     }
 }

@@ -15,10 +15,10 @@ pub fn live(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 
-// Partially stale: L7 fires on the covered line (untracked TODO), L2
+// Partially stale: L7 fires on the covered line (untracked TODO), L1
 // never does — A1 must name only the dead half of the list.
 
 pub fn half_live() {
-    // mp-lint: allow(L2, L7): scaffolding note tracked informally in this fixture
+    // mp-lint: allow(L1, L7): scaffolding note tracked informally in this fixture
     // TODO: make this fixture even meaner
 }

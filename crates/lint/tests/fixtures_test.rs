@@ -17,6 +17,11 @@
 //! The self-check test at the bottom lints the real workspace checkout
 //! and is the in-tree equivalent of CI's `mp-lint --deny-all` gate.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "MP_LINT_BLESS switches the test to re-blessing the snapshots"
+)]
+
 use mp_lint::{lint_source, lint_workspace, Diagnostic, FileClass, Level};
 use std::collections::BTreeSet;
 use std::fs;
@@ -34,10 +39,8 @@ fn lint_fixture(name: &str) -> Vec<Diagnostic> {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
     let class = FileClass {
         l3_library: true,
-        l8_library: true,
         l9_hot_path: true,
         l10_library: true,
-        l13_deterministic: true,
         // l11_relaxed_ok stays false: fixtures are held to the strict
         // acquire/release discipline, like unregistered modules.
         ..FileClass::default()
@@ -106,7 +109,7 @@ fn every_rule_is_seeded_by_some_fixture() {
         }
     }
     for rule in [
-        "L1", "L2", "L3", "L4", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "A0", "A1",
+        "L1", "L3", "L6", "L7", "L9", "L10", "L11", "L12", "A0", "A1",
     ] {
         assert!(seeded.contains(rule), "no fixture seeds rule {rule}");
     }
@@ -152,15 +155,18 @@ fn violating_fixtures_fail_a_deny_all_gate() {
     }
 }
 
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves from the lint crate")
+}
+
 #[test]
 fn workspace_self_check_is_deny_clean() {
     // The tree this test runs in must itself pass the CI gate: no
     // deny-level findings and no unpromoted warnings anywhere.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves from the lint crate");
-    let mut report = lint_workspace(&root).expect("workspace walk succeeds");
+    let mut report = lint_workspace(&workspace_root()).expect("workspace walk succeeds");
     report.deny_all();
     assert!(
         report.files_scanned > 50,
@@ -173,4 +179,53 @@ fn workspace_self_check_is_deny_clean() {
         "workspace has lint findings:\n{}",
         report.render_human()
     );
+}
+
+#[test]
+fn every_manifest_inherits_the_workspace_lints() {
+    // L2, L4, L8 and L13 are clippy lints (LINT.md, "Retired rules"):
+    // their levels live in the root manifest's `[workspace.lints.clippy]`
+    // and their paths in `crates/clippy.toml`. A crate that does not
+    // opt in escapes them with no failing check, so every one must.
+    let root = workspace_root();
+    assert!(
+        root.join("crates/clippy.toml").is_file(),
+        "crates/clippy.toml is missing"
+    );
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let manifest = entry
+            .expect("crates/ entry is readable")
+            .path()
+            .join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(
+        manifests.len() > 10,
+        "suspiciously few manifests found ({})",
+        manifests.len()
+    );
+    for manifest in &manifests {
+        let text = fs::read_to_string(manifest).expect("manifest is readable");
+        assert!(
+            inherits_workspace_lints(&text),
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
+}
+
+/// True when a manifest has a `[lints]` table holding `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
 }

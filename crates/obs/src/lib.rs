@@ -49,8 +49,8 @@
 //!
 //! The switch never changes any engine *result*: observability only ever
 //! reads clocks and bumps atomics; it never participates in a numeric
-//! reduction (enforced in spirit by mp-lint L8, which keeps ad-hoc
-//! `println!` diagnostics out of library crates).
+//! reduction (enforced in spirit by clippy's print lints, which keep
+//! ad-hoc `println!` diagnostics out of library crates).
 //!
 //! ## Span taxonomy
 //!
@@ -77,6 +77,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 mod export;
@@ -124,6 +125,10 @@ pub mod bounds {
 fn flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "MP_OBS switches recording, and nothing recorded feeds a result"
+        )]
         let on = match std::env::var("MP_OBS") {
             Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
             Err(_) => true,

@@ -53,6 +53,10 @@ impl SpanGuard {
             };
         }
         let stat = crate::registry::span_stat(name);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timings are what mp-obs records, and none feeds a result"
+        )]
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             if let Some(parent) = stack.last() {

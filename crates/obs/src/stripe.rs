@@ -78,6 +78,11 @@ impl StripedU64 {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "the test bumps stripes from its own threads"
+    )]
+
     use super::*;
 
     #[test]

@@ -4,8 +4,9 @@
 //! A [`TraceId`] is a plain session-monotonic sequence number allocated
 //! by the *owner* of the request (the serve layer's stats core) — there
 //! is no ambient clock, thread id, or randomness in the id itself, so a
-//! replayed workload re-issues the same ids in the same order (mp-lint
-//! L13 stays clean in every deterministic crate).
+//! replayed workload re-issues the same ids in the same order (no
+//! deterministic crate reads a clock or thread id; see
+//! `crates/clippy.toml`).
 //!
 //! A worker opens a [`TraceScope`] when it dequeues a request; while the
 //! scope is active on that thread, every closing [`crate::SpanGuard`]
@@ -498,6 +499,11 @@ impl TraceSink {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "traces begin at a clock read, as the server's do"
+    )]
+
     use super::*;
 
     #[test]

@@ -4,6 +4,11 @@
 //! test that touches them serializes on one mutex and starts from
 //! `reset()`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timing and concurrency tests read the clock and run their own threads"
+)]
+
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that touch the global registry; tolerant of a

@@ -9,6 +9,11 @@
 //! schedule. (Single-threaded here, so the relaxed-atomics race window
 //! documented on [`WindowWheel`] never opens.)
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "traces begin at a clock read, as the server's do"
+)]
+
 use mp_obs::{HistogramRow, TraceId, TraceScope, WindowWheel};
 use proptest::prelude::*;
 use std::time::Instant;

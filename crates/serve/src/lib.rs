@@ -8,8 +8,8 @@
 //! * a **bounded MPMC request queue** with admission control — a full
 //!   queue rejects with a typed [`ServeError::Overload`] instead of
 //!   buffering unboundedly — drained by a fixed-size `thread::scope`
-//!   worker pool ([`pool`], the crate's only thread source, L4-exempt
-//!   like mp-eval's per-query fork-join);
+//!   worker pool ([`pool`], the crate's only thread source, one of the
+//!   two thread owners with mp-eval's per-query fork-join);
 //! * a **sharded LRU result cache** with **single-flight
 //!   deduplication** ([`cache`]): completed
 //!   [`MetasearchResult`](mp_core::MetasearchResult)s keyed by the full
@@ -52,6 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -1,8 +1,9 @@
 //! The fixed-size worker pool — the serving layer's only thread source.
 //!
 //! This file is the *sole* place in `mp-serve` that creates threads
-//! (enforced by mp-lint rule L4, which exempts exactly this file and
-//! mp-eval's fork-join, `crates/eval/src/par.rs`), and it uses
+//! (clippy's `disallowed_methods`, configured in `crates/clippy.toml`,
+//! is `#[expect]`ed only here and in mp-eval's fork-join,
+//! `crates/eval/src/par.rs`), and it uses
 //! `std::thread::scope` so workers borrow the server and queue
 //! directly — no `'static` bounds, no leaked threads, and the pool
 //! cannot outlive the state it serves.
@@ -39,6 +40,10 @@ pub(crate) fn run_scoped<R>(server: &Server, driver: impl FnOnce(&Client<'_>) ->
     // serve any database's probes. Databases hiding their size fall
     // back to lazy growth on first contact.
     let warm_docs = server.metasearcher().mediator().max_size_hint();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this worker pool is one of the two thread owners (LINT.md)"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {

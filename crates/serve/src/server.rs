@@ -409,6 +409,10 @@ impl<'s> Client<'s> {
         Self { server, queue }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the submit time measures queue wait and latency, never an answer"
+    )]
     fn job(&self, req: ServeRequest) -> (Job, Ticket) {
         let slot = Arc::new(ResponseSlot::new());
         let ticket = Ticket {

@@ -133,7 +133,8 @@ impl StatsCore {
 
     /// Allocates the next [`TraceId`] for this server (ids start at 1;
     /// 0 stays "no trace"). Pure arithmetic over a process-local
-    /// counter — no clocks, no thread ids (L13-clean by construction).
+    /// counter — no clocks, no thread ids (nothing `crates/clippy.toml`
+    /// disallows).
     pub(crate) fn next_trace_id(&self) -> TraceId {
         TraceId(self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1)
     }

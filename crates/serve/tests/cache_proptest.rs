@@ -8,6 +8,12 @@
 //!   result and the compute closure runs exactly once, including across
 //!   a panicking leader (followers retry instead of deadlocking).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::cast_possible_truncation,
+    reason = "concurrency tests run their own threads, and keys are below 6"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;

@@ -9,6 +9,11 @@
 //! that died) fails the test instead of hanging it. With tracing on, a
 //! panicked request still leaves its waterfall and a `panicked` flight.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "each session runs on its own thread so that a hang fails the test instead of stalling it"
+)]
+
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 

@@ -9,6 +9,11 @@
 //! notification scheme would deadlock or lose items under. A wall-clock
 //! bound turns a stranded waiter into a test failure instead of a hang.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the stress tests run producers and consumers on their own threads and time them"
+)]
+
 use mp_serve::{BoundedQueue, TryPushError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! Deliberate floating-point comparison and conversion helpers.
 //!
-//! The workspace bans raw float `==`/`!=` outside tests (lint rule L1)
-//! and lossy `as` casts on counts and indices (L2). This module is the
+//! The workspace bans raw float `==`/`!=` outside tests (mp-lint rule
+//! L1) and lossy `as` casts on counts and indices (clippy's cast lints).
+//! This module is the
 //! sanctioned vocabulary for the cases where an exact or approximate
 //! comparison *is* the right thing, so every call site names its
 //! intent:
@@ -131,6 +132,11 @@ pub fn desc_key(x: f64) -> u64 {
 /// Rounds a non-negative float to the nearest `u32`, or `None` when the
 /// input is NaN, negative (beyond rounding), or too large.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the domain is checked first: `r` is integer-valued and in 0..=u32::MAX"
+)]
 pub fn round_u32(x: f64) -> Option<u32> {
     if !x.is_finite() {
         return None;
@@ -139,13 +145,17 @@ pub fn round_u32(x: f64) -> Option<u32> {
     if r < 0.0 || r > f64::from(u32::MAX) {
         return None;
     }
-    // mp-lint: allow(L2): domain checked above — integer-valued, in u32 range
     Some(r as u32)
 }
 
 /// Rounds a non-negative float to the nearest `u64`, or `None` when the
 /// input is NaN, negative (beyond rounding), or too large.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the domain is checked first: `r` is integer-valued and in 0..2^64"
+)]
 pub fn round_u64(x: f64) -> Option<u64> {
     if !x.is_finite() {
         return None;
@@ -155,9 +165,6 @@ pub fn round_u64(x: f64) -> Option<u64> {
     if !(0.0..18_446_744_073_709_551_616.0).contains(&r) {
         return None;
     }
-    // Domain checked above: `r` is integer-valued and within u64 range, so
-    // the cast is exact (no `allow` needed — L2 keys on textual float
-    // evidence, and a rounded named binding carries none).
     Some(r as u64)
 }
 

@@ -192,6 +192,11 @@ impl Histogram {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::cast_possible_truncation,
+        reason = "test sample counts are far below 2^32"
+    )]
+
     use super::*;
     use proptest::prelude::*;
 

@@ -23,12 +23,13 @@
 //!   the χ² CDF, implemented from scratch.
 //! * [`float`] — deliberate float comparison/conversion vocabulary
 //!   (exact sentinel checks, approximate equality, checked rounding)
-//!   that keeps the rest of the workspace compliant with the `mp-lint`
-//!   numeric rules L1/L2.
+//!   that keeps the rest of the workspace compliant with mp-lint's L1
+//!   and clippy's cast lints.
 //!
 //! Everything is deterministic given a seed; no global state.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod chi2;

@@ -13,7 +13,6 @@
 ///
 /// Lanczos approximation with g = 7, n = 9 coefficients (Boost/Numerical
 /// Recipes parameterization); relative error ~1e-15 on `x > 0`.
-#[allow(clippy::excessive_precision)] // Lanczos coefficients kept at full published precision
 pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     const G: f64 = 7.0;

@@ -13,6 +13,7 @@
 //! The full analysis chain is packaged as [`Analyzer`].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod analyzer;

@@ -74,6 +74,11 @@ impl<'m> QueryGenerator<'m> {
                 let n = t.terms().len().min(self.config.max_rank).max(1);
                 // Quadratic popularity bias: rank = floor(n * u^2).
                 let u: f64 = self.rng.gen();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "u is in [0, 1), so the product is in [0, n); the floor is the rank"
+                )]
                 let rank = ((u * u) * n as f64) as usize;
                 t.terms()[rank.min(n - 1)]
             }
@@ -84,6 +89,11 @@ impl<'m> QueryGenerator<'m> {
         let bg = self.model.background();
         let n = bg.terms().len().min(self.config.max_rank).max(1);
         let u: f64 = self.rng.gen();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "u is in [0, 1), so the product is in [0, n); the floor is the rank"
+        )]
         let rank = ((u * u) * n as f64) as usize;
         bg.terms()[rank.min(n - 1)]
     }

@@ -17,6 +17,7 @@
 //!   offered rate instead of a closed submit-wait loop.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod generator;

@@ -102,6 +102,11 @@ pub fn arrivals(config: &OpenLoopConfig) -> Vec<Arrival> {
         clock_us += mean_gap_us * factor;
         let u: f64 = rng.gen_range(0.0..total);
         let query_index = cumulative.partition_point(|&c| c <= u);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the clock is a non-negative sum of gaps; arrivals fall on whole microseconds"
+        )]
         schedule.push(Arrival {
             at_us: clock_us as u64,
             query_index: query_index.min(config.n_unique - 1),

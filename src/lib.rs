@@ -39,6 +39,7 @@
 //! | [`mp_obs`] | zero-dependency spans + metrics over the whole pipeline |
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub use mp_core as core;
