@@ -1,14 +1,11 @@
 //! The CLI commands, as testable functions returning their output text.
 
 use crate::state::{self, StateConfig, StateError};
-use mp_core::probing::{
-    ByEstimatePolicy, GreedyPolicy, ProbePolicy, RandomPolicy, UncertaintyPolicy,
-};
-use mp_core::rd::derive_all_rds;
-use mp_core::selection::{baseline_select, best_set};
-use mp_core::{AproConfig, CorrectnessMetric, EdLibrary, Metasearcher, RdState, RelevancyDef};
+use mp_core::{AproConfig, CorrectnessMetric, EdLibrary, Metasearcher, RelevancyDef};
 use mp_corpus::ScenarioKind;
 use mp_eval::report::{fmt3, TextTable};
+use mp_eval::runner::{evaluate_baseline, evaluate_rd_based};
+use mp_serve::PolicySpec;
 use mp_text::Analyzer;
 use mp_workload::Query;
 use std::path::Path;
@@ -90,17 +87,6 @@ pub fn run_info(dir: &Path) -> Result<String, StateError> {
     Ok(out)
 }
 
-/// Builds a probing policy by name.
-pub fn policy_by_name(name: &str, seed: u64) -> Option<Box<dyn ProbePolicy>> {
-    match name {
-        "greedy" => Some(Box::new(GreedyPolicy)),
-        "random" => Some(Box::new(RandomPolicy::new(seed))),
-        "by-estimate" => Some(Box::new(ByEstimatePolicy)),
-        "max-uncertainty" => Some(Box::new(UncertaintyPolicy)),
-        _ => None,
-    }
-}
-
 /// `metaprobe query`: answers one keyword query with certainty-controlled
 /// selection, printing the decision trail.
 pub fn run_query(
@@ -117,7 +103,7 @@ pub fn run_query(
             "no known terms in {text:?} — try `metaprobe suggest` for vocabulary samples\n"
         ));
     };
-    let Some(mut policy) = policy_by_name(policy_name, 0) else {
+    let Some(mut policy) = PolicySpec::parse(policy_name, 0).map(|spec| spec.build()) else {
         return Ok(format!(
             "unknown policy {policy_name:?} (greedy | random | by-estimate | max-uncertainty)\n"
         ));
@@ -220,7 +206,7 @@ pub fn run_serve(
     trace: bool,
     trace_dump: Option<&Path>,
 ) -> Result<String, StateError> {
-    use mp_serve::{PolicySpec, ServeConfig, ServeRequest, Server};
+    use mp_serve::{ServeConfig, ServeRequest, Server};
 
     let st = state::load_state(dir)?;
     let library = st.library()?.clone();
@@ -341,28 +327,17 @@ pub fn run_serve(
 pub fn run_eval(dir: &Path, k: usize) -> Result<String, StateError> {
     let st = state::load_state(dir)?;
     let library = st.library()?;
-    let tb = &st.testbed;
-    let queries = tb.split.test.queries();
-    let mut base_ok = 0.0;
-    let mut rd_ok = 0.0;
-    for (qi, q) in queries.iter().enumerate() {
-        let golden = tb.golden.topk(qi, k);
-        let est = tb.estimates(q);
-        base_ok += mp_core::partial_correctness(&baseline_select(&est, k), &golden);
-        let state = RdState::new(derive_all_rds(&est, q, library));
-        let (set, _) = best_set(&state, k, CorrectnessMetric::Partial);
-        rd_ok += mp_core::partial_correctness(&set, &golden);
-    }
-    let n = queries.len() as f64;
+    let baseline = evaluate_baseline(&st.testbed, k);
+    let rd = evaluate_rd_based(&st.testbed, k, library);
     let mut table = TextTable::new(
         format!(
             "held-out evaluation (k={k}, {} queries, partial correctness)",
-            queries.len()
+            rd.n_queries
         ),
         &["method", "Avg(Cor_p)"],
     );
-    table.row(&["baseline".into(), fmt3(base_ok / n)]);
-    table.row(&["RD-based".into(), fmt3(rd_ok / n)]);
+    table.row(&["baseline".into(), fmt3(baseline.avg_cor_p)]);
+    table.row(&["RD-based".into(), fmt3(rd.avg_cor_p)]);
     Ok(table.render())
 }
 
@@ -515,13 +490,5 @@ mod tests {
         let out = run_query(&dir, "zzzz", 1, 0.8, "nonsense-policy").unwrap();
         assert!(out.contains("no known terms") || out.contains("unknown policy"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn policies_resolve_by_name() {
-        for name in ["greedy", "random", "by-estimate", "max-uncertainty"] {
-            assert!(policy_by_name(name, 0).is_some(), "{name}");
-        }
-        assert!(policy_by_name("optimal-but-wrong", 0).is_none());
     }
 }

@@ -173,24 +173,19 @@ impl EdLibrary {
             .find_map(|fb| self.ed(db, fb))
     }
 
-    /// What an RD derivation on `db` reads for a query of type `qt`:
-    /// [`Self::ed_or_fallback`]'s choice as a [`Discrete`] and its RD at
-    /// the estimate floor, or `None` when there is no ED (the RD degrades
-    /// to an impulse). Reads of the frozen table, so a query pays no map
-    /// lookup and no fallback search.
-    pub(crate) fn frozen_leaf(&self, db: usize, qt: QueryType) -> Option<(&Discrete, &Discrete)> {
+    /// The ED an RD derivation on `db` scales for a query of type `qt`:
+    /// [`Self::ed_or_fallback`]'s choice as a [`Discrete`], or `None`
+    /// when there is none (the RD degrades to an impulse). A read of the
+    /// frozen table, so a query pays no map lookup and no fallback search.
+    pub(crate) fn frozen_ed(&self, db: usize, qt: QueryType) -> Option<&Discrete> {
         let leaf = qt.index(self.config.coverage_thresholds.len());
-        let frozen = self.frozen();
-        let ed = frozen.eds[leaf * self.per_db.len() + db].as_ref()?;
-        Some((ed, frozen.runs[leaf].rd(db)?))
+        self.frozen().eds[leaf * self.per_db.len() + db].as_ref()
     }
 
-    /// The floor run of the leaf an estimate at the floor classifies to
-    /// for an `n_terms`-term query. A state built with it
-    /// ([`crate::expected::RdState::with_floor_run`]) takes the points of
-    /// every database whose RD is its floor RD there from the run.
-    pub(crate) fn floor_run(&self, n_terms: usize) -> &FloorRun {
-        let qt = self.classify(n_terms, self.config.est_floor);
+    /// The floor run of leaf `qt`: every database's RD at the estimate
+    /// floor there, pre-ranked ([`crate::expected::RdState::for_query`]
+    /// reads the run of the leaf an estimate at the floor classifies to).
+    pub(crate) fn floor_run(&self, qt: QueryType) -> &FloorRun {
         &self.frozen().runs[qt.index(self.config.coverage_thresholds.len())]
     }
 
@@ -372,35 +367,34 @@ mod tests {
             lib.record(db, 2, 0.0, 0.0);
         }
         let q = Query::new([mp_text::TermId(0), mp_text::TermId(1)]);
-        let before = derive_all_rds(&[0.0; 3], &q, &lib);
-        let built = RdState::with_floor_run(before.clone(), lib.floor_run(q.len()));
+        let estimates = [0.0; 3];
+        let before = RdState::for_query(&estimates, &q, &lib);
         assert_eq!(
-            built.support_bits(),
-            RdState::new(before.clone()).support_bits()
+            before.support_bits(),
+            RdState::new(derive_all_rds(&estimates, &q, &lib)).support_bits()
         );
 
         // Database 1's floor leaf learns a new error: its floor RD moves.
         for _ in 0..5 {
             lib.record(1, 2, 0.0, 9.0);
         }
-        let after = derive_all_rds(&[0.0; 3], &q, &lib);
-        assert_ne!(bits(&after[1]), bits(&before[1]));
-        let run = lib.floor_run(q.len());
-        for (db, after_rd) in after.iter().enumerate() {
-            let floor = run.rd(db).expect("every database has an ED");
-            let ed = lib.ed_or_fallback(db, lib.classify(2, 0.0));
+        let after = RdState::for_query(&estimates, &q, &lib);
+        assert_ne!(bits(&after.rds()[1]), bits(&before.rds()[1]));
+        assert_eq!(
+            after.support_bits(),
+            RdState::new(derive_all_rds(&estimates, &q, &lib)).support_bits()
+        );
+        // The run and the state follow the trained EDs, not the table
+        // frozen before the records.
+        let qt = lib.classify(2, 0.0);
+        let run = lib.floor_run(qt);
+        for (db, rd) in after.rds().iter().enumerate() {
+            let ed = lib.ed_or_fallback(db, qt);
             let ed = ed.and_then(ErrorDistribution::to_discrete).unwrap();
             let fresh = derive_rd(config().est_floor, Some(&ed), &config());
+            let floor = run.rd(db).expect("every database has an ED");
             assert_eq!(bits(floor), bits(&fresh), "db {db}'s run is stale");
-            assert_eq!(bits(floor), bits(after_rd));
-        }
-        // The fresh RDs borrow the new run; the stale vector's database 1
-        // no longer matches it, so its points are sorted instead.
-        for rds in [after, before] {
-            assert_eq!(
-                RdState::with_floor_run(rds.clone(), run).support_bits(),
-                RdState::new(rds).support_bits()
-            );
+            assert_eq!(bits(rd), bits(&fresh));
         }
     }
 

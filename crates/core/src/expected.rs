@@ -24,9 +24,12 @@
 //! an independent oracle in tests.
 
 use crate::correctness::{golden_topk, rank_order, CorrectnessMetric};
+use crate::ed::EdLibrary;
+use crate::rd::derive_rd;
 use mp_stats::float::{canonical, desc_key, exact_zero};
 use mp_stats::poisson_binomial::at_most;
 use mp_stats::Discrete;
+use mp_workload::Query;
 use rand::Rng;
 use std::cmp::Ordering;
 
@@ -47,21 +50,57 @@ pub struct RdState {
 }
 
 impl RdState {
-    /// Builds the state from initial (unprobed) RDs. It is the crate's
-    /// one state build with an empty floor run, so every support point
-    /// goes through the sort.
+    /// Builds the state from initial (unprobed) RDs, sorting every
+    /// support point. A query's state comes from [`Self::for_query`],
+    /// which builds this state over [`crate::rd::derive_all_rds`].
     pub fn new(rds: Vec<Discrete>) -> Self {
-        Self::with_floor_run(rds, &FloorRun::default())
+        Self::merged(rds, &FloorRun::default(), &[])
     }
 
-    /// Builds the state from initial (unprobed) RDs, taking the ranked
-    /// points of every RD that is bit for bit its database's floor RD in
-    /// `run` from the run ([`merged_support`]). The state is the same,
-    /// bit for bit, whatever `run` holds.
-    pub(crate) fn with_floor_run(rds: Vec<Discrete>, run: &FloorRun) -> Self {
+    /// Builds the state of `query` from its estimates, `estimates[i]`
+    /// for database `i`: each database's RD scales the ED of its
+    /// query-type leaf by its estimate (paper Section 3.1, Example 3),
+    /// and the RDs are bit for bit [`crate::rd::derive_all_rds`]'s.
+    ///
+    /// An estimate at or below the floor that classifies to the floor
+    /// leaf (the leaf an estimate at the floor classifies to) scales
+    /// that leaf by the floor itself. Such a database takes its RD and
+    /// its pre-ranked points from the leaf's floor run; only the other
+    /// databases' points are sorted.
+    pub fn for_query(estimates: &[f64], query: &Query, library: &EdLibrary) -> Self {
+        assert_eq!(
+            estimates.len(),
+            library.n_databases(),
+            "estimate/library mismatch"
+        );
+        let config = library.config();
+        let floor_leaf = library.classify(query.len(), config.est_floor);
+        let run = library.floor_run(floor_leaf);
+        let mut from_run = vec![false; estimates.len()];
+        let rds = estimates
+            .iter()
+            .enumerate()
+            .map(|(db, &estimate)| {
+                let qt = library.classify(query.len(), estimate);
+                match run.rd(db) {
+                    Some(floor_rd) if estimate <= config.est_floor && qt == floor_leaf => {
+                        from_run[db] = true;
+                        floor_rd.clone()
+                    }
+                    _ => derive_rd(estimate, library.frozen_ed(db, qt), config),
+                }
+            })
+            .collect();
+        Self::merged(rds, run, &from_run)
+    }
+
+    /// Builds the state from initial (unprobed) RDs, taking the points
+    /// of database `i` from `run` where `from_run[i]` holds
+    /// ([`merged_support`]).
+    fn merged(rds: Vec<Discrete>, run: &FloorRun, from_run: &[bool]) -> Self {
         assert!(!rds.is_empty(), "need at least one database");
         let probed = vec![false; rds.len()];
-        let (support, total) = merged_support(&rds, run);
+        let (support, total) = merged_support(&rds, run, from_run);
         mp_obs::histogram!("rd.support_points", mp_obs::bounds::POW2)
             .record(u64::try_from(support.len()).unwrap_or(u64::MAX));
         Self {
@@ -324,9 +363,9 @@ pub(crate) type SupportPoint = (f64, usize, f64, f64);
 /// At or below the estimate floor a database's RD is a fixed function of
 /// its leaf ([`crate::ed::EdLibrary`] freezes it), and most databases of
 /// a query on a large fleet sit there. The library builds one run per
-/// leaf, next to its frozen table, and a state built with
-/// [`RdState::with_floor_run`] takes those databases' points from the
-/// run instead of sorting them again.
+/// leaf, next to its frozen table, and [`RdState::for_query`] takes
+/// those databases' RDs and points from the run instead of deriving and
+/// sorting them again.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FloorRun {
     /// Database `i`'s RD at the floor, or `None` when it has no ED.
@@ -380,9 +419,8 @@ impl FloorRun {
 ///
 /// Three steps:
 ///
-/// 1. Every database whose RD is bit for bit its floor RD in `run`
-///    (compared with `to_bits`, so a stale or foreign RD never matches)
-///    takes its points and total from the run.
+/// 1. Every database `i` with `from_run[i]`, whose RD is its floor RD in
+///    `run`, takes its points and total from the run.
 /// 2. The other databases' points are keyed and sorted
 ///    ([`ranked_keys`]).
 /// 3. One linear pass merges the two lists. A run point and a sorted
@@ -390,16 +428,19 @@ impl FloorRun {
 ///    (value, then database) never tie, and within each list the order
 ///    is already `rank_order`'s.
 ///
-/// With an empty run (see [`RdState::new`]) the first and last steps
+/// With an empty mask (see [`RdState::new`]) the first and last steps
 /// take nothing.
-fn merged_support(rds: &[Discrete], run: &FloorRun) -> (Vec<SupportPoint>, Vec<f64>) {
-    let mut from_run = vec![false; rds.len()];
+fn merged_support(
+    rds: &[Discrete],
+    run: &FloorRun,
+    from_run: &[bool],
+) -> (Vec<SupportPoint>, Vec<f64>) {
+    let taken = |i: usize| from_run.get(i).is_some_and(|&taken| taken);
     let mut run_len = 0;
     let mut points = Vec::new();
     let mut total = Vec::with_capacity(rds.len());
     for (i, rd) in rds.iter().enumerate() {
-        if run.rd(i).is_some_and(|floor| same_bits(floor, rd)) {
-            from_run[i] = true;
+        if taken(i) {
             run_len += rd.len();
             total.push(run.total[i]);
         } else {
@@ -410,7 +451,7 @@ fn merged_support(rds: &[Discrete], run: &FloorRun) -> (Vec<SupportPoint>, Vec<f
     let mut run_points = run
         .points
         .iter()
-        .filter(|&&(_, (_, i, ..))| from_run.get(i).is_some_and(|&taken| taken))
+        .filter(|&&(_, (_, i, ..))| taken(i))
         .peekable();
     for key in ranked_keys(&points) {
         #[expect(
@@ -458,15 +499,6 @@ fn ranked_keys(points: &[SupportPoint]) -> Vec<u128> {
 /// half, with the database in place of the position.
 fn merge_key(key: u128, point: SupportPoint) -> u128 {
     key >> 64 << 64 | point.1 as u128
-}
-
-/// Whether two RDs have the same points, bit for bit.
-fn same_bits(a: &Discrete, b: &Discrete) -> bool {
-    a.len() == b.len()
-        && a.points()
-            .iter()
-            .zip(b.points())
-            .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
 }
 
 /// Writes one rival's "ranks ahead" pmf into its leaf: `behind` at
@@ -817,7 +849,7 @@ mod tests {
     /// `merged_support` of its RDs, bit for bit.
     fn assert_fresh_support(state: &RdState) -> Result<(), TestCaseError> {
         let (support, total) = state.support();
-        let (fresh, fresh_total) = merged_support(state.rds(), &FloorRun::default());
+        let (fresh, fresh_total) = merged_support(state.rds(), &FloorRun::default(), &[]);
         let bits =
             |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
         prop_assert_eq!(
@@ -871,7 +903,7 @@ mod tests {
     fn assert_keyed_equals_comparator(rds: &[Discrete]) -> Result<(), TestCaseError> {
         let bits =
             |&(v, i, p, behind): &SupportPoint| (v.to_bits(), i, p.to_bits(), behind.to_bits());
-        let (keyed, _) = merged_support(rds, &FloorRun::default());
+        let (keyed, _) = merged_support(rds, &FloorRun::default(), &[]);
         prop_assert_eq!(
             keyed.iter().map(bits).collect::<Vec<_>>(),
             comparator_support(rds).iter().map(bits).collect::<Vec<_>>()
@@ -1003,36 +1035,6 @@ mod tests {
         Ok(())
     }
 
-    /// Database `i`'s RD against its floor RD `floor` (`None`: no ED), by
-    /// `kind`: the floor RD itself, another RD of the grid, the floor RD
-    /// with one value moved one ulp or its zero negated, or, without an
-    /// ED, an impulse.
-    fn run_case_rd(floor: Option<&Discrete>, other: &[(usize, f64)], kind: u8) -> Discrete {
-        let Some(floor) = floor else {
-            return Discrete::impulse(ulp_grid()[other[0].0]);
-        };
-        let moved = |f: fn(f64) -> f64| {
-            let mut pts = floor.points().to_vec();
-            let last = pts.len() - 1;
-            pts[last].0 = f(pts[last].0);
-            Discrete::from_weighted(&pts).unwrap()
-        };
-        match kind {
-            0..=3 => floor.clone(),
-            4 => ulp_grid_rd(other),
-            5 => moved(f64::next_up),
-            6 => moved(f64::next_down),
-            _ => {
-                let pts: Vec<(f64, f64)> = floor
-                    .points()
-                    .iter()
-                    .map(|&(v, p)| (if exact_zero(v) { -v } else { v }, p))
-                    .collect();
-                Discrete::from_weighted(&pts).unwrap()
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1042,30 +1044,32 @@ mod tests {
                 (
                     proptest::collection::vec((0usize..8, 0.05f64..1.0), 1..5),
                     proptest::collection::vec((0usize..8, 0.05f64..1.0), 1..5),
-                    0u8..10,
+                    0u8..4,
                 ),
                 1..12
             ),
             probes in proptest::collection::vec((0usize..12, 0usize..12, 0u8..5), 0..6)
         ) {
-            // Kinds 8 and 9 have no ED, so no floor RD.
+            // Kinds 0 and 1 take their floor RD from the run, kind 2 has
+            // one but holds another RD of the grid, and kind 3 has no ED,
+            // so no floor RD, and holds an impulse.
             let floors: Vec<Option<Discrete>> = dbs
                 .iter()
-                .map(|(floor, _, kind)| (*kind < 8).then(|| ulp_grid_rd(floor)))
+                .map(|(floor, _, kind)| (*kind < 3).then(|| ulp_grid_rd(floor)))
                 .collect();
+            let from_run: Vec<bool> = dbs.iter().map(|(_, _, kind)| *kind < 2).collect();
             let rds: Vec<Discrete> = dbs
                 .iter()
                 .zip(&floors)
-                .map(|((_, other, kind), floor)| run_case_rd(floor.as_ref(), other, *kind))
+                .map(|((_, other, kind), floor)| match (kind, floor) {
+                    (0 | 1, Some(floor)) => floor.clone(),
+                    (2, _) => ulp_grid_rd(other),
+                    _ => Discrete::impulse(ulp_grid()[other[0].0]),
+                })
                 .collect();
             let run = FloorRun::new(floors);
-            let mut state = RdState::with_floor_run(rds.clone(), &run);
+            let mut state = RdState::merged(rds, &run, &from_run);
             assert_comparator_state(&state)?;
-            // Runs of other fleets' sizes lend nothing they should not.
-            let short = FloorRun::new(run.rds[..run.rds.len() / 2].to_vec());
-            assert_comparator_state(&RdState::with_floor_run(rds.clone(), &short))?;
-            let long = FloorRun::new(run.rds.iter().chain(&run.rds).cloned().collect());
-            assert_comparator_state(&RdState::with_floor_run(rds.clone(), &long))?;
             // Probes splice into the run-merged support as into a sorted one.
             for (db, src, kind) in probes {
                 let i = db % state.len();

@@ -57,4 +57,4 @@ pub use persist::{library_from_json, library_to_json, load_library, save_library
 pub use probing::{apro, AproConfig, AproOutcome, GreedyPolicy, ProbePolicy};
 pub use query_type::QueryType;
 pub use relevancy::RelevancyDef;
-pub use selection::{baseline_select, best_set, rd_based_select};
+pub use selection::{baseline_select, best_set};

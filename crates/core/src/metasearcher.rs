@@ -13,11 +13,9 @@ use crate::estimator::{estimate_all, RelevancyEstimator};
 use crate::expected::RdState;
 use crate::fusion::{fuse, FusedHit};
 use crate::probing::{apro, AproConfig, AproOutcome, ProbePolicy};
-use crate::rd::derive_all_rds;
 use crate::relevancy::RelevancyDef;
 use crate::selection::{baseline_select, best_set};
 use mp_hidden::Mediator;
-use mp_stats::Discrete;
 use mp_workload::Query;
 
 /// The end-to-end result of one metasearch.
@@ -125,20 +123,6 @@ impl Metasearcher {
         estimate_all(self.estimator.as_ref(), &self.mediator, query)
     }
 
-    /// The query's relevancy distributions across all databases, in
-    /// index order ([`derive_all_rds`] over [`Self::estimates`]).
-    // mp-lint: allow(L6): every element comes from derive_rd, which asserts
-    pub fn rds(&self, query: &Query) -> Vec<Discrete> {
-        derive_all_rds(&self.estimates(query), query, &self.library)
-    }
-
-    /// The selection state of `query` over its RDs `rds`, built with the
-    /// library's floor run for the query: the state [`RdState::new`]
-    /// builds, bit for bit, without sorting the floor RDs' points again.
-    fn state(&self, query: &Query, rds: Vec<Discrete>) -> RdState {
-        RdState::with_floor_run(rds, self.library.floor_run(query.len()))
-    }
-
     /// Baseline selection (pure estimate ranking, paper Section 2.2).
     pub fn select_baseline(&self, query: &Query, k: usize) -> Vec<usize> {
         baseline_select(&self.estimates(query), k)
@@ -152,7 +136,8 @@ impl Metasearcher {
         k: usize,
         metric: CorrectnessMetric,
     ) -> (Vec<usize>, f64) {
-        best_set(&self.state(query, self.rds(query)), k, metric)
+        let state = RdState::for_query(&self.estimates(query), query, &self.library);
+        best_set(&state, k, metric)
     }
 
     /// Full adaptive selection: RD-based start, then `APro` probing via
@@ -163,7 +148,7 @@ impl Metasearcher {
         config: AproConfig,
         policy: &mut dyn ProbePolicy,
     ) -> AproOutcome {
-        let mut state = self.state(query, self.rds(query));
+        let mut state = RdState::for_query(&self.estimates(query), query, &self.library);
         let probe_top_n = self.library.config().probe_top_n;
         let mut probe_fn = |i: usize| self.def.probe(self.mediator.db(i), query, probe_top_n);
         apro(&mut state, config, policy, &mut probe_fn)

@@ -81,9 +81,10 @@ impl AproOutcome {
 
 /// One `APro` run, factored into externally driven steps.
 ///
-/// [`apro`] is a straight loop over one session. servebench's replay
-/// drives a session step by step instead, so that it can time each
-/// probe's policy and selection work apart. The factoring changes
+/// [`apro`] is a straight loop over one session, and
+/// [`crate::probing::apro_with_costs`] the same loop with a cost budget.
+/// servebench's replay drives a session step by step instead, so that
+/// it can time each probe's policy and selection work apart. The factoring changes
 /// nothing about the run: [`Self::next_probe`] performs exactly the
 /// loop head's threshold/budget checks and policy selection,
 /// [`Self::apply`] exactly the loop body's state update and

@@ -22,7 +22,7 @@
 use crate::correctness::CorrectnessMetric;
 use crate::engine;
 use crate::expected::RdState;
-use crate::probing::apro::{apro, AproConfig, AproOutcome};
+use crate::probing::apro::{AproConfig, AproOutcome, AproSession};
 use crate::probing::greedy::GreedyPolicy;
 use crate::probing::policy::ProbePolicy;
 use crate::selection::best_set_score_quick;
@@ -134,10 +134,10 @@ impl ProbePolicy for CostAwareGreedyPolicy {
     }
 }
 
-/// `APro` with probe-cost accounting: behaves like
-/// [`apro`](crate::probing::apro::apro) but additionally
-/// stops once the accumulated probe cost would exceed `max_cost` (if
-/// given) and reports the total cost spent.
+/// `APro` with probe-cost accounting: runs like
+/// [`apro`](crate::probing::apro::apro), one [`AproSession`], but also
+/// stops before a probe whose cost would take the accumulated cost past
+/// `max_cost` (if given), and reports the total cost spent.
 pub fn apro_with_costs(
     state: &mut RdState,
     config: AproConfig,
@@ -151,48 +151,18 @@ pub fn apro_with_costs(
         state.len(),
         "cost vector does not cover the databases"
     );
+    let _span = mp_obs::span!("apro.run");
     let mut spent = 0.0f64;
-    // Budget enforcement wraps the probe function: once the next probe
-    // would blow the budget we report exhaustion by probing nothing —
-    // implemented by running APro one probe at a time.
-    let mut outcome = apro(
-        state,
-        AproConfig {
-            max_probes: Some(0),
-            ..config
-        },
-        policy,
-        probe_fn,
-    );
-    while !outcome.satisfied {
-        let Some(next) = policy.select_db(state, config.k, config.metric) else {
+    let mut session = AproSession::begin(state, policy, config);
+    while let Some(db) = session.next_probe() {
+        if max_cost.is_some_and(|budget| spent + costs.cost(db) > budget + 1e-12) {
             break;
-        };
-        if let Some(budget) = max_cost {
-            if spent + costs.cost(next) > budget + 1e-12 {
-                break;
-            }
         }
-        if let Some(max) = config.max_probes {
-            if outcome.n_probes() >= max {
-                break;
-            }
-        }
-        let actual = probe_fn(next);
-        spent += costs.cost(next);
-        state.probe(next, actual);
-        let (sel, exp) = crate::selection::best_set(state, config.k, config.metric);
-        outcome.probes.push(crate::probing::apro::ProbeRecord {
-            db: next,
-            actual,
-            selected_after: sel.clone(),
-            expected_after: exp,
-        });
-        outcome.selected = sel;
-        outcome.expected = exp;
-        outcome.satisfied = exp >= config.threshold;
+        let actual = probe_fn(db);
+        spent += costs.cost(db);
+        session.apply(db, actual);
     }
-    (outcome, spent)
+    (session.finish(), spent)
 }
 
 #[cfg(test)]
@@ -316,6 +286,30 @@ mod tests {
         );
         assert_eq!(outcome.n_probes(), 0);
         assert_eq!(spent, 0.0);
+    }
+
+    #[test]
+    fn uniform_costs_without_a_budget_run_apro() {
+        use crate::probing::apro::apro;
+        use crate::probing::policy::RandomPolicy;
+        let mut probe = |i: usize| [100.0, 130.0, 120.0][i];
+        for seed in 0..4 {
+            for (threshold, max_probes) in [(1.0, None), (0.9, None), (1.0, Some(1))] {
+                let config = AproConfig {
+                    k: 1,
+                    threshold,
+                    metric: CorrectnessMetric::Absolute,
+                    max_probes,
+                };
+                let costs = ProbeCosts::uniform(3);
+                let (mut costed, mut plain) = (RandomPolicy::new(seed), RandomPolicy::new(seed));
+                let (outcome, spent) =
+                    apro_with_costs(&mut state(), config, &costs, None, &mut costed, &mut probe);
+                let expected = apro(&mut state(), config, &mut plain, &mut probe);
+                assert_eq!(outcome, expected, "seed {seed}, t = {threshold}");
+                assert_eq!(spent, expected.n_probes() as f64);
+            }
+        }
     }
 
     #[test]

@@ -37,19 +37,11 @@ pub fn derive_rd(estimate: f64, errors: Option<&Discrete>, config: &CoreConfig) 
 /// database-dependent: paper Section 4.1) and scaling the leaf's frozen
 /// ED.
 ///
-/// An estimate at or below the floor scales the leaf by the floor
-/// itself, so its RD is the one the library froze with the leaf: a copy,
-/// bit for bit what [`derive_rd`] would compute.
-///
 /// `estimate` must be the estimator output for database `db`.
-// mp-lint: allow(L6): derive_rd asserts, and a frozen floor RD came from it
+// mp-lint: allow(L6): pure delegation to derive_rd, which asserts
 pub fn derive_db_rd(estimate: f64, db: usize, query: &Query, lib: &EdLibrary) -> Discrete {
     let qt = lib.classify(query.len(), estimate);
-    let config = lib.config();
-    match lib.frozen_leaf(db, qt) {
-        Some((_, floor_rd)) if estimate <= config.est_floor => floor_rd.clone(),
-        leaf => derive_rd(estimate, leaf.map(|(ed, _)| ed), config),
-    }
+    derive_rd(estimate, lib.frozen_ed(db, qt), lib.config())
 }
 
 /// Derives the RDs of a query against every database in one call
@@ -74,6 +66,7 @@ pub fn derive_all_rds(estimates: &[f64], query: &Query, lib: &EdLibrary) -> Vec<
 mod tests {
     use super::*;
     use crate::ed::ErrorDistribution;
+    use crate::expected::RdState;
     use mp_text::TermId;
     use proptest::prelude::*;
 
@@ -147,6 +140,75 @@ mod tests {
         assert!((rds[0].mean() - 800.0).abs() < 1e-9);
         // db1: estimate 20 × (1 − 1.0) = 0.
         assert!((rds[1].mean() - 0.0).abs() < 1e-9);
+    }
+
+    /// Databases in a proptest library. Training never records on the
+    /// last one, so it has no ED.
+    const N_DB: usize = 5;
+
+    /// Actual relevancies a proptest library trains on.
+    const ACTUALS: [f64; 6] = [0.0, 0.05, 0.3, 2.0, 9.0, 40.0];
+
+    /// A coverage threshold above, at or below the estimate floor.
+    fn theta(kind: usize) -> f64 {
+        let floor = config().est_floor;
+        [10.0 * floor, floor, floor / 2.0][kind]
+    }
+
+    /// Zero of either sign, half the floor, the floor, one ulp above it,
+    /// or an estimate above `theta`.
+    fn estimate(kind: usize, theta: f64) -> f64 {
+        let floor = config().est_floor;
+        [
+            0.0,
+            -0.0,
+            floor / 2.0,
+            floor,
+            floor.next_up(),
+            2.0 * theta + 1.0,
+        ][kind]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_for_query_equals_a_sorted_state_of_derived_rds(
+            theta_kind in 0usize..3,
+            records in proptest::collection::vec(
+                ((0usize..N_DB - 1, 1usize..4), (0usize..6, 0usize..6)),
+                0..40
+            ),
+            n_terms in 1u32..4,
+            kinds in proptest::collection::vec(0usize..6, N_DB),
+            probes in proptest::collection::vec((0usize..N_DB, 0usize..N_DB, 0u8..4), 0..5)
+        ) {
+            let theta = theta(theta_kind);
+            let mut lib = EdLibrary::empty(N_DB, config().with_threshold(theta));
+            for &((db, terms), (est, actual)) in &records {
+                lib.record(db, terms, estimate(est, theta), ACTUALS[actual]);
+            }
+            let q = Query::new((0..n_terms).map(TermId));
+            let estimates: Vec<f64> = kinds.iter().map(|&kind| estimate(kind, theta)).collect();
+            let mut state = RdState::for_query(&estimates, &q, &lib);
+            let mut sorted = RdState::new(derive_all_rds(&estimates, &q, &lib));
+            prop_assert_eq!(state.support_bits(), sorted.support_bits());
+            // Probe outcomes of either zero, tying a support point, one
+            // ulp above it, or between points.
+            for (db, src, kind) in probes {
+                let pts = sorted.rds()[src].points();
+                let near = pts[src % pts.len()].0;
+                let outcome = match kind {
+                    0 => -0.0,
+                    1 => near,
+                    2 => near.next_up(),
+                    _ => near + 0.5,
+                };
+                state.probe(db, outcome);
+                sorted.probe(db, outcome);
+                prop_assert_eq!(state.support_bits(), sorted.support_bits());
+            }
+        }
     }
 
     proptest! {

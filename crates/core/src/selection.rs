@@ -108,12 +108,6 @@ fn swap_search(rds: &[Discrete], mut set: Vec<usize>) -> (Vec<usize>, f64) {
     (set, score)
 }
 
-/// RD-based selection (paper Section 3.3): the set with the highest
-/// expected correctness, no probing involved.
-pub fn rd_based_select(state: &RdState, k: usize, metric: CorrectnessMetric) -> Vec<usize> {
-    best_set(state, k, metric).0
-}
-
 /// The *score* of the marginal-ranking candidate set, without the
 /// absolute-metric local search — a fast, tight lower bound on
 /// [`best_set`]'s score (and exactly equal for `k = 1` and the partial
@@ -360,7 +354,7 @@ mod tests {
         #[test]
         fn prop_selected_set_is_valid(rds in arb_rds(), k_raw in 1usize..4) {
             let k = k_raw.min(rds.len());
-            let set = rd_based_select(&RdState::new(rds.clone()), k, CorrectnessMetric::Partial);
+            let (set, _) = best_set(&RdState::new(rds.clone()), k, CorrectnessMetric::Partial);
             prop_assert_eq!(set.len(), k);
             let distinct: std::collections::HashSet<_> = set.iter().collect();
             prop_assert_eq!(distinct.len(), k);

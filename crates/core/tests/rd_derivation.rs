@@ -172,8 +172,9 @@ fn one_leaf_serves_every_query_type_through_fallbacks() {
 }
 
 /// A database without an ED keeps the impulse path at and below the
-/// floor, while a trained one reads its frozen floor RD; both equal the
-/// reference before and after a `record` lands on the built table.
+/// floor, while a trained one scales its frozen ED by the floor; both
+/// equal the reference before and after a `record` lands on the built
+/// table.
 #[test]
 fn floor_estimates_derive_the_reference_with_and_without_an_ed() {
     use mp_core::rd::derive_db_rd;

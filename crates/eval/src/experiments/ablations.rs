@@ -3,16 +3,13 @@
 
 use crate::report::{fmt2, fmt3, TextTable};
 use crate::runner::{
-    evaluate_baseline, evaluate_rd_based, par_map_queries, threshold_run, MethodScores,
-    ThresholdOutcome,
+    evaluate_baseline, evaluate_rd_based, threshold_run, MethodScores, ThresholdOutcome,
 };
 use crate::testbed::Testbed;
 use mp_core::probing::{
     ByEstimatePolicy, GreedyPolicy, OptimalPolicy, ProbePolicy, RandomPolicy, UncertaintyPolicy,
 };
-use mp_core::rd::derive_all_rds;
-use mp_core::selection::best_set;
-use mp_core::{CorrectnessMetric, EdLibrary, RdState};
+use mp_core::{CorrectnessMetric, EdLibrary};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -117,7 +114,7 @@ pub fn run_theta_ablation(tb: &Testbed, thetas: &[f64]) -> Vec<ThetaRow> {
             tb.mediator.reset_probes();
             ThetaRow {
                 theta,
-                rd_k1: rd_scores_with_library(tb, 1, &library),
+                rd_k1: evaluate_rd_based(tb, 1, &library),
             }
         })
         .collect()
@@ -179,7 +176,7 @@ pub fn run_training_size_ablation(tb: &Testbed, sizes: &[usize]) -> Vec<Training
             tb.mediator.reset_probes();
             TrainingSizeRow {
                 n_train: subset.len(),
-                rd_k1: rd_scores_with_library(tb, 1, &library),
+                rd_k1: evaluate_rd_based(tb, 1, &library),
             }
         })
         .collect()
@@ -218,9 +215,12 @@ pub fn run_summary_ablation(cooperative: &Testbed, sampled: &Testbed) -> Summary
     SummaryAblationResult {
         cooperative: (
             evaluate_baseline(cooperative, 1),
-            evaluate_rd_based(cooperative, 1),
+            evaluate_rd_based(cooperative, 1, &cooperative.library),
         ),
-        sampled: (evaluate_baseline(sampled, 1), evaluate_rd_based(sampled, 1)),
+        sampled: (
+            evaluate_baseline(sampled, 1),
+            evaluate_rd_based(sampled, 1, &sampled.library),
+        ),
     }
 }
 
@@ -241,37 +241,6 @@ pub fn render_summary_ablation(r: &SummaryAblationResult) -> String {
         fmt3(r.sampled.1.avg_cor_a),
     ]);
     table.render()
-}
-
-// ---------------------------------------------------------------------
-
-/// RD-based scores at `k` using an explicit (re-trained) library.
-fn rd_scores_with_library(tb: &Testbed, k: usize, library: &EdLibrary) -> MethodScores {
-    let queries = tb.split.test.queries();
-    let per_q = par_map_queries(queries.len(), |qi| {
-        let q = &queries[qi];
-        let state = RdState::new(derive_all_rds(&tb.estimates(q), q, library));
-        let golden = tb.golden.topk(qi, k);
-        let (set_a, _) = best_set(&state, k, CorrectnessMetric::Absolute);
-        let (set_p, _) = best_set(&state, k, CorrectnessMetric::Partial);
-        (
-            mp_core::absolute_correctness(&set_a, &golden),
-            mp_core::partial_correctness(&set_p, &golden),
-        )
-    });
-    let mut a = mp_stats::OnlineStats::new();
-    let mut p = mp_stats::OnlineStats::new();
-    for &(ca, cp) in &per_q {
-        a.push(ca);
-        p.push(cp);
-    }
-    MethodScores {
-        avg_cor_a: a.mean(),
-        avg_cor_p: p.mean(),
-        se_cor_a: a.std_err(),
-        se_cor_p: p.std_err(),
-        n_queries: per_q.len(),
-    }
 }
 
 #[cfg(test)]
@@ -424,11 +393,11 @@ pub fn run_relevancy_ablation(
     RelevancyAblationResult {
         doc_frequency: (
             evaluate_baseline(doc_frequency, 1),
-            evaluate_rd_based(doc_frequency, 1),
+            evaluate_rd_based(doc_frequency, 1, &doc_frequency.library),
         ),
         doc_similarity: (
             evaluate_baseline(doc_similarity, 1),
-            evaluate_rd_based(doc_similarity, 1),
+            evaluate_rd_based(doc_similarity, 1, &doc_similarity.library),
         ),
     }
 }

@@ -35,9 +35,9 @@ pub fn run_fig15(tb: &Testbed) -> Fig15Result {
     let _span = mp_obs::span!("eval.fig15");
     Fig15Result {
         baseline_k1: evaluate_baseline(tb, 1),
-        rd_k1: evaluate_rd_based(tb, 1),
+        rd_k1: evaluate_rd_based(tb, 1, &tb.library),
         baseline_k3: evaluate_baseline(tb, 3),
-        rd_k3: evaluate_rd_based(tb, 3),
+        rd_k3: evaluate_rd_based(tb, 3, &tb.library),
     }
 }
 

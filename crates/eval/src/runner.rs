@@ -5,6 +5,7 @@ use mp_core::correctness::CorrectnessMetric;
 use mp_core::expected::RdState;
 use mp_core::probing::{apro, AproConfig, ProbePolicy};
 use mp_core::selection::{baseline_select, best_set};
+use mp_core::EdLibrary;
 use serde::{Deserialize, Serialize};
 
 /// Average correctness of one selection method over a test trace
@@ -41,13 +42,15 @@ pub fn evaluate_baseline(tb: &Testbed, k: usize) -> MethodScores {
     average(per_q)
 }
 
-/// Evaluates RD-based selection with no probing (paper Section 6.2).
-/// Each metric's score uses the set optimized for that metric.
-pub fn evaluate_rd_based(tb: &Testbed, k: usize) -> MethodScores {
+/// Evaluates RD-based selection with no probing (paper Section 6.2),
+/// its RDs derived from `library`. Each metric's score uses the set
+/// optimized for that metric.
+pub fn evaluate_rd_based(tb: &Testbed, k: usize, library: &EdLibrary) -> MethodScores {
     let _span = mp_obs::span!("eval.rd_based");
     let queries = tb.split.test.queries();
     let per_q = par_map_queries(queries.len(), |qi| {
-        let state = RdState::new(tb.rds(&queries[qi]));
+        let q = &queries[qi];
+        let state = RdState::for_query(&tb.estimates(q), q, library);
         let golden = tb.golden.topk(qi, k);
         let (set_a, _) = best_set(&state, k, CorrectnessMetric::Absolute);
         let (set_p, _) = best_set(&state, k, CorrectnessMetric::Partial);
@@ -94,7 +97,7 @@ where
     let queries = tb.split.test.queries();
     let per_q: Vec<Vec<f64>> = par_map_queries(queries.len(), |qi| {
         let q = &queries[qi];
-        let mut state = RdState::new(tb.rds(q));
+        let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
         let mut policy = policy_factory(qi);
         let mut probe_fn = |i: usize| tb.golden.actual(qi, i);
         let out = apro(
@@ -158,7 +161,7 @@ where
     let queries = tb.split.test.queries();
     let per_q: Vec<(usize, f64, bool)> = par_map_queries(queries.len(), |qi| {
         let q = &queries[qi];
-        let mut state = RdState::new(tb.rds(q));
+        let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
         let mut policy = policy_factory(qi);
         let mut probe_fn = |i: usize| tb.golden.actual(qi, i);
         let out = apro(
@@ -209,7 +212,10 @@ mod tests {
     fn baseline_and_rd_scores_are_probabilities() {
         let tb = tb();
         for k in [1usize, 3] {
-            for s in [evaluate_baseline(&tb, k), evaluate_rd_based(&tb, k)] {
+            for s in [
+                evaluate_baseline(&tb, k),
+                evaluate_rd_based(&tb, k, &tb.library),
+            ] {
                 assert!((0.0..=1.0).contains(&s.avg_cor_a), "{s:?}");
                 assert!((0.0..=1.0).contains(&s.avg_cor_p), "{s:?}");
                 assert!(s.avg_cor_a <= s.avg_cor_p + 1e-9, "{s:?}");
@@ -227,7 +233,7 @@ mod tests {
         // `fig15_selection::tests::rd_based_improves_on_baseline`.
         let tb = tb();
         let base = evaluate_baseline(&tb, 1);
-        let rd = evaluate_rd_based(&tb, 1);
+        let rd = evaluate_rd_based(&tb, 1, &tb.library);
         let se = (base.se_cor_a.powi(2) + rd.se_cor_a.powi(2)).sqrt();
         assert!(
             rd.avg_cor_a >= base.avg_cor_a - 2.0 * se,

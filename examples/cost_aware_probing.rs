@@ -53,7 +53,7 @@ fn run_regime(tb: &Testbed, costs: &ProbeCosts, label: &str) {
                 max_probes: None,
             };
 
-            let mut state = RdState::new(tb.rds(q));
+            let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
             let mut policy = CostAwareGreedyPolicy::new(costs.clone());
             let mut probe = |i: usize| tb.golden.actual(qi, i);
             let f: &mut dyn FnMut(usize) -> f64 = &mut probe;
@@ -61,7 +61,7 @@ fn run_regime(tb: &Testbed, costs: &ProbeCosts, label: &str) {
                 apro_with_costs(&mut state, config, costs, Some(budget), &mut policy, f);
             correct_aware += mp_core::absolute_correctness(&outcome.selected, &golden);
 
-            let mut state = RdState::new(tb.rds(q));
+            let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
             let mut policy = GreedyPolicy;
             let mut probe = |i: usize| tb.golden.actual(qi, i);
             let f: &mut dyn FnMut(usize) -> f64 = &mut probe;

@@ -58,7 +58,7 @@ fn main() {
         let mut correct = 0.0f64;
         let mut satisfied = 0usize;
         for (qi, q) in queries.iter().enumerate() {
-            let mut state = RdState::new(tb.rds(q));
+            let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
             let mut policy = factory(qi);
             let mut probe_fn = |i: usize| tb.golden.actual(qi, i);
             let f: &mut dyn FnMut(usize) -> f64 = &mut probe_fn;

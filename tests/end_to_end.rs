@@ -326,7 +326,7 @@ fn cost_aware_probing_integrates_end_to_end() {
     let costs = ProbeCosts::new(costs);
 
     let query = &split.test.queries()[1];
-    let mut state = RdState::new(ms.rds(query));
+    let mut state = RdState::for_query(&ms.estimates(query), query, ms.library());
     let mut policy = CostAwareGreedyPolicy::new(costs.clone());
     let mut probe_fn = |i: usize| RelevancyDef::DocFrequency.probe(ms.mediator().db(i), query, 0);
     let f: &mut dyn FnMut(usize) -> f64 = &mut probe_fn;

@@ -20,12 +20,11 @@ fn exact_expectations_match_monte_carlo_on_real_rds() {
     let tb = testbed();
     let mut rng = StdRng::seed_from_u64(99);
     for (qi, q) in tb.split.test.queries().iter().enumerate().take(12) {
-        let rds = tb.rds(q);
-        let state = RdState::new(rds.clone());
+        let state = RdState::for_query(&tb.estimates(q), q, &tb.library);
+        let rds = state.rds();
         for k in [1usize, 2] {
             let (set, exact) = best_set(&state, k, CorrectnessMetric::Absolute);
-            let mc =
-                monte_carlo_expected(&rds, &set, CorrectnessMetric::Absolute, 30_000, &mut rng);
+            let mc = monte_carlo_expected(rds, &set, CorrectnessMetric::Absolute, 30_000, &mut rng);
             assert!(
                 (exact - mc).abs() < 0.02,
                 "query {qi} k={k}: exact {exact} vs MC {mc}"
@@ -33,7 +32,7 @@ fn exact_expectations_match_monte_carlo_on_real_rds() {
 
             let (set_p, exact_p) = best_set(&state, k, CorrectnessMetric::Partial);
             let mc_p =
-                monte_carlo_expected(&rds, &set_p, CorrectnessMetric::Partial, 30_000, &mut rng);
+                monte_carlo_expected(rds, &set_p, CorrectnessMetric::Partial, 30_000, &mut rng);
             assert!(
                 (exact_p - mc_p).abs() < 0.02,
                 "query {qi} k={k}: exact_p {exact_p} vs MC {mc_p}"
@@ -76,7 +75,7 @@ fn rd_selection_with_impulse_library_equals_baseline() {
     let empty = mp_core::EdLibrary::empty(tb.n_databases(), tb.config.core.clone());
     for q in tb.split.test.queries().iter().take(30) {
         let estimates = tb.estimates(q);
-        let state = RdState::new(mp_core::rd::derive_all_rds(&estimates, q, &empty));
+        let state = RdState::for_query(&estimates, q, &empty);
         let (rd_set, _) = best_set(&state, 1, CorrectnessMetric::Absolute);
         let base = baseline_select(&estimates, 1);
         assert_eq!(rd_set, base, "query {q:?}");
@@ -111,7 +110,7 @@ fn training_is_deterministic_across_builds() {
     }
 }
 
-/// The estimates at which `derive_db_rd` may read the library's frozen
+/// The estimates at which a query state may take the library's frozen
 /// floor RD, and the values either side of that cut: 0, half the floor,
 /// the floor, one ulp above it, and ten times it.
 fn floor_estimates(floor: f64) -> [f64; 5] {
@@ -124,12 +123,13 @@ fn floor_estimates(floor: f64) -> [f64; 5] {
     ]
 }
 
-/// Fails unless `derive_db_rd` gives `derive_rd` of the leaf's ED, bit
-/// for bit, for every database and every leaf, at the floor estimates
-/// and at each coverage threshold and twice it (so every leaf is hit).
-fn assert_db_rds_equal_derive_rd(lib: &mp_core::EdLibrary) {
+/// Fails unless `RdState::for_query` holds `derive_rd` of the leaf's ED,
+/// bit for bit, for every database and every leaf, at the floor
+/// estimates and at each coverage threshold and twice it (so every leaf
+/// is hit).
+fn assert_state_rds_equal_derive_rd(lib: &mp_core::EdLibrary) {
     use mp_core::ed::ErrorDistribution;
-    use mp_core::rd::{derive_db_rd, derive_rd};
+    use mp_core::rd::derive_rd;
     let config = lib.config();
     let mut estimates = floor_estimates(config.est_floor).to_vec();
     estimates.extend(
@@ -138,26 +138,26 @@ fn assert_db_rds_equal_derive_rd(lib: &mp_core::EdLibrary) {
             .iter()
             .flat_map(|&t| [t, 2.0 * t]),
     );
+    let bits = |d: &mp_stats::Discrete| {
+        d.points()
+            .iter()
+            .map(|&(v, p)| (v.to_bits(), p.to_bits()))
+            .collect::<Vec<_>>()
+    };
     let mut leaves = std::collections::BTreeSet::new();
     for n_terms in 1..=3u32 {
         let q = Query::new((0..n_terms).map(mp_text::TermId));
         for &est in &estimates {
             let qt = lib.classify(q.len(), est);
             leaves.insert(qt);
-            for db in 0..lib.n_databases() {
+            let state = RdState::for_query(&vec![est; lib.n_databases()], &q, lib);
+            for (db, got) in state.rds().iter().enumerate() {
                 let ed = lib
                     .ed_or_fallback(db, qt)
                     .and_then(ErrorDistribution::to_discrete);
                 let expected = derive_rd(est, ed.as_ref(), config);
-                let got = derive_db_rd(est, db, &q, lib);
-                let bits = |d: &mp_stats::Discrete| {
-                    d.points()
-                        .iter()
-                        .map(|&(v, p)| (v.to_bits(), p.to_bits()))
-                        .collect::<Vec<_>>()
-                };
                 assert_eq!(
-                    bits(&got),
+                    bits(got),
                     bits(&expected),
                     "db {db}, {qt:?}, estimate {est}"
                 );
@@ -171,16 +171,17 @@ fn assert_db_rds_equal_derive_rd(lib: &mp_core::EdLibrary) {
 #[test]
 fn frozen_floor_rds_equal_derive_rd_on_every_leaf() {
     let tb = testbed();
-    assert_db_rds_equal_derive_rd(&tb.library);
+    assert_state_rds_equal_derive_rd(&tb.library);
     // A record resets the table: the floor RD of the leaf it lands on
     // must follow the new ED.
     let mut lib = tb.library.clone();
     let q = Query::new([mp_text::TermId(0), mp_text::TermId(1)]);
-    let before = mp_core::rd::derive_db_rd(0.0, 0, &q, &lib);
+    let zeros = vec![0.0; lib.n_databases()];
+    let before = RdState::for_query(&zeros, &q, &lib).rds()[0].clone();
     for _ in 0..50 {
         lib.record(0, 2, 0.0, 30.0);
     }
-    let after = mp_core::rd::derive_db_rd(0.0, 0, &q, &lib);
+    let after = RdState::for_query(&zeros, &q, &lib).rds()[0].clone();
     assert_ne!(before.points(), after.points());
-    assert_db_rds_equal_derive_rd(&lib);
+    assert_state_rds_equal_derive_rd(&lib);
 }
