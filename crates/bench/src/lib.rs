@@ -17,15 +17,6 @@ use mp_workload::QueryGenConfig;
 
 pub mod pairs;
 
-/// The full-scale reproduction testbed (paper Section 6.1 shape):
-/// 20 health databases, 1000+1000 train and test queries per arity.
-/// `scale` multiplies database sizes (1.0 ≈ 500–8000 docs each).
-pub fn paper_testbed(seed: u64, scale: f64) -> Testbed {
-    let mut cfg = TestbedConfig::paper(seed);
-    cfg.scenario.scale = scale;
-    Testbed::build(cfg)
-}
-
 /// A scaled-down testbed for Criterion benches: small corpora, a few
 /// hundred queries — large enough to exercise every code path, small
 /// enough for repeated timing.

@@ -6,7 +6,6 @@ use mp_corpus::ScenarioKind;
 use mp_eval::report::{fmt3, TextTable};
 use mp_eval::runner::{evaluate_baseline, evaluate_rd_based};
 use mp_serve::PolicySpec;
-use mp_text::Analyzer;
 use mp_workload::Query;
 use std::path::Path;
 
@@ -98,7 +97,16 @@ pub fn run_query(
 ) -> Result<String, StateError> {
     let st = state::load_state(dir)?;
     let library = st.library()?.clone();
-    let Some(query) = Query::parse(text, &Analyzer::plain(), st.testbed.model.vocab()) else {
+    let config = AproConfig {
+        k,
+        threshold,
+        metric: CorrectnessMetric::Partial,
+        max_probes: None,
+    };
+    if let Err(why) = config.check(st.testbed.n_databases()) {
+        return Ok(format!("invalid request: {why}\n"));
+    }
+    let Some(query) = Query::parse(text, st.testbed.model.vocab()) else {
         return Ok(format!(
             "no known terms in {text:?} — try `metaprobe suggest` for vocabulary samples\n"
         ));
@@ -126,17 +134,7 @@ pub fn run_query(
             .collect::<Vec<_>>()
     ));
 
-    let result = ms.search(
-        &query,
-        AproConfig {
-            k,
-            threshold,
-            metric: CorrectnessMetric::Partial,
-            max_probes: None,
-        },
-        policy.as_mut(),
-        10,
-    );
+    let result = ms.search(&query, config, policy.as_mut(), 10);
     for record in &result.outcome.probes {
         out.push_str(&format!(
             "probed {:16} → actual {:>8.1}, certainty {:.2}\n",
@@ -327,6 +325,16 @@ pub fn run_serve(
 pub fn run_eval(dir: &Path, k: usize) -> Result<String, StateError> {
     let st = state::load_state(dir)?;
     let library = st.library()?;
+    // Both methods select without probing: APro stopping at t = 0.
+    let config = AproConfig {
+        k,
+        threshold: 0.0,
+        metric: CorrectnessMetric::Partial,
+        max_probes: None,
+    };
+    if let Err(why) = config.check(st.testbed.n_databases()) {
+        return Ok(format!("invalid request: {why}\n"));
+    }
     let baseline = evaluate_baseline(&st.testbed, k);
     let rd = evaluate_rd_based(&st.testbed, k, library);
     let mut table = TextTable::new(
@@ -489,6 +497,30 @@ mod tests {
         assert!(out.contains("no known terms"));
         let out = run_query(&dir, "zzzz", 1, 0.8, "nonsense-policy").unwrap();
         assert!(out.contains("no known terms") || out.contains("unknown policy"));
+        // Out-of-range k and thresholds are answered with the reason,
+        // before any selection runs (the state has 5 databases).
+        let suggestions = run_suggest(&dir, 1).unwrap();
+        let known = suggestions.lines().nth(1).unwrap().trim().to_string();
+        for (k, threshold, why) in [
+            (0, 0.8, "k must be at least 1"),
+            (6, 0.8, "k exceeds the number of databases"),
+            (1, 1.5, "threshold must be a finite value in [0, 1]"),
+            (1, f64::NAN, "threshold must be a finite value in [0, 1]"),
+        ] {
+            let out = run_query(&dir, &known, k, threshold, "greedy").unwrap();
+            assert_eq!(
+                out,
+                format!("invalid request: {why}\n"),
+                "k {k}, t {threshold}"
+            );
+        }
+        for (k, why) in [
+            (0, "k must be at least 1"),
+            (6, "k exceeds the number of databases"),
+        ] {
+            let out = run_eval(&dir, k).unwrap();
+            assert_eq!(out, format!("invalid request: {why}\n"), "k {k}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

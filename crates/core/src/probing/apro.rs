@@ -29,6 +29,26 @@ pub struct AproConfig {
     pub max_probes: Option<usize>,
 }
 
+impl AproConfig {
+    /// Whether a run over `n_databases` databases can answer this
+    /// config: `k` must lie in `1..=n_databases` and the threshold in
+    /// `[0, 1]` (NaN and the infinities do not). The error says which
+    /// bound fails. [`AproSession::begin`] panics on a config that
+    /// fails it, so a caller taking `k` or `t` from a user checks here
+    /// first.
+    pub fn check(&self, n_databases: usize) -> Result<(), &'static str> {
+        if self.k == 0 {
+            Err("k must be at least 1")
+        } else if self.k > n_databases {
+            Err("k exceeds the number of databases")
+        } else if !(0.0..=1.0).contains(&self.threshold) {
+            Err("threshold must be a finite value in [0, 1]")
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// One probe performed during an `APro` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProbeRecord {
@@ -111,11 +131,9 @@ impl<'s> AproSession<'s> {
         policy: &'s mut dyn ProbePolicy,
         config: AproConfig,
     ) -> Self {
-        assert!(config.k >= 1 && config.k <= state.len(), "k out of range");
-        assert!(
-            (0.0..=1.0).contains(&config.threshold),
-            "threshold must be a probability"
-        );
+        if let Err(why) = config.check(state.len()) {
+            panic!("{why}");
+        }
         mp_obs::counter!("apro.runs").incr();
         let (initial_selected, initial_expected) = best_set(state, config.k, config.metric);
         Self {

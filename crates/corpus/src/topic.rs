@@ -78,12 +78,6 @@ impl Topic {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> TermId {
         self.terms[self.zipf.sample(rng)]
     }
-
-    /// The probability with which [`Topic::sample`] yields the term at
-    /// `rank`.
-    pub fn rank_prob(&self, rank: usize) -> f64 {
-        self.zipf.prob(rank)
-    }
 }
 
 /// The full topic model: topics + background pool over a shared
@@ -175,12 +169,6 @@ impl TopicModel {
     /// The shared vocabulary (terms from all topics and the background).
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
-    }
-
-    /// Mutable vocabulary access (the indexing side interns queries
-    /// through the same interner).
-    pub fn vocab_mut(&mut self) -> &mut Vocabulary {
-        &mut self.vocab
     }
 
     /// Number of topics.

@@ -126,13 +126,7 @@ impl Testbed {
         let mut cooperative: Vec<ContentSummary> = Vec::with_capacity(parts.len());
         for (spec, index) in parts {
             cooperative.push(ContentSummary::cooperative(&index));
-            // Explicitly without the per-probe query log: testbeds feed
-            // throughput benches and multi-worker serving, where probe
-            // logging is per-probe work (and once was a global mutex)
-            // that no evaluation reads. Probe *counts* are still kept.
-            dbs.push(Arc::new(
-                SimulatedHiddenDb::new(spec.name, index).without_probe_log(),
-            ));
+            dbs.push(Arc::new(SimulatedHiddenDb::new(spec.name, index)));
         }
 
         let summaries = match config.summaries {

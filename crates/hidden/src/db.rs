@@ -2,8 +2,7 @@
 
 use mp_index::{Document, InvertedIndex, ScoredDoc};
 use mp_text::TermId;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a Hidden-Web database returns for one query: the answer page.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,90 +54,6 @@ pub trait HiddenWebDatabase: Send + Sync {
     fn reset_probes(&self);
 }
 
-/// Number of per-worker shards in an enabled [`ProbeLog`]. A worker's
-/// entries land in a shard picked by a thread-local slot, so concurrent
-/// probers almost never contend on the same shard mutex.
-const LOG_SHARDS: usize = 8;
-
-/// Round-robin assignment of thread-local log slots.
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's shard index, assigned on first use.
-    static LOG_SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % LOG_SHARDS;
-}
-
-/// Opt-in per-worker probe accounting, aggregated at drain time.
-///
-/// Each recording thread appends `(sequence, query)` into its own
-/// shard; [`ProbeLog::drain_ordered`] merges the shards and sorts by
-/// the global sequence number, reconstructing the probe order without
-/// ever putting a shared lock on the probe path itself. Disabled (the
-/// default), the log is a single atomic-load check — serving-path
-/// probes take no lock and make no allocation.
-/// One probe-log shard: `(global sequence, query terms)` records.
-// mp-lint: allow(L9): thread-local-keyed shards, touched only when logging is opted in
-type LogShard = Mutex<Vec<(u64, Vec<TermId>)>>;
-
-struct ProbeLog {
-    enabled: bool,
-    /// Global probe ordering across shards (assigned before the shard
-    /// append, so `drain_ordered` can restore chronology).
-    seq: AtomicU64,
-    shards: Vec<LogShard>,
-}
-
-impl ProbeLog {
-    fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            seq: AtomicU64::new(0),
-            // mp-lint: allow(L9): constructing the opt-in log's shards, not acquiring
-            shards: (0..LOG_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    fn record(&self, query: &[TermId]) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        LOG_SLOT.with(|&slot| {
-            self.shards[slot]
-                .lock()
-                .expect("probe-log shard mutex poisoned: a prior holder panicked")
-                .push((seq, query.to_vec()));
-        });
-    }
-
-    /// Merges every shard into one chronologically ordered list
-    /// (clones; the log keeps its entries).
-    fn drain_ordered(&self) -> Vec<Vec<TermId>> {
-        let mut merged: Vec<(u64, Vec<TermId>)> = Vec::new();
-        for shard in &self.shards {
-            merged.extend(
-                shard
-                    .lock()
-                    .expect("probe-log shard mutex poisoned: a prior holder panicked")
-                    .iter()
-                    .cloned(),
-            );
-        }
-        merged.sort_unstable_by_key(|&(seq, _)| seq);
-        merged.into_iter().map(|(_, q)| q).collect()
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .expect("probe-log shard mutex poisoned: a prior holder panicked")
-                .clear();
-        }
-        self.seq.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A simulated Hidden-Web database: a real in-process inverted index
 /// exposed only through the search interface, with probe accounting.
 pub struct SimulatedHiddenDb {
@@ -146,11 +61,6 @@ pub struct SimulatedHiddenDb {
     index: InvertedIndex,
     exports_size: bool,
     probes: AtomicU64,
-    /// Recent probe queries — **opt-in** ([`Self::with_probe_log`]).
-    /// The log exists for diagnostics and tests; under concurrent
-    /// serving even a sharded log is per-probe work the hot path never
-    /// needs, so databases are constructed with it off.
-    probe_log: ProbeLog,
 }
 
 impl std::fmt::Debug for SimulatedHiddenDb {
@@ -164,16 +74,14 @@ impl std::fmt::Debug for SimulatedHiddenDb {
 }
 
 impl SimulatedHiddenDb {
-    /// Wraps an index as a Hidden-Web database. Probe *counting* is on
-    /// (atomic); per-probe query *logging* is off until
-    /// [`Self::with_probe_log`] opts in.
+    /// Wraps an index as a Hidden-Web database that counts its probes
+    /// (one relaxed atomic per search).
     pub fn new(name: impl Into<String>, index: InvertedIndex) -> Self {
         Self {
             name: name.into(),
             index,
             exports_size: true,
             probes: AtomicU64::new(0),
-            probe_log: ProbeLog::new(false),
         }
     }
 
@@ -182,29 +90,6 @@ impl SimulatedHiddenDb {
     pub fn without_size_export(mut self) -> Self {
         self.exports_size = false;
         self
-    }
-
-    /// Enables per-probe query logging (diagnostics and tests). Entries
-    /// are recorded into per-worker shards and merged back into probe
-    /// order by [`Self::probe_log`], so even an enabled log puts no
-    /// shared lock on the probe path.
-    pub fn with_probe_log(mut self) -> Self {
-        self.probe_log = ProbeLog::new(true);
-        self
-    }
-
-    /// Disables per-probe query logging — the construction default
-    /// since the cold-serving fix; kept so call sites can state the
-    /// intent explicitly (throughput harnesses, serving fleets).
-    pub fn without_probe_log(mut self) -> Self {
-        self.probe_log = ProbeLog::new(false);
-        self
-    }
-
-    /// The probe queries issued so far, in probe order (aggregated from
-    /// the per-worker shards; empty unless [`Self::with_probe_log`]).
-    pub fn probe_log(&self) -> Vec<Vec<TermId>> {
-        self.probe_log.drain_ordered()
     }
 
     /// Direct index access for golden-standard construction in the
@@ -224,7 +109,6 @@ impl HiddenWebDatabase for SimulatedHiddenDb {
         let _span = mp_obs::span!("hidden.search");
         mp_obs::counter!("probe.attempts").incr();
         self.probes.fetch_add(1, Ordering::Relaxed);
-        self.probe_log.record(query);
         SearchResponse {
             match_count: self.index.count_matching(query),
             top_docs: self.index.cosine_topk(query, top_n),
@@ -246,7 +130,6 @@ impl HiddenWebDatabase for SimulatedHiddenDb {
 
     fn reset_probes(&self) {
         self.probes.store(0, Ordering::Relaxed);
-        self.probe_log.clear();
     }
 }
 
@@ -276,10 +159,6 @@ mod tests {
         SimulatedHiddenDb::new("testdb", sample_index())
     }
 
-    fn logging_db() -> SimulatedHiddenDb {
-        SimulatedHiddenDb::new("testdb", sample_index()).with_probe_log()
-    }
-
     #[test]
     fn search_returns_match_count_and_top_docs() {
         let db = sample_db();
@@ -291,15 +170,13 @@ mod tests {
 
     #[test]
     fn searches_are_counted_as_probes() {
-        let db = logging_db();
+        let db = sample_db();
         assert_eq!(db.probe_count(), 0);
         db.search(&[t(1)], 0);
         db.search(&[t(2)], 0);
         assert_eq!(db.probe_count(), 2);
-        assert_eq!(db.probe_log().len(), 2);
         db.reset_probes();
         assert_eq!(db.probe_count(), 0);
-        assert!(db.probe_log().is_empty());
     }
 
     #[test]
@@ -312,33 +189,8 @@ mod tests {
     }
 
     #[test]
-    fn probe_log_is_off_by_default_without_losing_counts() {
+    fn concurrent_searches_are_all_counted() {
         let db = sample_db();
-        db.search(&[t(1)], 0);
-        db.search(&[t(2)], 0);
-        assert_eq!(db.probe_count(), 2);
-        assert!(db.probe_log().is_empty());
-        // The explicit opt-out spelling is equivalent.
-        let db = sample_db().without_probe_log();
-        db.search(&[t(1)], 0);
-        assert_eq!(db.probe_count(), 1);
-        assert!(db.probe_log().is_empty());
-    }
-
-    #[test]
-    fn enabled_log_preserves_probe_order() {
-        let db = logging_db();
-        for i in [3u32, 1, 2, 1, 3] {
-            db.search(&[t(i)], 0);
-        }
-        let log = db.probe_log();
-        let seen: Vec<u32> = log.iter().map(|q| q[0].0).collect();
-        assert_eq!(seen, vec![3, 1, 2, 1, 3]);
-    }
-
-    #[test]
-    fn enabled_log_merges_entries_from_many_threads() {
-        let db = logging_db();
         std::thread::scope(|scope| {
             for w in 0..4u32 {
                 let db = &db;
@@ -349,18 +201,7 @@ mod tests {
                 });
             }
         });
-        let log = db.probe_log();
-        assert_eq!(log.len(), 100, "no probe lost to sharding");
-        assert_eq!(db.probe_count(), 100);
-        // Every thread's entries survive the merge exactly once.
-        let mut all: Vec<u32> = log.iter().map(|q| q[0].0).collect();
-        all.sort_unstable();
-        let expected: Vec<u32> = (0..4)
-            .flat_map(|w| (0..25).map(move |i| w * 100 + i))
-            .collect();
-        let mut expected = expected;
-        expected.sort_unstable();
-        assert_eq!(all, expected);
+        assert_eq!(db.probe_count(), 100, "no probe lost across threads");
     }
 
     #[test]

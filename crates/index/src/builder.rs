@@ -11,7 +11,7 @@ use crate::types::{DocId, Posting};
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
     postings: Vec<Vec<Posting>>,
-    doc_lens: Vec<u32>,
+    doc_count: u32,
 }
 
 impl IndexBuilder {
@@ -22,7 +22,7 @@ impl IndexBuilder {
 
     /// Adds one document, returning its assigned id.
     pub fn add(&mut self, doc: Document) -> DocId {
-        let id = DocId(u32::try_from(self.doc_lens.len()).expect("more than u32::MAX documents"));
+        let id = DocId(self.doc_count);
         for (term, tf) in doc.terms() {
             let slot = term.index();
             if slot >= self.postings.len() {
@@ -30,25 +30,27 @@ impl IndexBuilder {
             }
             self.postings[slot].push(Posting { doc: id, tf });
         }
-        self.doc_lens.push(doc.len());
+        self.doc_count = self
+            .doc_count
+            .checked_add(1)
+            .expect("document ids are u32: a collection holds at most u32::MAX documents");
         id
     }
 
     /// Number of documents added so far.
     pub fn len(&self) -> usize {
-        self.doc_lens.len()
+        self.doc_count as usize
     }
 
     /// True when no documents were added.
     pub fn is_empty(&self) -> bool {
-        self.doc_lens.is_empty()
+        self.doc_count == 0
     }
 
     /// Finalizes the index, precomputing per-document tf-idf norms.
     pub fn build(self) -> InvertedIndex {
         let _span = mp_obs::span!("index.build");
-        let doc_count = u32::try_from(self.doc_lens.len())
-            .expect("document ids are u32 by design; collections stay below u32::MAX docs");
+        let doc_count = self.doc_count;
         mp_obs::counter!("index.builds").incr();
         mp_obs::counter!("index.docs").add(u64::from(doc_count));
         let lens = mp_obs::histogram!("index.posting_len", mp_obs::bounds::POW2);
@@ -57,7 +59,6 @@ impl IndexBuilder {
         }
         let mut index = InvertedIndex {
             postings: self.postings,
-            doc_lens: self.doc_lens,
             doc_norms: Vec::new(),
             doc_count,
             forward: std::sync::OnceLock::new(),

@@ -1,13 +1,14 @@
 //! Documents as bags of interned terms.
 
-use mp_text::{Analyzer, TermId, Vocabulary};
+use mp_text::TermId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A document represented as a term-frequency bag.
 ///
-/// Term ids refer to a [`Vocabulary`] shared across the corpus (the
-/// corpus generator and indexer agree on one interner per scenario).
+/// Term ids refer to a [`mp_text::Vocabulary`] shared across the
+/// corpus (the corpus generator and indexer agree on one interner per
+/// scenario).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Document {
     /// Term frequencies, sorted by term id (BTreeMap keeps iteration
@@ -30,11 +31,6 @@ impl Document {
             doc.add_term(t, 1);
         }
         doc
-    }
-
-    /// Analyzes raw text with `analyzer`, interning terms into `vocab`.
-    pub fn from_text(text: &str, analyzer: &Analyzer, vocab: &mut Vocabulary) -> Self {
-        Self::from_terms(analyzer.analyze(text).iter().map(|t| vocab.intern(t)))
     }
 
     /// Adds `count` occurrences of `term`.
@@ -109,19 +105,6 @@ mod tests {
         assert!(doc.matches_all(&[t(1), t(2)]));
         assert!(!doc.matches_all(&[t(1), t(3)]));
         assert!(doc.matches_all(&[])); // vacuous truth
-    }
-
-    #[test]
-    fn from_text_normalizes() {
-        let mut vocab = mp_text::Vocabulary::new();
-        let doc = Document::from_text(
-            "The cancers and the cancer",
-            &Analyzer::default(),
-            &mut vocab,
-        );
-        // "the"/"and" dropped; "cancers"/"cancer" stem together.
-        assert_eq!(doc.distinct_terms(), 1);
-        assert_eq!(doc.len(), 2);
     }
 
     #[test]

@@ -45,15 +45,12 @@ pub struct InvertedIndex {
     /// Postings per term id (dense over the shared vocabulary; terms
     /// absent from this database have empty lists).
     pub(crate) postings: Vec<Vec<Posting>>,
-    /// Per-document lengths (total term occurrences).
-    pub(crate) doc_lens: Vec<u32>,
     /// Per-document tf-idf vector norms, precomputed at build time.
     pub(crate) doc_norms: Vec<f64>,
     /// Number of documents.
     pub(crate) doc_count: u32,
     /// The forward index, built by the first [`Self::reconstruct_doc`]
-    /// call. Never serialized, so the index's JSON layout is
-    /// byte-identical to the pre-forward-index format.
+    /// call.
     pub(crate) forward: OnceLock<ForwardIndex>,
 }
 
@@ -361,50 +358,6 @@ impl InvertedIndex {
     }
 }
 
-// Manual serde impls: the forward index must stay out of the wire
-// format (the serialized JSON is byte-identical to the historical
-// derive over the four data fields, in declaration order).
-impl serde::Serialize for InvertedIndex {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            (
-                String::from("postings"),
-                serde::Serialize::to_value(&self.postings),
-            ),
-            (
-                String::from("doc_lens"),
-                serde::Serialize::to_value(&self.doc_lens),
-            ),
-            (
-                String::from("doc_norms"),
-                serde::Serialize::to_value(&self.doc_norms),
-            ),
-            (
-                String::from("doc_count"),
-                serde::Serialize::to_value(&self.doc_count),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for InvertedIndex {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<'v>(v: &'v serde::Value, name: &str) -> Result<&'v serde::Value, serde::Error> {
-            v.get(name).ok_or_else(|| serde::Error::missing_field(name))
-        }
-        if v.as_obj().is_none() {
-            return Err(serde::Error::type_mismatch("object", v));
-        }
-        Ok(InvertedIndex {
-            postings: serde::Deserialize::from_value(field(v, "postings")?)?,
-            doc_lens: serde::Deserialize::from_value(field(v, "doc_lens")?)?,
-            doc_norms: serde::Deserialize::from_value(field(v, "doc_norms")?)?,
-            doc_count: serde::Deserialize::from_value(field(v, "doc_count")?)?,
-            forward: OnceLock::new(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![expect(
@@ -482,28 +435,23 @@ mod tests {
     }
 
     /// Only `reconstruct_doc` builds the forward index: retrieval,
-    /// matching and summary export read the postings alone, on a fresh
-    /// build and on a deserialized copy alike.
+    /// matching and summary export read the postings alone.
     #[test]
     fn forward_index_is_built_by_the_first_reconstruct_doc() {
-        let built = index_of(&[&[1, 2, 2], &[2, 3], &[4]]);
-        let json = serde_json::to_string(&built).expect("index serializes to JSON");
-        let parsed: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
-        for idx in [built, parsed] {
-            assert!(
-                idx.forward.get().is_none(),
-                "no forward index before any call"
-            );
-            assert_eq!(idx.cosine_topk(&[t(2), t(3)], 2).len(), 2);
-            assert_eq!(idx.cosine_topk_naive(&[t(2)], 5).len(), 2);
-            assert_eq!(idx.count_matching(&[t(2)]), 2);
-            assert_eq!(idx.count_matching(&[t(2), t(3)]), 1);
-            assert_eq!(idx.df_summary().0.len(), 4);
-            assert_eq!(idx.distinct_terms(), 4);
-            assert!(idx.forward.get().is_none(), "queries built a forward index");
-            assert_eq!(idx.reconstruct_doc(DocId(0)).tf(t(2)), 2);
-            assert!(idx.forward.get().is_some(), "reconstruct_doc built none");
-        }
+        let idx = index_of(&[&[1, 2, 2], &[2, 3], &[4]]);
+        assert!(
+            idx.forward.get().is_none(),
+            "no forward index before any call"
+        );
+        assert_eq!(idx.cosine_topk(&[t(2), t(3)], 2).len(), 2);
+        assert_eq!(idx.cosine_topk_naive(&[t(2)], 5).len(), 2);
+        assert_eq!(idx.count_matching(&[t(2)]), 2);
+        assert_eq!(idx.count_matching(&[t(2), t(3)]), 1);
+        assert_eq!(idx.df_summary().0.len(), 4);
+        assert_eq!(idx.distinct_terms(), 4);
+        assert!(idx.forward.get().is_none(), "queries built a forward index");
+        assert_eq!(idx.reconstruct_doc(DocId(0)).tf(t(2)), 2);
+        assert!(idx.forward.get().is_some(), "reconstruct_doc built none");
     }
 
     #[test]
@@ -527,31 +475,6 @@ mod tests {
         assert_eq!(idx.doc_count(), 0);
         assert_eq!(idx.count_matching(&[t(1)]), 0);
         assert!(idx.cosine_topk(&[t(1)], 5).is_empty());
-    }
-
-    #[test]
-    fn serialization_format_is_the_historical_four_fields() {
-        let idx = index_of(&[&[1, 2], &[2]]);
-        let json = serde_json::to_string(&idx).expect("index serializes to JSON");
-        let v: serde::Value = serde_json::from_str(&json).expect("round-trips through JSON");
-        let keys: Vec<&str> = v
-            .as_obj()
-            .expect("index serializes as an object")
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert_eq!(keys, ["postings", "doc_lens", "doc_norms", "doc_count"]);
-        let back: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
-        assert_eq!(back.doc_count(), 2);
-        assert_eq!(back.distinct_terms(), 2);
-        // The deserialized copy answers queries identically.
-        let a = idx.cosine_topk(&[t(2)], 5);
-        let b = back.cosine_topk(&[t(2)], 5);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
     }
 
     /// Naive oracle: scan every document.
@@ -619,10 +542,9 @@ mod tests {
         }
 
         /// `df_summary` and `distinct_terms` equal a scan of every
-        /// posting, on a fresh build and after a JSON round trip. Sparse
-        /// term ids leave empty lists between the used ones, empty
-        /// documents post nothing, and ids past the last list are out of
-        /// the vocabulary.
+        /// posting. Sparse term ids leave empty lists between the used
+        /// ones, empty documents post nothing, and ids past the last
+        /// list are out of the vocabulary.
         #[test]
         fn prop_df_summary_matches_a_posting_scan(
             docs in proptest::collection::vec(
@@ -630,22 +552,18 @@ mod tests {
             oov in 40u32..80
         ) {
             let refs: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
-            let built = index_of(&refs);
-            let json = serde_json::to_string(&built).expect("index serializes to JSON");
-            let parsed: InvertedIndex = serde_json::from_str(&json).expect("index deserializes");
-            for idx in [built, parsed] {
-                let expected = naive_df(&idx);
-                let (summary, n) = idx.df_summary();
-                prop_assert_eq!(n, docs.len() as u32);
-                prop_assert_eq!(&summary, &expected);
-                prop_assert_eq!(idx.distinct_terms(), expected.len());
-                prop_assert!(!summary.contains_key(&t(oov)));
-                prop_assert_eq!(idx.df(t(oov)), 0);
-                for doc_terms in &docs {
-                    for &term in doc_terms {
-                        let holding = docs.iter().filter(|d| d.contains(&term)).count() as u32;
-                        prop_assert_eq!(summary.get(&t(term)).copied(), Some(holding));
-                    }
+            let idx = index_of(&refs);
+            let expected = naive_df(&idx);
+            let (summary, n) = idx.df_summary();
+            prop_assert_eq!(n, docs.len() as u32);
+            prop_assert_eq!(&summary, &expected);
+            prop_assert_eq!(idx.distinct_terms(), expected.len());
+            prop_assert!(!summary.contains_key(&t(oov)));
+            prop_assert_eq!(idx.df(t(oov)), 0);
+            for doc_terms in &docs {
+                for &term in doc_terms {
+                    let holding = docs.iter().filter(|d| d.contains(&term)).count() as u32;
+                    prop_assert_eq!(summary.get(&t(term)).copied(), Some(holding));
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! weight and idf tables, and the top-k heap; every `count_matching`
 //! call needs its distinct terms and one cursor per postings list.
 //! Allocating those per query made the old `HashMap` kernel
-//! allocation-bound, so the pool keeps one [`Scratch`] per thread. A
+//! allocation-bound, so the pool keeps one `Scratch` per thread. A
 //! serve worker reuses its own across every query it serves (and across
 //! differently-sized indices: buffers only ever grow); one of mp-eval's
 //! fork-join threads lives for one per-query map, so it reuses its

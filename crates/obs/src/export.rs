@@ -71,28 +71,6 @@ impl Snapshot {
             json_u64s(&mut s, &r.exemplars);
             s.push('}');
         }
-        s.push_str("],\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":");
-            json_str(&mut s, &w.name);
-            let _ = write!(s, ",\"slots\":{},\"ticks\":{}", w.slots, w.ticks);
-            s.push_str(",\"bounds\":");
-            json_u64s(&mut s, &w.merged.bounds);
-            s.push_str(",\"buckets\":");
-            json_u64s(&mut s, &w.merged.buckets);
-            let _ = write!(
-                s,
-                ",\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                w.merged.count,
-                w.merged.sum,
-                w.merged.max,
-                w.merged.approx_quantile(0.50),
-                w.merged.approx_quantile(0.99)
-            );
-        }
         s.push_str("],\"edges\":[");
         for (i, (p, c)) in self.edges.iter().enumerate() {
             if i > 0 {
@@ -160,21 +138,6 @@ impl Snapshot {
                     out,
                     "  {:<40} count={} min={} mean={:.1} max={} buckets={:?}",
                     r.name, r.count, r.min, mean, r.max, r.buckets
-                );
-            }
-        }
-        if !self.windows.is_empty() {
-            out.push_str("windows:\n");
-            for w in &self.windows {
-                let _ = writeln!(
-                    out,
-                    "  {:<40} ticks={} count={} rolling p50={} p99={} max={}",
-                    w.name,
-                    w.ticks,
-                    w.merged.count,
-                    w.merged.approx_quantile(0.50),
-                    w.merged.approx_quantile(0.99),
-                    w.merged.max
                 );
             }
         }

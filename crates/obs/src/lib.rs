@@ -19,7 +19,7 @@
 //! * **Exporters** — a human-readable span tree
 //!   ([`Snapshot::render_tree`]), a flame-style self/total breakdown
 //!   ([`Snapshot::render_flame`]), and a stable, sorted JSON snapshot
-//!   ([`Snapshot::to_json`], schema `mp-obs/2`) suitable for machine
+//!   ([`Snapshot::to_json`], schema `mp-obs/3`) suitable for machine
 //!   diffing and CI artifacts (`repro_output/obs_*.json`).
 //! * **Per-request traces** (v2) — a [`TraceScope`] on the serving
 //!   thread collects every span close plus explicit annotations
@@ -27,23 +27,23 @@
 //!   waterfall keyed by a deterministic [`TraceId`]; finished traces
 //!   drain through a striped [`TraceSink`] and the worst ones (slow /
 //!   deadline-missed / shed) persist in a bounded [`FlightRecorder`].
-//! * **Windowed metrics** (v2) — [`window!`] / [`WindowWheel`], a
-//!   fixed-slot ring of histogram deltas giving rolling p50/p99/max
-//!   over the last N ticks with an O(buckets) merge; cumulative
-//!   histogram buckets additionally carry the [`TraceId`] of their
-//!   latest traced occupant (exemplar linkage).
+//! * **Exemplars** (v2) — cumulative histogram buckets carry the
+//!   [`TraceId`] of their latest traced occupant.
+//! * **Rolling windows** — [`WindowWheel`], a caller-owned fixed-slot
+//!   ring of histogram deltas giving rolling p50/p99/max over the last
+//!   N ticks with an O(buckets) merge. The registry holds none, so a
+//!   snapshot has no window rows.
 //!
 //! ## Switching it off
 //!
 //! One runtime switch: `MP_OBS=0` (also `false`/`off`/`no`) in the
 //! environment, or [`set_enabled`]`(false)` from code. While it is off,
-//! spans, counters, gauges, histograms, registered windows
-//! ([`window!`]) and trace scopes record nothing, each behind one
-//! relaxed [`AtomicBool`] load: no `Instant` read, no registry walk.
-//! Two things ignore it because their owners read them as functional
-//! state, not telemetry: a [`StripedU64`] and a [`WindowWheel`] built
-//! with [`WindowWheel::new`] (the serve layer's hit/miss counts and the
-//! rolling p99 its shedding policy reads). The `apro_scaling` bench
+//! spans, counters, gauges, histograms and trace scopes record nothing,
+//! each behind one relaxed [`AtomicBool`] load: no `Instant` read, no
+//! registry walk. Two things ignore it because their owners read them
+//! as functional state, not telemetry: a [`StripedU64`] and a
+//! [`WindowWheel`] (the serve layer's hit/miss counts and the rolling
+//! p99 its shedding policy reads). The `apro_scaling` bench
 //! flips the switch to measure the instrumentation overhead
 //! head-to-head in one process.
 //!
@@ -92,7 +92,7 @@ mod window;
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use recorder::{FlightReason, FlightRecorder, RecordedFlight};
 pub use registry::{
-    reset, snapshot, CounterRow, GaugeRow, HistogramRow, Snapshot, SpanRow, WindowRow, SCHEMA,
+    reset, snapshot, CounterRow, GaugeRow, HistogramRow, Snapshot, SpanRow, SCHEMA,
 };
 pub use span::SpanGuard;
 pub use stripe::{StripedU64, STRIPES};
@@ -100,7 +100,7 @@ pub use trace::{
     current_trace_id, trace_annotate, trace_stage, Trace, TraceEvent, TraceEventKind, TraceId,
     TraceScope, TraceSink, MAX_TRACE_EVENTS,
 };
-pub use window::{window, WindowWheel};
+pub use window::WindowWheel;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -204,19 +204,5 @@ macro_rules! histogram {
         static SITE: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         *SITE.get_or_init(|| $crate::histogram($name, $bounds))
-    }};
-}
-
-/// Resolves a fixed-slot rolling [`WindowWheel`] handle once per call
-/// site.
-///
-/// `$bounds` follows [`histogram!`]; `$slots` is the number of ticks of
-/// history kept. The first registration of a name fixes both.
-#[macro_export]
-macro_rules! window {
-    ($name:expr, $bounds:expr, $slots:expr) => {{
-        static SITE: ::std::sync::OnceLock<&'static $crate::WindowWheel> =
-            ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::window($name, $bounds, $slots))
     }};
 }

@@ -19,8 +19,9 @@ use std::sync::{Mutex, OnceLock};
 use crate::metrics::{Counter, Gauge, Histogram};
 
 /// Snapshot schema identifier, bumped on any breaking field change.
-/// v2 adds per-histogram `exemplars` and the `windows` section.
-pub const SCHEMA: &str = "mp-obs/2";
+/// v2 added per-histogram `exemplars` and a `windows` section; v3
+/// drops the `windows` section.
+pub const SCHEMA: &str = "mp-obs/3";
 
 /// Per-span aggregate, updated on every span close.
 #[derive(Debug, Default)]
@@ -112,11 +113,6 @@ fn histograms() -> &'static Sharded<Histogram> {
     S.get_or_init(Sharded::new)
 }
 
-fn windows() -> &'static Sharded<crate::window::WindowWheel> {
-    static S: OnceLock<Sharded<crate::window::WindowWheel>> = OnceLock::new();
-    S.get_or_init(Sharded::new)
-}
-
 /// Observed parent→child span pairs, for tree reconstruction.
 fn edges() -> &'static Mutex<BTreeSet<(&'static str, &'static str)>> {
     static E: OnceLock<Mutex<BTreeSet<(&'static str, &'static str)>>> = OnceLock::new();
@@ -176,19 +172,6 @@ pub(crate) fn histogram(name: &'static str, bounds: &'static [u64]) -> &'static 
         "histogram `{name}` registered twice with different bounds"
     );
     h
-}
-
-pub(crate) fn window(
-    name: &'static str,
-    bounds: &'static [u64],
-    slots: usize,
-) -> &'static crate::window::WindowWheel {
-    let w = windows().get_or_insert(name, || crate::window::WindowWheel::gated(bounds, slots));
-    debug_assert!(
-        w.bounds() == bounds && w.slot_count() == slots.max(1),
-        "window `{name}` registered twice with different bounds or slot count"
-    );
-    w
 }
 
 // --- snapshot rows ---------------------------------------------------
@@ -295,24 +278,8 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeRow>,
     /// All registered histograms.
     pub histograms: Vec<HistogramRow>,
-    /// All registered window wheels (rolling views).
-    pub windows: Vec<WindowRow>,
     /// Observed parent→child span pairs, lexicographically sorted.
     pub edges: Vec<(String, String)>,
-}
-
-/// One window wheel's rolling state in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowRow {
-    /// Wheel name.
-    pub name: String,
-    /// Number of slots (the maximum rolling horizon, in ticks).
-    pub slots: u64,
-    /// Ticks elapsed since registration (or the last reset).
-    pub ticks: u64,
-    /// All slots merged into one histogram row (`min` is always 0 —
-    /// a rolling minimum is not maintained; exemplars are empty).
-    pub merged: HistogramRow,
 }
 
 /// Copies the registry into a sorted, owned [`Snapshot`].
@@ -358,19 +325,10 @@ pub fn snapshot() -> Snapshot {
             exemplars: h.exemplar_ids(),
         });
     });
-    windows().for_each(|name, w| {
-        snap.windows.push(WindowRow {
-            name: name.to_string(),
-            slots: w.slot_count() as u64,
-            ticks: w.ticks(),
-            merged: w.rolling(name, w.slot_count()),
-        });
-    });
     snap.spans.sort_by(|a, b| a.name.cmp(&b.name));
     snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
     snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
     snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.windows.sort_by(|a, b| a.name.cmp(&b.name));
     {
         let set = edges().lock().expect("mp-obs edge-set mutex poisoned");
         snap.edges = set
@@ -389,7 +347,6 @@ pub fn reset() {
     counters().for_each(|_, c| c.reset());
     gauges().for_each(|_, g| g.reset());
     histograms().for_each(|_, h| h.reset());
-    windows().for_each(|_, w| w.reset());
     edges()
         .lock()
         .expect("mp-obs edge-set mutex poisoned")

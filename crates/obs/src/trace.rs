@@ -19,10 +19,10 @@
 //! in a deterministic order for a given schedule.
 //!
 //! Finished traces go into a [`TraceSink`]: a fixed set of
-//! thread-local-keyed mutex shards (the `ProbeLog` idiom from
-//! `mp-hidden`) merged and sorted by id at drain. A worker pushes into
-//! *its own* shard, so concurrent workers never contend on a shared
-//! lock — the cold serve path stays free of cross-worker locks (L9).
+//! thread-local-keyed mutex shards merged and sorted by id at drain. A
+//! worker pushes into *its own* shard, so concurrent workers never
+//! contend on a shared lock — the cold serve path stays free of
+//! cross-worker locks (L9).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -13,11 +13,10 @@
 //! the slot being recycled (one sample attributed to the wrong tick) —
 //! the usual live-capture semantics, same as any relaxed metric read.
 //!
-//! A wheel reached through the registry ([`window`], [`crate::window!`])
-//! is telemetry and obeys the runtime switch ([`crate::set_enabled`],
-//! `MP_OBS`). A wheel its caller owns ([`WindowWheel::new`]) ignores
-//! the switch: the serve layer's shedding policy reads its own wheel,
-//! and a control input must not vanish with recording.
+//! A wheel belongs to its caller and ignores the runtime switch
+//! ([`crate::set_enabled`], `MP_OBS`): the serve layer's shedding policy
+//! reads its own wheel, and a control input must not vanish with
+//! recording. The registry holds no wheels.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -66,18 +65,15 @@ pub struct WindowWheel {
     slots: Vec<WheelSlot>,
     /// Index of the slot currently receiving records.
     cur: AtomicUsize,
-    /// Total advances since construction (or the last reset).
+    /// Total advances since construction.
     ticks: AtomicU64,
-    /// Whether [`record`](Self::record) obeys the runtime switch: true
-    /// for registry wheels, false for caller-owned ones.
-    gated: bool,
 }
 
 impl WindowWheel {
-    /// A caller-owned wheel with `slots` ticks of history over `bounds`
-    /// (strictly increasing upper bounds; an overflow bucket is added).
-    /// At least one slot is always allocated. It records whether or
-    /// not recording is switched on.
+    /// A wheel with `slots` ticks of history over `bounds` (strictly
+    /// increasing upper bounds; an overflow bucket is added). At least
+    /// one slot is always allocated. It records whether or not
+    /// recording is switched on.
     pub fn new(bounds: &'static [u64], slots: usize) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -89,26 +85,12 @@ impl WindowWheel {
             slots: (0..n).map(|_| WheelSlot::new(bounds.len() + 1)).collect(),
             cur: AtomicUsize::new(0),
             ticks: AtomicU64::new(0),
-            gated: false,
         }
     }
 
-    /// A registry wheel: like [`new`](Self::new), but
-    /// [`record`](Self::record) is a no-op while recording is off.
-    pub(crate) fn gated(bounds: &'static [u64], slots: usize) -> Self {
-        Self {
-            gated: true,
-            ..Self::new(bounds, slots)
-        }
-    }
-
-    /// Records one observation into the current slot (relaxed). On a
-    /// registry wheel it is a no-op while recording is disabled.
+    /// Records one observation into the current slot (relaxed).
     #[inline]
     pub fn record(&self, v: u64) {
-        if self.gated && !crate::is_enabled() {
-            return;
-        }
         let slot = &self.slots[self.cur.load(Ordering::Relaxed) % self.slots.len()];
         let idx = self.bounds.partition_point(|&b| b < v);
         slot.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -131,16 +113,6 @@ impl WindowWheel {
     /// Advances completed so far.
     pub fn ticks(&self) -> u64 {
         self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Number of slots (the maximum rolling horizon).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The configured upper bounds (excluding the overflow bucket).
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
     }
 
     /// Merges the most recent `last_n` slots (clamped to `[1, slots]`,
@@ -176,22 +148,6 @@ impl WindowWheel {
             exemplars: Vec::new(),
         }
     }
-
-    /// Zeroes every slot and rewinds the tick counter.
-    pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.clear();
-        }
-        self.cur.store(0, Ordering::Relaxed);
-        self.ticks.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Looks up (or registers) the window wheel `name`, which records only
-/// while recording is on. The first registration fixes `bounds` and
-/// `slots`; prefer the caching [`crate::window!`] macro on hot paths.
-pub fn window(name: &'static str, bounds: &'static [u64], slots: usize) -> &'static WindowWheel {
-    crate::registry::window(name, bounds, slots)
 }
 
 #[cfg(test)]
@@ -234,15 +190,5 @@ mod tests {
         let all = w.rolling("w", 2);
         assert_eq!(all.count, 2);
         assert_eq!(all.sum, 5);
-    }
-
-    #[test]
-    fn reset_rewinds() {
-        let w = WindowWheel::new(&[10], 4);
-        w.record(7);
-        w.advance();
-        w.reset();
-        assert_eq!(w.ticks(), 0);
-        assert_eq!(w.rolling("w", 4).count, 0);
     }
 }

@@ -244,7 +244,6 @@ mod enabled {
                 mp_obs::counter!("t9.count").add(5);
                 mp_obs::gauge!("t9.level").set(9);
                 mp_obs::histogram!("t9.sizes", &[1, 8]).record(3);
-                mp_obs::window!("t9.window", &[1, 8], 4).record(3);
                 mp_obs::trace_annotate("t9.note", 7);
             }
             scope.finish()
@@ -260,8 +259,6 @@ mod enabled {
         assert_eq!(gauge.map(|r| r.value), Some(0));
         let hist = snap.histograms.iter().find(|r| r.name == "t9.sizes");
         assert_eq!(hist.map(|r| (r.count, r.sum)), Some((0, 0)));
-        let window = snap.windows.iter().find(|r| r.name == "t9.window");
-        assert_eq!(window.map(|r| (r.merged.count, r.merged.sum)), Some((0, 0)));
     }
 
     #[test]

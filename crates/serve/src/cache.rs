@@ -121,11 +121,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     pub fn capacity(&self) -> usize {
         self.cap
     }
-
-    /// Drops every entry (capacity is kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 enum FlightState<V> {
@@ -264,16 +259,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                     .len()
             })
             .sum()
-    }
-
-    /// Drops every cached entry (in-flight computations are untouched).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock()
-                .expect("mp-serve cache shard mutex poisoned")
-                .lru
-                .clear();
-        }
     }
 
     // mp-lint: allow(L9): returns the shard handle; acquisition is the caller's

@@ -94,7 +94,7 @@ impl PolicySpec {
 /// One query-serving request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
-    /// The analyzed keyword query.
+    /// The keyword query.
     pub query: Query,
     /// Number of databases to select.
     pub k: usize,
@@ -435,17 +435,12 @@ impl<'s> Client<'s> {
     /// selection engine would reject by panicking, and counts it in
     /// [`ServeStats::invalid`].
     fn validate(&self, req: &ServeRequest) -> Result<(), ServeError> {
-        let why = if req.k == 0 {
-            "k must be at least 1"
-        } else if req.k > self.server.ms.mediator().len() {
-            "k exceeds the number of databases"
-        } else if !(0.0..=1.0).contains(&req.threshold) {
-            "threshold must be a finite value in [0, 1]"
-        } else {
-            return Ok(());
-        };
-        self.server.stats.invalid();
-        Err(ServeError::InvalidRequest(why))
+        req.apro_config()
+            .check(self.server.ms.mediator().len())
+            .map_err(|why| {
+                self.server.stats.invalid();
+                ServeError::InvalidRequest(why)
+            })
     }
 
     /// Submits without blocking; a full queue is an [`ServeError::Overload`]
@@ -560,11 +555,6 @@ impl Server {
     /// Entries currently in the result cache.
     pub fn cache_len(&self) -> usize {
         self.results.len()
-    }
-
-    /// Drops the result cache's entries (stats are kept).
-    pub fn clear_cache(&self) {
-        self.results.clear();
     }
 
     /// Runs a serving session: spawns the worker pool, hands the

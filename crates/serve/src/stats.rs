@@ -25,7 +25,7 @@ const BOUNDS: &[u64] = mp_obs::bounds::LATENCY_US;
 /// Ticks of rolling-latency history the per-server window wheel keeps.
 /// Eight matches the stripe width used elsewhere and bounds the merge
 /// cost of a rolling read at O(8 · buckets).
-pub(crate) const WINDOW_SLOTS: usize = 8;
+const WINDOW_SLOTS: usize = 8;
 
 /// A point-in-time snapshot of one server's counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -67,9 +67,9 @@ pub struct ServeStats {
     pub p50_us: u64,
     /// 99th-percentile latency (bucket upper bound), microseconds.
     pub p99_us: u64,
-    /// Rolling median over the last [`WINDOW_SLOTS`] ticks (bucket
-    /// upper bound), microseconds. Read off the server's own window,
-    /// which records with recording on or off, like the counters above.
+    /// Rolling median over the last 8 window ticks (bucket upper
+    /// bound), microseconds. Read off the server's own window, which
+    /// records with recording on or off, like the counters above.
     pub rolling_p50_us: u64,
     /// Rolling 99th percentile over the window, microseconds.
     pub rolling_p99_us: u64,
@@ -139,11 +139,9 @@ impl StatsCore {
         TraceId(self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
-    /// Closes the current rolling-window tick on both the local wheel
-    /// and its global `mp-obs` mirror.
+    /// Closes the current rolling-window tick.
     pub(crate) fn tick(&self) {
         self.window.advance();
-        mp_obs::window!("serve.latency_window_us", BOUNDS, WINDOW_SLOTS).advance();
     }
 
     pub(crate) fn reject(&self) {
@@ -212,7 +210,6 @@ impl StatsCore {
         // request's TraceScope is still active, so the bucket remembers
         // this TraceId.
         mp_obs::histogram!("serve.latency_us", BOUNDS).record(latency_us);
-        mp_obs::window!("serve.latency_window_us", BOUNDS, WINDOW_SLOTS).record(latency_us);
     }
 
     pub(crate) fn snapshot(&self) -> ServeStats {
@@ -258,16 +255,6 @@ impl StatsCore {
             rolling_count: rolling.count,
             window_ticks: self.window.ticks(),
         }
-    }
-}
-
-impl ServeStats {
-    /// Cache hit rate over completed requests (0 when none completed).
-    pub fn hit_rate(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.completed as f64
     }
 }
 

@@ -179,15 +179,6 @@ impl Histogram {
             .collect();
         Discrete::from_weighted(&pairs).inspect(|d| d.debug_assert_normalized())
     }
-
-    /// Mean of all recorded observations (0 when empty).
-    pub fn sample_mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sums.iter().sum::<f64>() / self.total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -27,22 +27,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// Streaming variant: calls `f` for each token without allocating a `Vec`.
-pub fn tokenize_into(text: &str, mut f: impl FnMut(&str)) {
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() {
-            current.push(ch.to_ascii_lowercase());
-        } else if !current.is_empty() {
-            f(&current);
-            current.clear();
-        }
-    }
-    if !current.is_empty() {
-        f(&current);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,14 +62,6 @@ mod tests {
     #[test]
     fn non_ascii_is_separator() {
         assert_eq!(tokenize("naïve café"), vec!["na", "ve", "caf"]);
-    }
-
-    #[test]
-    fn streaming_matches_collecting() {
-        let text = "A-b c42 Déjà vu!";
-        let mut streamed = Vec::new();
-        tokenize_into(text, |t| streamed.push(t.to_string()));
-        assert_eq!(streamed, tokenize(text));
     }
 
     proptest! {

@@ -7,7 +7,8 @@
 //! makes estimator errors query-dependent and motivates the paper's
 //! query-type classification.
 //!
-//! * [`Query`] — an analyzed keyword query (term ids);
+//! * [`Query`] — a keyword query (term ids); [`Query::parse`] reads
+//!   free text as its `mp_text::tokenize` tokens;
 //! * [`QueryGenerator`] — seeded topic-driven generation;
 //! * [`QueryTrace`] — a query set with helpers, including the
 //!   train/test **disjoint split** the paper uses (`Q_train` learns EDs;

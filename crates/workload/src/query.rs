@@ -1,9 +1,9 @@
 //! Keyword queries.
 
-use mp_text::{Analyzer, TermId, Vocabulary};
+use mp_text::{tokenize, TermId, Vocabulary};
 use serde::{Deserialize, Serialize};
 
-/// An analyzed conjunctive keyword query.
+/// A conjunctive keyword query.
 ///
 /// Terms are deduplicated and sorted so structurally equal queries
 /// compare equal — the train/test disjointness guarantee keys on this.
@@ -25,16 +25,12 @@ impl Query {
         Self { terms }
     }
 
-    /// Parses free text through `analyzer`, resolving terms against an
-    /// existing vocabulary. Unknown terms are dropped (a metasearcher
-    /// cannot match terms no database has seen); returns `None` when no
-    /// known term survives.
-    pub fn parse(text: &str, analyzer: &Analyzer, vocab: &Vocabulary) -> Option<Self> {
-        let terms: Vec<TermId> = analyzer
-            .analyze(text)
-            .iter()
-            .filter_map(|t| vocab.get(t))
-            .collect();
+    /// Parses free text: splits it with [`tokenize()`] and resolves the
+    /// tokens against an existing vocabulary. Unknown terms are dropped
+    /// (a metasearcher cannot match terms no database has seen);
+    /// returns `None` when no known term survives.
+    pub fn parse(text: &str, vocab: &Vocabulary) -> Option<Self> {
+        let terms: Vec<TermId> = tokenize(text).iter().filter_map(|t| vocab.get(t)).collect();
         if terms.is_empty() {
             None
         } else {
@@ -122,10 +118,17 @@ mod tests {
         let mut vocab = Vocabulary::new();
         let breast = vocab.intern("breast");
         let cancer = vocab.intern("cancer");
-        let a = Analyzer::plain();
-        let q = Query::parse("breast cancer unknownterm", &a, &vocab).unwrap();
+        let q = Query::parse("breast cancer unknownterm", &vocab).unwrap();
         assert_eq!(q.terms(), &[breast, cancer]);
-        assert!(Query::parse("only unknowns", &a, &vocab).is_none());
+        assert!(Query::parse("only unknowns", &vocab).is_none());
+        // Tokens are case-folded and split on punctuation; digits stay
+        // inside a token, and a repeated term counts once.
+        let q = Query::parse("BREAST, Cancer! breast-cancer", &vocab).unwrap();
+        assert_eq!(q.terms(), &[breast, cancer]);
+        let h2004 = vocab.intern("h2004");
+        let q = Query::parse("Cancer h2004 h 2004", &vocab).unwrap();
+        assert_eq!(q.terms(), &[cancer, h2004]);
+        assert!(Query::parse("2004 ... h", &vocab).is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! |---|---|
 //! | [`mp_core`] | the paper's contribution: EDs, RDs, expected correctness, `APro` |
 //! | [`mp_stats`] | distributions, χ² tests, Poisson-binomial, samplers |
-//! | [`mp_text`] | tokenization, stemming, term interning |
+//! | [`mp_text`] | tokenization, term interning |
 //! | [`mp_index`] | inverted index: boolean counts + tf-idf cosine |
 //! | [`mp_corpus`] | synthetic Hidden-Web corpora with controlled term correlation |
 //! | [`mp_hidden`] | the search-interface abstraction + probe accounting |

@@ -168,7 +168,7 @@ fn display_of_queries_roundtrips_through_vocab() {
     let (_ms, split, model) = build_metasearcher(10);
     for query in split.test.queries().iter().take(20) {
         let text = query.display(model.vocab());
-        let parsed = Query::parse(&text, &mp_text::Analyzer::plain(), model.vocab())
+        let parsed = Query::parse(&text, model.vocab())
             .expect("generated queries contain only vocabulary terms");
         assert_eq!(&parsed, query);
     }
