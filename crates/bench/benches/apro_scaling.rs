@@ -3,13 +3,13 @@
 //! reference evaluation per candidate, at `n ∈ {16, 64, 256}` mediated
 //! databases.
 //!
-//! Besides the criterion targets, the bench merges its report into the
-//! `apro_scaling` section of the machine-readable `BENCH_apro.json` at
-//! the repository root, recording both timings and the speedup per
-//! size. At every size it asserts that the two scans agree (the sum of
-//! all usefulness values, to 1e-9 relative): the only check of the scan
-//! beyond proptest sizes, run by CI's serve-bench job. The other benches
-//! own the file's other sections.
+//! The bench merges its report into the `apro_scaling` section of the
+//! machine-readable `BENCH_apro.json` at the repository root, recording
+//! both timings and the speedup per size. At every size it asserts that
+//! the two scans agree (the sum of all usefulness values, to 1e-9
+//! relative): the only check of the scan beyond proptest sizes, run by
+//! CI's serve-bench job. The other benches own the file's other
+//! sections. Every timing is a median from `mp_bench::measure`.
 //!
 //! Per size the report also records what mp-obs costs, each from
 //! interleaved pairs of engine scans that alternate which side runs
@@ -17,26 +17,26 @@
 //! plain recording vs recording under an active per-request trace scope
 //! (`trace_overhead_pct`, the marginal cost of the waterfall, budget
 //! ≤ 2%). Each overhead is the median of the per-pair overheads, with
-//! their interquartile range and a verdict against the budget: `pass`
-//! when the whole IQR is at or below it, `fail` when the whole IQR is
-//! above it, `inconclusive` when the IQR straddles it. The verdicts are
-//! printed and recorded, not asserted. Last come the per-phase span
-//! averages:
-//! the sweep (`engine.sweep`) vs the reference fallback
-//! (`engine.reference`, driven once via the absolute-metric `k = 2`
-//! branch the sweep cannot serve).
+//! their interquartile range and a verdict against the budget
+//! (`Summary::against`): `pass` when the whole IQR is at or below it,
+//! `fail` when the whole IQR is above it, `inconclusive` when the IQR
+//! straddles it. The verdicts are printed and recorded, not asserted.
+//! Last come the per-phase span averages: the sweep (`engine.sweep`)
+//! vs the reference fallback (`engine.reference`, driven once via the
+//! absolute-metric `k = 2` branch the sweep cannot serve).
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the bench times its runs with the wall clock"
+    reason = "a trace scope begins at a wall-clock instant"
 )]
 
-use criterion::{black_box, criterion_group, Criterion};
+use mp_bench::measure::{self, Summary};
 use mp_core::expected::RdState;
 use mp_core::probing::GreedyPolicy;
 use mp_core::{engine, CorrectnessMetric};
 use mp_stats::Discrete;
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 const SIZES: [usize; 3] = [16, 64, 256];
@@ -73,15 +73,6 @@ fn reference_scan(state: &RdState) -> Vec<(usize, f64)> {
         .collect()
 }
 
-fn bench_scaling(c: &mut Criterion) {
-    for n in SIZES {
-        let state = synthetic_state(n);
-        c.bench_function(&format!("apro/select_db_engine_n{n}"), |b| {
-            b.iter(|| black_box(engine_scan(&state)))
-        });
-    }
-}
-
 /// Average span timings of one engine phase, from an mp-obs snapshot.
 #[derive(Serialize)]
 struct PhaseReport {
@@ -106,7 +97,8 @@ struct SizeReport {
     obs_overhead_pct: f64,
     /// The per-pair overheads' quartiles `[q1, q3]`, as percentages.
     obs_overhead_iqr_pct: Vec<f64>,
-    /// `obs_overhead_pct`'s verdict against the 2% budget ([`overhead`]).
+    /// `obs_overhead_pct`'s verdict against the 2% budget
+    /// (`Summary::against` on the per-pair overheads).
     obs_verdict: String,
     /// The engine scan re-measured with recording on *and* an active
     /// per-request trace scope (every engine span also lands in the
@@ -125,27 +117,14 @@ struct SizeReport {
 /// The overhead budget of recording, and of tracing over recording.
 const BUDGET_PCT: f64 = 2.0;
 
-/// Per-pair overheads of `treated` over `base`, as percentages: their
-/// median, their quartiles, and the verdict against [`BUDGET_PCT`]:
-/// `pass` when the whole IQR is at or below it, `fail` when the whole
-/// IQR is above it, and `inconclusive` when the noise straddles it.
-fn overhead(base: &[f64], treated: &[f64]) -> (f64, [f64; 2], &'static str) {
-    let mut pct: Vec<f64> = base
+/// Per-pair overheads of `treated` over `base`, as percentages.
+fn overheads(base: &[f64], treated: &[f64]) -> Summary {
+    let pct: Vec<f64> = base
         .iter()
         .zip(treated)
         .map(|(b, t)| (t - b) / b * 100.0)
         .collect();
-    pct.sort_by(f64::total_cmp);
-    let at = |q: usize| pct[(pct.len() - 1) * q / 4];
-    let (q1, median, q3) = (at(1), at(2), at(3));
-    let verdict = if q3 <= BUDGET_PCT {
-        "pass"
-    } else if q1 > BUDGET_PCT {
-        "fail"
-    } else {
-        "inconclusive"
-    };
-    (median, [q1, q3], verdict)
+    Summary::of(&pct)
 }
 
 #[derive(Serialize)]
@@ -157,62 +136,14 @@ struct ScalingReport {
     sizes: Vec<SizeReport>,
 }
 
-/// Median wall-clock nanoseconds of `repeats` runs of `f` (after one
-/// warm-up run).
-fn median_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    black_box(f());
-    let samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    let (_, median, _, _) = criterion::summarize(&samples);
-    median
-}
-
-/// Wall-clock nanoseconds of one call of `f`.
-fn time_ns<T>(f: impl FnOnce() -> T) -> f64 {
-    let t = Instant::now();
-    black_box(f());
-    t.elapsed().as_nanos() as f64
-}
-
-/// `repeats` interleaved pairs of timings, one by `a` and one by `b`
-/// (after one warm-up of each), index-aligned by pair. Slow drift
-/// (thermal, scheduler load on a shared runner) hits both sides of a
-/// pair alike, and the side that runs first alternates, so neither side
-/// always inherits the cache and clock state the other leaves.
-fn interleaved_pairs(
-    repeats: usize,
-    mut a: impl FnMut() -> f64,
-    mut b: impl FnMut() -> f64,
-) -> (Vec<f64>, Vec<f64>) {
-    a();
-    b();
-    let mut xs = Vec::with_capacity(repeats);
-    let mut ys = Vec::with_capacity(repeats);
-    for pair in 0..repeats {
-        if pair % 2 == 0 {
-            xs.push(a());
-            ys.push(b());
-        } else {
-            ys.push(b());
-            xs.push(a());
-        }
-    }
-    (xs, ys)
-}
-
 /// Engine scans with mp-obs recording off and on, as interleaved pairs.
 /// Leaves recording enabled.
 fn obs_pairs(repeats: usize, state: &RdState) -> (Vec<f64>, Vec<f64>) {
     let run = |enabled: bool| {
         mp_obs::set_enabled(enabled);
-        time_ns(|| engine_scan(state))
+        measure::elapsed_ns(|| engine_scan(state))
     };
-    let pairs = interleaved_pairs(repeats, || run(false), || run(true));
+    let pairs = measure::interleaved(repeats, || run(false), || run(true));
     mp_obs::set_enabled(true);
     pairs
 }
@@ -227,27 +158,21 @@ fn obs_pairs(repeats: usize, state: &RdState) -> (Vec<f64>, Vec<f64>) {
 fn traced_pairs(repeats: usize, state: &RdState) -> (Vec<f64>, Vec<f64>) {
     mp_obs::set_enabled(true);
     let mut id = 0;
-    interleaved_pairs(
+    measure::interleaved(
         repeats,
-        || time_ns(|| engine_scan(state)),
+        || measure::elapsed_ns(|| engine_scan(state)),
         || {
             id += 1;
             let scope = mp_obs::TraceScope::begin(mp_obs::TraceId(id), Instant::now());
-            let ns = time_ns(|| engine_scan(state));
+            let ns = measure::elapsed_ns(|| engine_scan(state));
             black_box(scope.finish());
             ns
         },
     )
 }
 
-/// The median of `samples`.
-fn median(samples: &[f64]) -> f64 {
-    let (_, median, _, _) = criterion::summarize(samples);
-    median
-}
-
 /// Head-to-head measurement written to `BENCH_apro.json`.
-fn write_scaling_report() {
+fn main() {
     let mut sizes = Vec::new();
     for n in SIZES {
         let state = synthetic_state(n);
@@ -269,18 +194,18 @@ fn write_scaling_report() {
         mp_obs::reset();
         let (off, on) = obs_pairs(engine_repeats, &state);
         let fast_snap = mp_obs::snapshot();
-        let (engine_ns, engine_ns_obs) = (median(&off), median(&on));
-        let (obs_overhead_pct, obs_overhead_iqr_pct, obs_verdict) = overhead(&off, &on);
+        let (engine_ns, engine_ns_obs) = (Summary::of(&off).median, Summary::of(&on).median);
+        let obs = overheads(&off, &on);
 
         // Marginal cost of an active request trace over plain
         // recording, same interleaved protocol. Reported, not asserted:
         // no job pins run conditions tightly enough for a ≤ 2% gate.
         let (plain, traced) = traced_pairs(engine_repeats, &state);
-        let engine_ns_trace = median(&traced);
-        let (trace_overhead_pct, trace_overhead_iqr_pct, trace_verdict) = overhead(&plain, &traced);
+        let engine_ns_trace = Summary::of(&traced).median;
+        let trace = overheads(&plain, &traced);
 
         mp_obs::set_enabled(false);
-        let reference_ns = median_ns(repeats, || reference_scan(&state));
+        let reference_ns = measure::timed(repeats, || reference_scan(&state)).median;
         let speedup = reference_ns / engine_ns;
 
         // The reference fallback is a separate branch (absolute metric,
@@ -313,15 +238,19 @@ fn write_scaling_report() {
             }
         }
 
-        let [obs_q1, obs_q3] = obs_overhead_iqr_pct;
-        let [trace_q1, trace_q3] = trace_overhead_iqr_pct;
+        let (obs_verdict, trace_verdict) = (obs.against(BUDGET_PCT), trace.against(BUDGET_PCT));
         eprintln!(
             "apro_scaling n={n}: engine {:.3} ms, reference {:.3} ms, speedup {speedup:.1}x; \
-             obs on {obs_overhead_pct:+.2}% (IQR {obs_q1:+.2}..{obs_q3:+.2}%, {obs_verdict}), \
-             traced {trace_overhead_pct:+.2}% (IQR {trace_q1:+.2}..{trace_q3:+.2}%, \
-             {trace_verdict}) against a {BUDGET_PCT}% budget",
+             obs on {:+.2}% (IQR {:+.2}..{:+.2}%, {obs_verdict}), \
+             traced {:+.2}% (IQR {:+.2}..{:+.2}%, {trace_verdict}) against a {BUDGET_PCT}% budget",
             engine_ns / 1e6,
             reference_ns / 1e6,
+            obs.median,
+            obs.q1,
+            obs.q3,
+            trace.median,
+            trace.q1,
+            trace.q3,
         );
         sizes.push(SizeReport {
             n,
@@ -331,12 +260,12 @@ fn write_scaling_report() {
             speedup,
             engine_repeats,
             engine_ns_obs,
-            obs_overhead_pct,
-            obs_overhead_iqr_pct: obs_overhead_iqr_pct.to_vec(),
+            obs_overhead_pct: obs.median,
+            obs_overhead_iqr_pct: vec![obs.q1, obs.q3],
             obs_verdict: obs_verdict.to_string(),
             engine_ns_trace,
-            trace_overhead_pct,
-            trace_overhead_iqr_pct: trace_overhead_iqr_pct.to_vec(),
+            trace_overhead_pct: trace.median,
+            trace_overhead_iqr_pct: vec![trace.q1, trace.q3],
             trace_verdict: trace_verdict.to_string(),
             phases,
         });
@@ -357,18 +286,4 @@ fn write_scaling_report() {
     )
     .expect("BENCH_apro.json written");
     eprintln!("wrote {path} (section apro_scaling)");
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_scaling
-}
-
-fn main() {
-    benches();
-    write_scaling_report();
 }

@@ -27,13 +27,13 @@
 #![expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::disallowed_methods,
-    reason = "fleet sizes and document counts are small integers, and the bench times its runs with the wall clock"
+    reason = "fleet sizes and document counts are small integers"
 )]
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use mp_bench::measure;
 use mp_core::{
     CoreConfig, CorrectnessMetric, EdLibrary, IndependenceEstimator, Metasearcher, RelevancyDef,
 };
@@ -202,18 +202,12 @@ fn main() -> std::process::ExitCode {
             library,
         );
 
-        let mut walls = Vec::with_capacity(RUNS);
-        // Warm-up pass absorbs first-touch allocations.
-        for measured in [false, true, true, true, true, true] {
-            let start = Instant::now();
+        let wall_ns = measure::timed(RUNS, || {
             for q in &queries {
-                criterion::black_box(ms.select_rd(q, k, CorrectnessMetric::Partial));
+                black_box(ms.select_rd(q, k, CorrectnessMetric::Partial));
             }
-            if measured {
-                walls.push(start.elapsed().as_nanos() as f64);
-            }
-        }
-        let (_, wall_ns, _, _) = criterion::summarize(&walls);
+        })
+        .median;
 
         let checksum = selection_checksum(&ms, &queries, k);
         let us_per_query = wall_ns / 1e3 / queries.len() as f64;

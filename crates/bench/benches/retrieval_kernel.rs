@@ -2,11 +2,12 @@
 //! HashMap-accumulator reference, over a (docs × query-terms) matrix of
 //! Zipf-distributed synthetic collections.
 //!
-//! Besides the criterion targets, the bench merges its report into the
-//! `retrieval_kernel` section of `BENCH_apro.json`, recording per
-//! matrix point the naive and dense kernel timings, the speedup, and the
-//! documents scored as counted by mp-obs. It fails unless the kernel is
-//! ≥ 3× the naive reference at the largest point.
+//! The bench merges its report into the `retrieval_kernel` section of
+//! `BENCH_apro.json`, recording per matrix point the naive and dense
+//! kernel timings (medians of 7 batches after one warm-up, from
+//! `mp_bench::measure`), the speedup, and the documents scored as
+//! counted by mp-obs. It fails unless the kernel is ≥ 3× the naive
+//! reference at the largest point.
 //!
 //! Every timed batch is preceded by a bitwise parity check: the kernel
 //! must return the naive reference's exact doc set, order, and score
@@ -15,17 +16,16 @@
 
 #![expect(
     clippy::cast_possible_truncation,
-    clippy::disallowed_methods,
-    reason = "term ids come from a small vocabulary, and the bench times its runs with the wall clock"
+    reason = "term ids come from a small vocabulary"
 )]
 
-use criterion::{black_box, criterion_group, Criterion};
+use mp_bench::measure;
 use mp_index::{Document, IndexBuilder, InvertedIndex};
 use mp_text::TermId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::time::Instant;
+use std::hint::black_box;
 
 /// (documents, query terms) matrix; the last entry is the acceptance
 /// point.
@@ -88,21 +88,6 @@ fn assert_bit_parity(idx: &InvertedIndex, queries: &[Vec<TermId>]) {
     }
 }
 
-/// Median wall-clock nanoseconds of `repeats` runs of `f` (after one
-/// warm-up run).
-fn median_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    black_box(f());
-    let samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    let (_, median, _, _) = criterion::summarize(&samples);
-    median
-}
-
 #[derive(Serialize)]
 struct PointReport {
     docs: usize,
@@ -134,7 +119,7 @@ fn counter_value(snap: &mp_obs::Snapshot, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn write_kernel_report() {
+fn main() {
     let repeats = 7;
     let mut points = Vec::new();
     for (docs, terms) in POINTS {
@@ -153,18 +138,20 @@ fn write_kernel_report() {
 
         // Timed batches with recording off (hot-path conditions).
         mp_obs::set_enabled(false);
-        let naive_ns = median_ns(repeats, || {
+        let naive_ns = measure::timed(repeats, || {
             queries
                 .iter()
                 .map(|q| idx.cosine_topk_naive(q, TOP_K).len())
                 .sum::<usize>()
-        });
-        let kernel_ns = median_ns(repeats, || {
+        })
+        .median;
+        let kernel_ns = measure::timed(repeats, || {
             queries
                 .iter()
                 .map(|q| idx.cosine_topk(q, TOP_K).len())
                 .sum::<usize>()
-        });
+        })
+        .median;
         mp_obs::set_enabled(true);
         let speedup = naive_ns / kernel_ns;
         eprintln!(
@@ -205,41 +192,4 @@ fn write_kernel_report() {
     )
     .expect("BENCH_apro.json written");
     eprintln!("wrote {path} (section retrieval_kernel)");
-}
-
-fn bench_kernels(c: &mut Criterion) {
-    let (docs, terms) = POINTS[POINTS.len() - 1];
-    let mut rng = StdRng::seed_from_u64(SEED ^ (docs as u64) ^ ((terms as u64) << 32));
-    let idx = build_corpus(docs, &mut rng);
-    let queries = build_queries(terms, &mut rng);
-    c.bench_function(&format!("index/cosine_topk_naive_d{docs}_t{terms}"), |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| black_box(idx.cosine_topk_naive(q, TOP_K)).len())
-                .sum::<usize>()
-        })
-    });
-    c.bench_function(&format!("index/cosine_topk_d{docs}_t{terms}"), |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| black_box(idx.cosine_topk(q, TOP_K)).len())
-                .sum::<usize>()
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kernels
-}
-
-fn main() {
-    benches();
-    write_kernel_report();
 }

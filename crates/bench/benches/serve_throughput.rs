@@ -42,6 +42,9 @@
 //! deadline drifts out of the shedding regime as the server gets
 //! faster: a flood that finishes inside its deadline sheds nothing.
 //!
+//! Every row's wall time is a median from `mp_bench::measure`: 5 runs
+//! on fresh servers after one warm-up (3 for the open-loop rows).
+//!
 //! The report is merged into the `serve_throughput` section of
 //! `BENCH_apro.json` at the repository root (the `apro_scaling` and
 //! `retrieval_kernel` benches own the file's other sections) before
@@ -49,12 +52,14 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the bench times its runs with the wall clock"
+    reason = "open-loop submissions are paced by the wall clock"
 )]
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mp_bench::measure;
 use mp_core::{IndependenceEstimator, Metasearcher, RelevancyDef};
 use mp_eval::{Testbed, TestbedConfig};
 use mp_serve::{ServeConfig, ServeRequest, Server};
@@ -173,44 +178,41 @@ fn run_open_loop(
     shed_p99_ms: Option<u64>,
     deadline_ms: u64,
 ) -> OpenLoopReport {
-    let mut walls = Vec::with_capacity(OPEN_LOOP_RUNS);
     let mut last_stats = None;
-    for measured in [false, true, true, true] {
+    let wall_ns = measure::sampled(OPEN_LOOP_RUNS, || {
         let config = ServeConfig::new(workers, 0).with_shed_p99_ms(shed_p99_ms);
         let server = Server::new(Arc::clone(ms), config);
-        let t = Instant::now();
-        server.run(|client| {
-            let start = Instant::now();
-            let tickets: Vec<_> = paced
-                .iter()
-                .map(|(at_us, req)| {
-                    let target = Duration::from_micros(*at_us);
-                    while start.elapsed() < target {
-                        std::hint::spin_loop();
-                    }
-                    client.submit(req.clone())
-                })
-                .collect();
-            for ticket in tickets {
-                // Sheds and deadline misses are expected outcomes on
-                // the SLO rows, not failures.
-                match ticket.and_then(mp_serve::Ticket::wait) {
-                    Ok(resp) => {
-                        criterion::black_box(resp);
-                    }
-                    Err(e) => {
-                        criterion::black_box(e);
+        let wall = measure::elapsed_ns(|| {
+            server.run(|client| {
+                let start = Instant::now();
+                let tickets: Vec<_> = paced
+                    .iter()
+                    .map(|(at_us, req)| {
+                        let target = Duration::from_micros(*at_us);
+                        while start.elapsed() < target {
+                            std::hint::spin_loop();
+                        }
+                        client.submit(req.clone())
+                    })
+                    .collect();
+                for ticket in tickets {
+                    // Sheds and deadline misses are expected outcomes on
+                    // the SLO rows, not failures.
+                    match ticket.and_then(mp_serve::Ticket::wait) {
+                        Ok(resp) => {
+                            black_box(resp);
+                        }
+                        Err(e) => {
+                            black_box(e);
+                        }
                     }
                 }
-            }
+            })
         });
-        let wall = t.elapsed().as_nanos() as f64;
-        if measured {
-            walls.push(wall);
-            last_stats = Some(server.stats());
-        }
-    }
-    let (_, wall_ns, _, _) = criterion::summarize(&walls);
+        last_stats = Some(server.stats());
+        wall
+    })
+    .median;
     let stats = last_stats.expect("at least one measured run");
     let qps = stats.completed as f64 / (wall_ns / 1e9);
     let shed_rate = stats.sheds as f64 / paced.len() as f64;
@@ -318,23 +320,18 @@ fn run_scenario(
     workers: usize,
     cache_cap: usize,
 ) -> ScenarioReport {
-    let mut walls = Vec::with_capacity(RUNS);
     let mut last_stats = None;
-    // Warm-up run absorbs first-touch effects (lazy allocs, page-ins).
-    for measured in [false, true, true, true, true, true] {
+    let wall_ns = measure::sampled(RUNS, || {
         let server = Server::new(Arc::clone(ms), ServeConfig::new(workers, cache_cap));
-        let t = Instant::now();
-        for r in server.serve_batch(requests.iter().cloned()) {
-            let resp = r.expect("back-pressure submission never rejects");
-            criterion::black_box(resp);
-        }
-        let wall = t.elapsed().as_nanos() as f64;
-        if measured {
-            walls.push(wall);
-            last_stats = Some(server.stats());
-        }
-    }
-    let (_, wall_ns, _, _) = criterion::summarize(&walls);
+        let wall = measure::elapsed_ns(|| {
+            for r in server.serve_batch(requests.iter().cloned()) {
+                black_box(r.expect("back-pressure submission never rejects"));
+            }
+        });
+        last_stats = Some(server.stats());
+        wall
+    })
+    .median;
     let stats = last_stats.expect("at least one measured run");
     let qps = requests.len() as f64 / (wall_ns / 1e9);
     eprintln!(
@@ -399,7 +396,7 @@ fn measure_rolling(ms: &Arc<Metasearcher>, queries: &[Query], workers: usize) ->
                 let resp = t
                     .and_then(mp_serve::Ticket::wait)
                     .expect("back-pressure submission never rejects");
-                criterion::black_box(resp);
+                black_box(resp);
             }
             server.tick_window();
         }
@@ -408,7 +405,7 @@ fn measure_rolling(ms: &Arc<Metasearcher>, queries: &[Query], workers: usize) ->
     eprintln!(
         "serve_throughput rolling (last {} tick(s)): p50 {} µs, p99 {} µs, \
          max {} µs over {} request(s); cumulative p50 {} µs, p99 {} µs",
-        stats.window_ticks,
+        stats.rolling_ticks,
         stats.rolling_p50_us,
         stats.rolling_p99_us,
         stats.rolling_max_us,
@@ -438,7 +435,7 @@ fn write_flame_profile(ms: &Arc<Metasearcher>, requests: &[ServeRequest], worker
     mp_obs::reset();
     let server = Server::new(Arc::clone(ms), ServeConfig::new(workers, 0));
     for r in server.serve_batch(requests.iter().cloned()) {
-        criterion::black_box(r.expect("back-pressure submission never rejects"));
+        black_box(r.expect("back-pressure submission never rejects"));
     }
     let snap = mp_obs::snapshot();
     let out_dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../repro_output"));

@@ -23,8 +23,9 @@
 //! correct or a metric moved worse beyond its bound, 2 on a usage or
 //! run error. Nothing under `servebench/` is written.
 
+use mp_bench::measure::Summary;
 use mp_bench::pairs::{
-    parse_benchmark, parse_result_line, render, summarize, Move, RunResult, Spread,
+    metric_summary, parse_benchmark, parse_result_line, render, Move, RunResult,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -286,12 +287,12 @@ fn compare(args: &Args) -> Result<bool, String> {
                 .map(|(p, c)| Some((p.metric(&gate.name)?, c.metric(&gate.name)?)))
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| format!("{workload}: a run lacks metric {}", gate.name))?;
-            summaries.push(summarize(gate, &values));
+            summaries.push(metric_summary(gate, &values));
         }
         let correct = |runs: &[RunResult]| runs.iter().filter(|r| r.correct).count();
         let failed = |runs: &[RunResult]| {
             let shares: Vec<f64> = runs.iter().map(RunResult::failed_share).collect();
-            Spread::of(&shares).median
+            Summary::of(&shares).median
         };
         let (pc, cc, n) = (correct(&parents), correct(&changes), parents.len());
         print!("{}", render(workload, &summaries));

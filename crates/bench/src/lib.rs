@@ -1,10 +1,12 @@
 //! # mp-bench — benchmark fixtures for `metaprobe`
 //!
-//! Shared testbed builders used by the Criterion benches and the
-//! `repro` binary that regenerates every table and figure of the paper
-//! (see `EXPERIMENTS.md`), and the summary math of the `pairs` binary,
-//! which runs the repository benchmark on a parent revision and on the
-//! working tree in alternating pairs ([`pairs`]).
+//! The testbed fixtures and the `BENCH_apro.json` writer behind the
+//! `repro` binary, which regenerates every table and figure of the
+//! paper (see `EXPERIMENTS.md`), and behind the four benches CI runs.
+//! [`measure`] is the one place a bench times and summarizes its runs,
+//! and [`pairs`] is the summary math of the `pairs` binary, which runs
+//! the repository benchmark on a parent revision and on the working
+//! tree in alternating pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,30 +17,8 @@ use mp_eval::experiments::SamplingStudyConfig;
 use mp_eval::{Testbed, TestbedConfig};
 use mp_workload::QueryGenConfig;
 
+pub mod measure;
 pub mod pairs;
-
-/// A scaled-down testbed for Criterion benches: small corpora, a few
-/// hundred queries — large enough to exercise every code path, small
-/// enough for repeated timing.
-pub fn bench_testbed(seed: u64) -> Testbed {
-    let cfg = TestbedConfig {
-        scenario: ScenarioConfig {
-            scale: 0.15,
-            n_databases: 10,
-            ..ScenarioConfig::new(ScenarioKind::Health, seed)
-        },
-        n_two: 80,
-        n_three: 50,
-        core: CoreConfig::default().with_threshold(2.0),
-        relevancy: mp_core::RelevancyDef::DocFrequency,
-        summaries: mp_eval::SummaryMode::Cooperative,
-        workload: QueryGenConfig {
-            seed: seed ^ 0x51_7e_a5,
-            ..QueryGenConfig::default()
-        },
-    };
-    Testbed::build(cfg)
-}
 
 /// A small testbed with coarse ED bins whose RD supports fit the
 /// exhaustive [`mp_core::probing::OptimalPolicy`] guards — used by the
@@ -116,13 +96,6 @@ pub fn merge_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_testbed_builds() {
-        let tb = bench_testbed(7);
-        assert_eq!(tb.n_databases(), 10);
-        assert_eq!(tb.split.test.len(), 130);
-    }
 
     #[test]
     fn merge_bench_json_preserves_other_sections() {

@@ -6,8 +6,10 @@
 //! this module. Per metric it reports each side's median and quartiles,
 //! how many pairs read lower on the change, the median paired ratio
 //! (change / parent), and whether the medians moved beyond the metric's
-//! `BENCHMARK.json` bound.
+//! `BENCHMARK.json` bound. Each side's spread is a
+//! [`crate::measure::Summary`].
 
+use crate::measure::Summary;
 use serde::Value;
 
 /// One end-to-end metric as `BENCHMARK.json` declares it.
@@ -154,51 +156,6 @@ pub fn parse_result_line(line: &str) -> Result<RunResult, String> {
     })
 }
 
-/// The `q`-quantile (`0 ≤ q ≤ 1`) of ascending `sorted` values, by
-/// linear interpolation between closest ranks; `NaN` when empty.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let Some(last) = sorted.len().checked_sub(1) else {
-        return f64::NAN;
-    };
-    let pos = q.clamp(0.0, 1.0) * last as f64;
-    let lo = pos.floor();
-    let i = mp_stats::float::round_u64(lo)
-        .and_then(|i| usize::try_from(i).ok())
-        .unwrap_or(0)
-        .min(last);
-    let j = (i + 1).min(last);
-    sorted[i] + (sorted[j] - sorted[i]) * (pos - lo)
-}
-
-/// Median and quartiles of one side's runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spread {
-    /// Lower quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Upper quartile.
-    pub q3: f64,
-}
-
-impl Spread {
-    /// The spread of `values` (any order).
-    pub fn of(values: &[f64]) -> Self {
-        let mut v = values.to_vec();
-        v.sort_by(f64::total_cmp);
-        Spread {
-            q1: quantile(&v, 0.25),
-            median: quantile(&v, 0.5),
-            q3: quantile(&v, 0.75),
-        }
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
 /// Where the change's median sits against the parent's, in the light
 /// of the metric's bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,9 +176,9 @@ pub struct MetricSummary {
     /// Pairs summarized.
     pub pairs: usize,
     /// The parent's runs.
-    pub parent: Spread,
+    pub parent: Summary,
     /// The change's runs.
-    pub change: Spread,
+    pub change: Summary,
     /// Pairs in which the change read strictly lower.
     pub change_lower: usize,
     /// Pairs in which the change read better (strictly).
@@ -250,16 +207,16 @@ impl MetricSummary {
 }
 
 /// Summarizes one metric over `(parent, change)` value pairs.
-pub fn summarize(gate: &Gate, pairs: &[(f64, f64)]) -> MetricSummary {
+pub fn metric_summary(gate: &Gate, pairs: &[(f64, f64)]) -> MetricSummary {
     let parents: Vec<f64> = pairs.iter().map(|p| p.0).collect();
     let changes: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    let parent = Spread::of(&parents);
-    let change = Spread::of(&changes);
+    let parent = Summary::of(&parents);
+    let change = Summary::of(&changes);
     let change_lower = pairs.iter().filter(|(p, c)| c < p).count();
     let change_higher = pairs.iter().filter(|(p, c)| c > p).count();
     let ratios: Vec<f64> = pairs.iter().map(|&(p, c)| c / p).collect();
     let median_ratio = if ratios.iter().all(|r| r.is_finite()) {
-        Spread::of(&ratios).median
+        Summary::of(&ratios).median
     } else {
         f64::NAN
     };
@@ -305,7 +262,7 @@ pub fn render(workload: &str, summaries: &[MetricSummary]) -> String {
         "ratio",
     );
     for s in summaries {
-        let side = |x: &Spread| format!("{:.4} [{:.4}..{:.4}]", x.median, x.q1, x.q3);
+        let side = |x: &Summary| format!("{:.4} [{:.4}..{:.4}]", x.median, x.q1, x.q3);
         let verdict = match s.verdict {
             Move::Within => "within bound",
             Move::WorseBeyondBound => "WORSE beyond bound",
@@ -393,20 +350,6 @@ mod tests {
         assert!(b.gates.iter().any(|g| g.name == "cpu_us_per_request"));
     }
 
-    #[test]
-    fn quantiles_interpolate_between_ranks() {
-        assert!(quantile(&[], 0.5).is_nan());
-        assert_eq!(quantile(&[7.0], 0.25), 7.0);
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.5), 2.5);
-        assert_eq!(quantile(&v, 0.25), 1.75);
-        assert_eq!(quantile(&v, 0.75), 3.25);
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 4.0);
-        let s = Spread::of(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!((s.q1, s.median, s.q3, s.iqr()), (2.0, 3.0, 4.0, 2.0));
-    }
-
     /// Canned result lines of six pairs: the change is lower in five,
     /// the parent's quartiles are [33.45..33.95], the change's median
     /// 29.0, and success is flat.
@@ -430,7 +373,7 @@ mod tests {
                 .collect()
         };
 
-        let cpu = summarize(
+        let cpu = metric_summary(
             &gate("cpu_us_per_request", true, 0.25),
             &values("cpu_us_per_request"),
         );
@@ -452,7 +395,7 @@ mod tests {
         // Five of six is below nine in ten: no claimable gain.
         assert!(!cpu.gain_holds());
 
-        let success = summarize(
+        let success = metric_summary(
             &gate("success_share", false, 0.01),
             &values("success_share"),
         );
@@ -468,16 +411,16 @@ mod tests {
     #[test]
     fn flags_moves_beyond_the_bound_in_the_metric_direction() {
         let cpu = gate("cpu_us_per_request", true, 0.25);
-        let slower = summarize(&cpu, &[(10.0, 13.0), (10.0, 13.0)]);
+        let slower = metric_summary(&cpu, &[(10.0, 13.0), (10.0, 13.0)]);
         assert_eq!(slower.verdict, Move::WorseBeyondBound);
-        let faster = summarize(&cpu, &[(10.0, 7.0); 10]);
+        let faster = metric_summary(&cpu, &[(10.0, 7.0); 10]);
         assert_eq!(faster.verdict, Move::BetterBeyondBound);
         assert!(faster.gain_holds());
         // Fewer than ten pairs claim nothing, however clear.
-        assert!(!summarize(&cpu, &[(10.0, 7.0); 9]).gain_holds());
+        assert!(!metric_summary(&cpu, &[(10.0, 7.0); 9]).gain_holds());
 
         let cor = gate("cor_partial", false, 0.15);
-        let lost = summarize(&cor, &[(0.6, 0.5), (0.6, 0.5)]);
+        let lost = metric_summary(&cor, &[(0.6, 0.5), (0.6, 0.5)]);
         assert_eq!(lost.verdict, Move::WorseBeyondBound);
         assert_eq!((lost.change_lower, lost.change_better), (2, 0));
 
@@ -487,11 +430,11 @@ mod tests {
             .map(|i| (10.0 + f64::from(i), 9.9 + f64::from(i)))
             .collect();
         noisy.push((10.0, 30.0));
-        let s = summarize(&cpu, &noisy);
+        let s = metric_summary(&cpu, &noisy);
         assert_eq!(s.change_better, 9);
         assert!(!s.gain_holds());
 
-        let zero = summarize(&cpu, &[(0.0, 1.0)]);
+        let zero = metric_summary(&cpu, &[(0.0, 1.0)]);
         assert!(zero.median_ratio.is_nan());
     }
 }

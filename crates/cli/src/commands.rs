@@ -182,10 +182,11 @@ pub fn run_suggest(dir: &Path, n: usize) -> Result<String, StateError> {
 /// the flight recorder's worst waterfalls are rendered (and dumped as
 /// `mp-obs-trace/1` JSON).
 ///
-/// `shed_p99_ms` arms the SLO shedder, which sheds deadlined requests
-/// whose slack the rolling p99 would blow.
-/// The scripted stream is deadline-free, so shedding only shows up
-/// when driving the server through code that sets deadlines.
+/// An out-of-range `k` or `threshold` is answered with the reason
+/// before the server starts. The scripted stream is deadline-free, so
+/// the SLO shedder has nothing to shed here; it is armed through
+/// [`mp_serve::ServeConfig::with_shed_p99_ms`] by code that sets
+/// deadlines.
 #[expect(
     clippy::too_many_arguments,
     reason = "one parameter per `serve` flag, passed straight from the argument parser"
@@ -195,7 +196,6 @@ pub fn run_serve(
     workers: usize,
     cache_cap: usize,
     queue_cap: usize,
-    shed_p99_ms: Option<u64>,
     n_unique: usize,
     repeat: usize,
     k: usize,
@@ -208,6 +208,15 @@ pub fn run_serve(
 
     let st = state::load_state(dir)?;
     let library = st.library()?.clone();
+    let config = AproConfig {
+        k,
+        threshold,
+        metric: CorrectnessMetric::Partial,
+        max_probes: None,
+    };
+    if let Err(why) = config.check(st.testbed.n_databases()) {
+        return Ok(format!("invalid request: {why}\n"));
+    }
     let Some(policy) = PolicySpec::parse(policy_name, 0) else {
         return Ok(format!(
             "unknown policy {policy_name:?} (greedy | random | by-estimate | max-uncertainty)\n"
@@ -238,7 +247,6 @@ pub fn run_serve(
             queue_cap: queue_cap.max(1),
             ..ServeConfig::new(workers.max(1), cache_cap)
         }
-        .with_shed_p99_ms(shed_p99_ms)
         .with_trace(tracing),
     );
 
@@ -300,7 +308,7 @@ pub fn run_serve(
     ));
     out.push_str(&format!(
         "rolling (last {} tick(s)): p50 {} µs, p99 {} µs, max {} µs over {} request(s)\n",
-        stats.window_ticks.min(8),
+        stats.rolling_ticks,
         stats.rolling_p50_us,
         stats.rolling_p99_us,
         stats.rolling_max_us,
@@ -407,29 +415,20 @@ mod tests {
         init_tiny(&dir);
         run_train(&dir).unwrap();
 
-        let out = run_serve(&dir, 2, 64, 16, None, 4, 3, 1, 0.8, "greedy", false, None).unwrap();
+        let out = run_serve(&dir, 2, 64, 16, 4, 3, 1, 0.8, "greedy", false, None).unwrap();
         assert!(out.contains("served 12 queries (4 unique × 3)"), "{out}");
         assert!(out.contains("queries/s"), "{out}");
         assert!(out.contains("shed 0, panicked 0"), "{out}");
+        // One tick per pass: the rolling line covers all three passes.
+        assert!(
+            out.contains("rolling (last 3 tick(s)):") && out.contains("over 12 request(s)"),
+            "{out}"
+        );
         // 4 unique queries played 3 times: at most 4 misses, the rest
         // hits or dedup joins.
         assert!(out.contains("result cache:"), "{out}");
 
-        let bad = run_serve(
-            &dir,
-            2,
-            64,
-            16,
-            None,
-            4,
-            1,
-            1,
-            0.8,
-            "no-such-policy",
-            false,
-            None,
-        )
-        .unwrap();
+        let bad = run_serve(&dir, 2, 64, 16, 4, 1, 1, 0.8, "no-such-policy", false, None).unwrap();
         assert!(bad.contains("unknown policy"), "{bad}");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -445,21 +444,7 @@ mod tests {
         run_train(&dir).unwrap();
 
         let dump = dir.join("trace.json");
-        let out = run_serve(
-            &dir,
-            1,
-            64,
-            16,
-            None,
-            3,
-            2,
-            1,
-            0.8,
-            "greedy",
-            true,
-            Some(&dump),
-        )
-        .unwrap();
+        let out = run_serve(&dir, 1, 64, 16, 3, 2, 1, 0.8, "greedy", true, Some(&dump)).unwrap();
         assert!(out.contains("flight recorder"), "{out}");
         assert!(out.contains("trace dump written to"), "{out}");
 
@@ -520,6 +505,21 @@ mod tests {
         ] {
             let out = run_eval(&dir, k).unwrap();
             assert_eq!(out, format!("invalid request: {why}\n"), "k {k}");
+        }
+        // `serve` answers the reason instead of starting a server and
+        // counting every request of the stream invalid.
+        for (k, threshold, why) in [
+            (0, 0.8, "k must be at least 1"),
+            (6, 0.8, "k exceeds the number of databases"),
+            (1, 1.5, "threshold must be a finite value in [0, 1]"),
+        ] {
+            let out =
+                run_serve(&dir, 1, 64, 16, 3, 2, k, threshold, "greedy", false, None).unwrap();
+            assert_eq!(
+                out,
+                format!("invalid request: {why}\n"),
+                "k {k}, t {threshold}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -17,7 +17,6 @@ commands:
            [--policy greedy|random|by-estimate|max-uncertainty]
   eval     --state DIR [--k N]
   serve    --state DIR [--workers N] [--cache-cap C] [--queue-cap Q]
-           [--shed-p99-ms MS]
            [--n UNIQUE] [--repeat R] [--k N] [--threshold T]
            [--policy greedy|random|by-estimate|max-uncertainty]
            [--trace] [--trace-dump PATH]
@@ -26,11 +25,6 @@ observability (any command):
   --obs             print an mp-obs span/metric tree to stderr on exit
   --obs-json PATH   write the mp-obs JSON snapshot to PATH on exit
   (env MP_OBS=0 disables recording entirely)
-
-SLO (serve only):
-  --shed-p99-ms MS  shed deadlined requests when the rolling p99
-                    exceeds MS ms and exceeds their remaining slack
-                    (default off; needs obs recording)
 
 tracing (serve only):
   --trace           collect per-request waterfalls; print the flight
@@ -54,7 +48,6 @@ struct Opts {
     workers: usize,
     cache_cap: usize,
     queue_cap: usize,
-    shed_p99_ms: Option<u64>,
     repeat: usize,
     obs: bool,
     obs_json: Option<PathBuf>,
@@ -78,7 +71,6 @@ impl Default for Opts {
             workers: 4,
             cache_cap: 1024,
             queue_cap: 64,
-            shed_p99_ms: None,
             repeat: 4,
             obs: false,
             obs_json: None,
@@ -129,13 +121,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), Strin
                     .parse()
                     .map_err(|e| format!("bad queue cap: {e}"))?
             }
-            "--shed-p99-ms" => {
-                opts.shed_p99_ms = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| format!("bad shed p99 limit: {e}"))?,
-                )
-            }
             "--repeat" => opts.repeat = value()?.parse().map_err(|e| format!("bad repeat: {e}"))?,
             "--obs" => opts.obs = true,
             "--obs-json" => opts.obs_json = Some(PathBuf::from(value()?)),
@@ -180,7 +165,6 @@ fn main() -> ExitCode {
             opts.workers,
             opts.cache_cap,
             opts.queue_cap,
-            opts.shed_p99_ms,
             opts.n,
             opts.repeat,
             opts.k,

@@ -27,6 +27,11 @@ const BOUNDS: &[u64] = mp_obs::bounds::LATENCY_US;
 /// cost of a rolling read at O(8 · buckets).
 const WINDOW_SLOTS: usize = 8;
 
+/// Closed ticks a rolling read covers: the wheel's newest slot is the
+/// open tick, which is still receiving completions, so a read of all
+/// `WINDOW_SLOTS` slots spans one fewer closed tick.
+const ROLLING_TICKS: u64 = WINDOW_SLOTS as u64 - 1;
+
 /// A point-in-time snapshot of one server's counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeStats {
@@ -67,9 +72,10 @@ pub struct ServeStats {
     pub p50_us: u64,
     /// 99th-percentile latency (bucket upper bound), microseconds.
     pub p99_us: u64,
-    /// Rolling median over the last 8 window ticks (bucket upper
-    /// bound), microseconds. Read off the server's own window, which
-    /// records with recording on or off, like the counters above.
+    /// Rolling median (bucket upper bound), microseconds, over the
+    /// open window tick and the [`Self::rolling_ticks`] closed ones
+    /// before it. Read off the server's own window, which records with
+    /// recording on or off, like the counters above.
     pub rolling_p50_us: u64,
     /// Rolling 99th percentile over the window, microseconds.
     pub rolling_p99_us: u64,
@@ -79,6 +85,10 @@ pub struct ServeStats {
     pub rolling_count: u64,
     /// Window ticks elapsed (advances of the wheel).
     pub window_ticks: u64,
+    /// Closed window ticks the rolling fields cover: every tick so far,
+    /// up to 7. The rolling fields also read the open tick, which holds
+    /// the completions since the last tick.
+    pub rolling_ticks: u64,
 }
 
 /// The live counters behind [`ServeStats`].
@@ -231,6 +241,7 @@ impl StatsCore {
         let rolling = self
             .window
             .rolling("serve.latency_us.rolling", WINDOW_SLOTS);
+        let window_ticks = self.window.ticks();
         let misses = self.misses.get();
         ServeStats {
             completed: self.completed.get(),
@@ -253,7 +264,8 @@ impl StatsCore {
             rolling_p99_us: rolling.approx_quantile(0.99),
             rolling_max_us: rolling.max,
             rolling_count: rolling.count,
-            window_ticks: self.window.ticks(),
+            window_ticks,
+            rolling_ticks: window_ticks.min(ROLLING_TICKS),
         }
     }
 }
@@ -303,6 +315,30 @@ mod tests {
         // The cumulative view still remembers everything.
         assert_eq!(s.latency_count, 2);
         assert_eq!(s.latency_max_us, 400_000);
+    }
+
+    /// The CLI's scripted stream ticks once per pass: after 9 passes
+    /// of 3 requests, the rolling fields hold passes 3 through 9, the
+    /// 7 closed ticks before the open one the last tick started.
+    #[test]
+    fn rolling_report_names_the_closed_ticks_it_covers() {
+        let core = StatsCore::new();
+        let s = core.snapshot();
+        assert_eq!((s.window_ticks, s.rolling_ticks), (0, 0));
+        for pass in 1..=9u64 {
+            for _ in 0..3 {
+                core.complete(CacheStatus::Miss, 40);
+            }
+            core.tick();
+            let s = core.snapshot();
+            assert_eq!(s.rolling_ticks, pass.min(7), "after {pass} tick(s)");
+            assert_eq!(s.rolling_count, 3 * s.rolling_ticks, "after {pass} tick(s)");
+        }
+        let s = core.snapshot();
+        assert_eq!(
+            (s.window_ticks, s.rolling_ticks, s.rolling_count),
+            (9, 7, 21)
+        );
     }
 
     #[test]
