@@ -37,13 +37,16 @@
 //! faster than it completes, with the result cache off, on 1 and then
 //! 4 workers. A third row repeats the 4-worker flood with the SLO
 //! shedder armed to record the shed rate under overload. Its deadline
-//! is the unshed 4-worker row's median latency, rounded up to whole
-//! milliseconds, so that the flood's tail cannot make it. A fixed
-//! deadline drifts out of the shedding regime as the server gets
-//! faster: a flood that finishes inside its deadline sheds nothing.
+//! is the unshed 4-worker row's median latency (the median over its
+//! runs of each run's p50), rounded up to whole milliseconds, so that
+//! the flood's tail cannot make it. A fixed deadline drifts out of the
+//! shedding regime as the server gets faster: a flood that finishes
+//! inside its deadline sheds nothing.
 //!
 //! Every row's wall time is a median from `mp_bench::measure`: 5 runs
-//! on fresh servers after one warm-up (3 for the open-loop rows).
+//! on fresh servers after one warm-up (3 for the open-loop rows). An
+//! open-loop row's counts and p50 are medians over the same measured
+//! runs, and its shed rate carries their quartiles.
 //!
 //! The report is merged into the `serve_throughput` section of
 //! `BENCH_apro.json` at the repository root (the `apro_scaling` and
@@ -62,7 +65,7 @@ use std::time::{Duration, Instant};
 use mp_bench::measure;
 use mp_core::{IndependenceEstimator, Metasearcher, RelevancyDef};
 use mp_eval::{Testbed, TestbedConfig};
-use mp_serve::{ServeConfig, ServeRequest, Server};
+use mp_serve::{ServeConfig, ServeRequest, ServeStats, Server};
 use mp_workload::{OpenLoopConfig, Query};
 use serde::Serialize;
 
@@ -129,16 +132,21 @@ struct OpenLoopReport {
     runs: usize,
     /// Median wall nanoseconds for the whole schedule.
     wall_ns: f64,
-    /// Completed requests per second at the median.
+    /// Median completed requests per second at the median wall time.
     qps: f64,
-    /// Median completed-request latency of the last measured run
-    /// (bucket upper bound), microseconds.
+    /// Median over the measured runs of each run's median
+    /// completed-request latency (bucket upper bound), microseconds.
     p50_us: u64,
+    /// Medians over the measured runs, like every count below.
     completed: u64,
     sheds: u64,
     deadline_misses: u64,
-    /// `sheds / arrivals` from the last measured run.
+    /// Median over the measured runs of `sheds / arrivals`, with the
+    /// quartiles of the same runs: under overload the rate can swing
+    /// from run to run.
     shed_rate: f64,
+    shed_rate_q1: f64,
+    shed_rate_q3: f64,
 }
 
 /// The deterministic Zipf-skewed open-loop schedule, materialized as
@@ -178,7 +186,7 @@ fn run_open_loop(
     shed_p99_ms: Option<u64>,
     deadline_ms: u64,
 ) -> OpenLoopReport {
-    let mut last_stats = None;
+    let mut stats = Vec::with_capacity(OPEN_LOOP_RUNS + 1);
     let wall_ns = measure::sampled(OPEN_LOOP_RUNS, || {
         let config = ServeConfig::new(workers, 0).with_shed_p99_ms(shed_p99_ms);
         let server = Server::new(Arc::clone(ms), config);
@@ -209,22 +217,32 @@ fn run_open_loop(
                 }
             })
         });
-        last_stats = Some(server.stats());
+        stats.push(server.stats());
         wall
     })
     .median;
-    let stats = last_stats.expect("at least one measured run");
-    let qps = stats.completed as f64 / (wall_ns / 1e9);
-    let shed_rate = stats.sheds as f64 / paced.len() as f64;
+    // The last `OPEN_LOOP_RUNS` calls are the measured ones; whatever
+    // came before them is `measure::sampled`'s untimed warm-up.
+    let measured = &stats[stats.len() - OPEN_LOOP_RUNS..];
+    let summary = |reading: fn(&ServeStats) -> u64| {
+        let readings: Vec<f64> = measured.iter().map(|s| reading(s) as f64).collect();
+        measure::Summary::of(&readings)
+    };
+    // The median of an odd run count is one run's reading.
+    let median =
+        |reading| mp_stats::float::round_u64(summary(reading).median).expect("a count's median");
+    let (p50_us, completed) = (median(|s| s.p50_us), median(|s| s.completed));
+    let (sheds, deadline_misses) = (median(|s| s.sheds), median(|s| s.deadline_misses));
+    let shed = summary(|s| s.sheds);
+    let arrivals = paced.len() as f64;
+    let qps = completed as f64 / (wall_ns / 1e9);
+    let shed_rate = shed.median / arrivals;
     eprintln!(
         "serve_throughput open-loop workers={workers} shed_p99_ms={shed_p99_ms:?} \
-         deadline_ms={deadline_ms}: {:.1} ms/schedule, {qps:.0} q/s, p50 {} µs \
-         (completed {} sheds {} deadline_misses {})",
+         deadline_ms={deadline_ms}: {:.1} ms/schedule, {qps:.0} q/s, p50 {p50_us} µs \
+         (medians of {OPEN_LOOP_RUNS} runs: completed {completed} sheds {sheds} \
+         deadline_misses {deadline_misses})",
         wall_ns / 1e6,
-        stats.p50_us,
-        stats.completed,
-        stats.sheds,
-        stats.deadline_misses
     );
     OpenLoopReport {
         workers,
@@ -235,11 +253,13 @@ fn run_open_loop(
         runs: OPEN_LOOP_RUNS,
         wall_ns,
         qps,
-        p50_us: stats.p50_us,
-        completed: stats.completed,
-        sheds: stats.sheds,
-        deadline_misses: stats.deadline_misses,
+        p50_us,
+        completed,
+        sheds,
+        deadline_misses,
         shed_rate,
+        shed_rate_q1: shed.q1 / arrivals,
+        shed_rate_q3: shed.q3 / arrivals,
     }
 }
 
@@ -516,8 +536,12 @@ fn main() {
     let open_deadlined = open_loop_requests(&queries, Some(Duration::from_millis(deadline_ms)));
     let shed_row = run_open_loop(&ms, &open_deadlined, 4, Some(SHED_P99_MS), deadline_ms);
     eprintln!(
-        "serve_throughput shed row: rate {:.3} ({} sheds / {} arrivals)",
-        shed_row.shed_rate, shed_row.sheds, shed_row.arrivals
+        "serve_throughput shed row: rate {:.3} (quartiles {:.3}-{:.3}; median {} sheds / {} arrivals)",
+        shed_row.shed_rate,
+        shed_row.shed_rate_q1,
+        shed_row.shed_rate_q3,
+        shed_row.sheds,
+        shed_row.arrivals
     );
     open_loop.push(shed_row);
 

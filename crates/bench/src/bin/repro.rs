@@ -143,6 +143,9 @@ const HOT_PATH_SPANS: &[&str] = &[
     "hidden.search",
     "index.build",
     "eval.testbed.build",
+    "eval.testbed.generate",
+    "eval.testbed.train",
+    "eval.testbed.golden",
     "eval.baseline",
     "eval.rd_based",
     "eval.probing_curve",

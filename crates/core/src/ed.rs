@@ -124,11 +124,49 @@ impl EdLibrary {
         queries: &[Query],
         config: &CoreConfig,
     ) -> Self {
+        Self::train_with(mediator, estimator, def, queries, config, |n, observe| {
+            (0..n).map(observe).collect()
+        })
+    }
+
+    /// As [`EdLibrary::train`], with `map` running the probes: it gets
+    /// the training-query count and the routine that observes query `i`
+    /// (its `(estimate, actual)` on every database, in mediator order),
+    /// and returns the observations in query order. Observing touches no
+    /// library, and the library records the observations in query order
+    /// (each ED sums its samples as floats), so every map that keeps
+    /// that order, a parallel one included, trains the same library.
+    ///
+    /// # Panics
+    /// Panics if `map` returns a different number of observations.
+    pub fn train_with<M>(
+        mediator: &Mediator,
+        estimator: &dyn RelevancyEstimator,
+        def: RelevancyDef,
+        queries: &[Query],
+        config: &CoreConfig,
+        map: M,
+    ) -> Self
+    where
+        M: FnOnce(usize, &(dyn Fn(usize) -> Vec<(f64, f64)> + Sync)) -> Vec<Vec<(f64, f64)>>,
+    {
+        let observed = map(queries.len(), &|qi| {
+            let q = &queries[qi];
+            estimate_all(estimator, mediator, q)
+                .into_iter()
+                .enumerate()
+                .map(|(i, est)| (est, def.probe(mediator.db(i), q, config.probe_top_n)))
+                .collect()
+        });
+        assert_eq!(
+            observed.len(),
+            queries.len(),
+            "one observation list per query"
+        );
         let mut lib = Self::empty(mediator.len(), config.clone());
-        for q in queries {
-            for (i, est) in estimate_all(estimator, mediator, q).into_iter().enumerate() {
-                let actual = def.probe(mediator.db(i), q, config.probe_top_n);
-                lib.record(i, q.len(), est, actual);
+        for (q, observations) in queries.iter().zip(&observed) {
+            for (db, &(estimate, actual)) in observations.iter().enumerate() {
+                lib.record(db, q.len(), estimate, actual);
             }
         }
         lib

@@ -280,6 +280,21 @@ mod tests {
     }
 
     #[test]
+    fn training_observes_queries_in_any_order() {
+        // Back to front, as a map that schedules work out of order
+        // would: the library still records the queries in order.
+        let (m, qs, def) = (mediator(), train_queries(), RelevancyDef::DocFrequency);
+        let config = CoreConfig::default().with_threshold(20.0);
+        let est = IndependenceEstimator;
+        let reversed = EdLibrary::train_with(&m, &est, def, &qs, &config, |n, observe| {
+            let mut observed: Vec<_> = (0..n).rev().map(observe).collect();
+            observed.reverse();
+            observed
+        });
+        assert_eq!(reversed, EdLibrary::train(&m, &est, def, &qs, &config));
+    }
+
+    #[test]
     fn estimates_follow_eq1() {
         let ms = metasearcher();
         let q = Query::new([t(0), t(1)]);

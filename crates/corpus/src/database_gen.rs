@@ -2,7 +2,7 @@
 
 use crate::document_gen::{DocGenConfig, DocumentGenerator};
 use crate::topic::{TopicId, TopicModel};
-use mp_index::{Document, IndexBuilder, InvertedIndex};
+use mp_index::{IndexBuilder, InvertedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -67,18 +67,14 @@ impl DatabaseSpec {
     }
 }
 
-/// Generates the documents of a database per its spec.
-pub fn generate_documents(model: &TopicModel, spec: &DatabaseSpec) -> Vec<Document> {
+/// Generates a database per its spec, streaming each document into the
+/// index builder as it is drawn.
+pub fn generate_database(model: &TopicModel, spec: &DatabaseSpec) -> InvertedIndex {
     let gen = DocumentGenerator::new(model, &spec.mixture, spec.doc_config.clone());
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.size).map(|_| gen.generate(&mut rng)).collect()
-}
-
-/// Generates a database and builds its inverted index in one step.
-pub fn generate_database(model: &TopicModel, spec: &DatabaseSpec) -> InvertedIndex {
     let mut builder = IndexBuilder::new();
-    for doc in generate_documents(model, spec) {
-        builder.add(doc);
+    for _ in 0..spec.size {
+        builder.add(gen.generate(&mut rng));
     }
     builder.build()
 }
@@ -112,19 +108,18 @@ mod tests {
     fn deterministic_per_spec_seed() {
         let m = model();
         let spec = DatabaseSpec::generalist("g", 50, 4, 99);
-        let a = generate_documents(&m, &spec);
-        let b = generate_documents(&m, &spec);
+        let a = generate_database(&m, &spec);
+        let b = generate_database(&m, &spec);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
         let m = model();
-        let mut s1 = DatabaseSpec::generalist("g", 50, 4, 1);
+        let s1 = DatabaseSpec::generalist("g", 50, 4, 1);
         let s2 = DatabaseSpec::generalist("g", 50, 4, 2);
-        s1.seed = 1;
-        let a = generate_documents(&m, &s1);
-        let b = generate_documents(&m, &s2);
+        let a = generate_database(&m, &s1);
+        let b = generate_database(&m, &s2);
         assert_ne!(a, b);
     }
 

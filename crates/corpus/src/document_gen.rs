@@ -139,7 +139,7 @@ impl<'m> DocumentGenerator<'m> {
         let secondary_start = secondary.map(|s| (s, window_start(rng, s)));
 
         let len = self.sample_len(rng);
-        let mut doc = Document::new();
+        let mut draws = Vec::with_capacity(len as usize);
         for _ in 0..len {
             let term = if rng.gen::<f64>() < self.config.background_prob {
                 self.model.background().sample(rng)
@@ -156,9 +156,9 @@ impl<'m> DocumentGenerator<'m> {
                     None => self.model.topic(topic).sample(rng),
                 }
             };
-            doc.add_term(term, 1);
+            draws.push(term);
         }
-        doc
+        Document::from_draws(&mut draws)
     }
 }
 

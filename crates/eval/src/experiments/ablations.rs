@@ -5,11 +5,11 @@ use crate::report::{fmt2, fmt3, TextTable};
 use crate::runner::{
     evaluate_baseline, evaluate_rd_based, threshold_run, MethodScores, ThresholdOutcome,
 };
-use crate::testbed::Testbed;
+use crate::testbed::{train_library, Testbed};
 use mp_core::probing::{
     ByEstimatePolicy, GreedyPolicy, OptimalPolicy, ProbePolicy, RandomPolicy, UncertaintyPolicy,
 };
-use mp_core::{CorrectnessMetric, EdLibrary};
+use mp_core::CorrectnessMetric;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -104,7 +104,7 @@ pub fn run_theta_ablation(tb: &Testbed, thetas: &[f64]) -> Vec<ThetaRow> {
         .iter()
         .map(|&theta| {
             let core = tb.config.core.clone().with_threshold(theta);
-            let library = EdLibrary::train(
+            let library = train_library(
                 &tb.mediator,
                 tb.estimator.as_ref(),
                 tb.config.relevancy,
@@ -166,7 +166,7 @@ pub fn run_training_size_ablation(tb: &Testbed, sizes: &[usize]) -> Vec<Training
         .map(|&n| {
             let n = n.min(tb.split.train.len());
             let subset = stratified(n);
-            let library = EdLibrary::train(
+            let library = train_library(
                 &tb.mediator,
                 tb.estimator.as_ref(),
                 tb.config.relevancy,

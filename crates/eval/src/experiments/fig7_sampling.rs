@@ -8,11 +8,12 @@
 //! The paper's finding: goodness clears the 0.5 acceptance line even at
 //! `S = 100` and inches up with larger samples.
 
+use crate::testbed::generate_scenario;
 use mp_core::error::relative_error;
 use mp_core::estimator::estimate_all;
 use mp_core::query_type::ArityBucket;
 use mp_core::{CoreConfig, IndependenceEstimator, QueryType, RelevancyDef};
-use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind};
+use mp_corpus::{ScenarioConfig, ScenarioKind};
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
 use mp_stats::chi2::histogram_goodness;
 use mp_stats::Histogram;
@@ -102,7 +103,7 @@ pub struct SamplingStudyResult {
 /// results for the others).
 pub fn run_sampling_study(config: &SamplingStudyConfig) -> SamplingStudyResult {
     let _span = mp_obs::span!("eval.fig7");
-    let scenario = Scenario::generate(config.scenario.clone());
+    let scenario = generate_scenario(config.scenario.clone());
     let (model, parts) = scenario.into_parts();
     let mut dbs: Vec<Arc<dyn HiddenWebDatabase>> = Vec::new();
     let mut summaries = Vec::new();

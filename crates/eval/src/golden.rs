@@ -4,6 +4,7 @@
 //! database, and record the top-k databases DBtopk as the correct
 //! answer").
 
+use crate::par::par_map;
 use mp_core::correctness::golden_topk;
 use mp_core::RelevancyDef;
 use mp_hidden::Mediator;
@@ -17,24 +18,22 @@ pub struct GoldenStandard {
 }
 
 impl GoldenStandard {
-    /// Issues every query to every database and records the actual
-    /// relevancies. The probes spent here are evaluation bookkeeping
-    /// (the *experimenter's* golden standard), not metasearcher cost —
-    /// callers reset the mediator's probe counters afterwards.
+    /// Issues every query to every database, the queries spread over
+    /// the cores, and records the actual relevancies. The probes spent
+    /// here are evaluation bookkeeping (the *experimenter's* golden
+    /// standard), not metasearcher cost — callers reset the mediator's
+    /// probe counters afterwards.
     pub fn build(
         mediator: &Mediator,
         queries: &[Query],
         def: RelevancyDef,
         probe_top_n: usize,
     ) -> Self {
-        let actuals = queries
-            .iter()
-            .map(|q| {
-                (0..mediator.len())
-                    .map(|i| def.probe(mediator.db(i), q, probe_top_n))
-                    .collect()
-            })
-            .collect();
+        let actuals = par_map(queries.len(), |qi| {
+            (0..mediator.len())
+                .map(|i| def.probe(mediator.db(i), &queries[qi], probe_top_n))
+                .collect()
+        });
         Self { actuals }
     }
 

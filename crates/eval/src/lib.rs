@@ -15,9 +15,9 @@
 //! | [`experiments::ablations`] | A1 policies, A2 θ sweep, A3 training size, A4 summaries |
 //!
 //! Shared machinery: [`Testbed`] (scenario + summaries + trained ED
-//! library + golden standard), [`runner`] (per-query evaluation,
-//! fanned across cores by [`runner::par_map_queries`]), [`report`]
-//! (text tables + JSON reports).
+//! library + golden standard, built on every core), [`runner`]
+//! (per-query evaluation, fanned across cores by the same fork-join),
+//! [`report`] (text tables + JSON reports).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]

@@ -1,5 +1,6 @@
 //! Parallel per-query evaluation machinery shared by all experiments.
 
+use crate::par::par_map;
 use crate::testbed::Testbed;
 use mp_core::correctness::CorrectnessMetric;
 use mp_core::expected::RdState;
@@ -25,13 +26,11 @@ pub struct MethodScores {
     pub n_queries: usize,
 }
 
-pub use crate::par::par_map_queries;
-
 /// Evaluates the term-independence baseline (estimate ranking).
 pub fn evaluate_baseline(tb: &Testbed, k: usize) -> MethodScores {
     let _span = mp_obs::span!("eval.baseline");
     let queries = tb.split.test.queries();
-    let per_q = par_map_queries(queries.len(), |qi| {
+    let per_q = par_map(queries.len(), |qi| {
         let selected = baseline_select(&tb.estimates(&queries[qi]), k);
         let golden = tb.golden.topk(qi, k);
         (
@@ -48,7 +47,7 @@ pub fn evaluate_baseline(tb: &Testbed, k: usize) -> MethodScores {
 pub fn evaluate_rd_based(tb: &Testbed, k: usize, library: &EdLibrary) -> MethodScores {
     let _span = mp_obs::span!("eval.rd_based");
     let queries = tb.split.test.queries();
-    let per_q = par_map_queries(queries.len(), |qi| {
+    let per_q = par_map(queries.len(), |qi| {
         let q = &queries[qi];
         let state = RdState::for_query(&tb.estimates(q), q, library);
         let golden = tb.golden.topk(qi, k);
@@ -95,7 +94,7 @@ where
 {
     let _span = mp_obs::span!("eval.probing_curve");
     let queries = tb.split.test.queries();
-    let per_q: Vec<Vec<f64>> = par_map_queries(queries.len(), |qi| {
+    let per_q: Vec<Vec<f64>> = par_map(queries.len(), |qi| {
         let q = &queries[qi];
         let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
         let mut policy = policy_factory(qi);
@@ -159,7 +158,7 @@ where
 {
     let _span = mp_obs::span!("eval.threshold_run");
     let queries = tb.split.test.queries();
-    let per_q: Vec<(usize, f64, bool)> = par_map_queries(queries.len(), |qi| {
+    let per_q: Vec<(usize, f64, bool)> = par_map(queries.len(), |qi| {
         let q = &queries[qi];
         let mut state = RdState::for_query(&tb.estimates(q), q, &tb.library);
         let mut policy = policy_factory(qi);
@@ -203,9 +202,9 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
-        let out = par_map_queries(100, |i| i * 2);
+        let out = par_map(100, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(par_map_queries(0, |i| i), Vec::<usize>::new());
+        assert_eq!(par_map(0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

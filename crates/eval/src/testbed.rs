@@ -1,10 +1,11 @@
 //! Testbed assembly: scenario → mediator → training → golden standard.
 
 use crate::golden::GoldenStandard;
+use crate::par::par_map;
 use mp_core::{CoreConfig, EdLibrary, IndependenceEstimator, RelevancyDef, RelevancyEstimator};
 use mp_corpus::{Scenario, ScenarioConfig, ScenarioKind, TopicModel};
 use mp_hidden::{ContentSummary, HiddenWebDatabase, Mediator, SimulatedHiddenDb};
-use mp_workload::{QueryGenConfig, TrainTestSplit};
+use mp_workload::{Query, QueryGenConfig, TrainTestSplit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -119,8 +120,10 @@ impl Testbed {
         estimator: Box<dyn RelevancyEstimator>,
     ) -> Self {
         let _span = mp_obs::span!("eval.testbed.build");
-        let scenario = Scenario::generate(config.scenario.clone());
-        let (model, parts) = scenario.into_parts();
+        let (model, parts) = {
+            let _span = mp_obs::span!("eval.testbed.generate");
+            generate_scenario(config.scenario.clone()).into_parts()
+        };
 
         let mut dbs: Vec<Arc<dyn HiddenWebDatabase>> = Vec::with_capacity(parts.len());
         let mut cooperative: Vec<ContentSummary> = Vec::with_capacity(parts.len());
@@ -162,19 +165,25 @@ impl Testbed {
             config.n_three,
             config.workload.clone(),
         );
-        let library = EdLibrary::train(
-            &mediator,
-            estimator.as_ref(),
-            config.relevancy,
-            split.train.queries(),
-            &config.core,
-        );
-        let golden = GoldenStandard::build(
-            &mediator,
-            split.test.queries(),
-            config.relevancy,
-            config.core.probe_top_n,
-        );
+        let library = {
+            let _span = mp_obs::span!("eval.testbed.train");
+            train_library(
+                &mediator,
+                estimator.as_ref(),
+                config.relevancy,
+                split.train.queries(),
+                &config.core,
+            )
+        };
+        let golden = {
+            let _span = mp_obs::span!("eval.testbed.golden");
+            GoldenStandard::build(
+                &mediator,
+                split.test.queries(),
+                config.relevancy,
+                config.core.probe_top_n,
+            )
+        };
         mediator.reset_probes();
 
         Self {
@@ -205,9 +214,30 @@ impl Testbed {
     }
 }
 
+/// Generates a scenario with its databases spread over the cores.
+pub(crate) fn generate_scenario(config: ScenarioConfig) -> Scenario {
+    Scenario::generate_with(config, |n, database| par_map(n, database))
+}
+
+/// Trains an ED library with the training queries' probes spread over
+/// the cores.
+pub(crate) fn train_library(
+    mediator: &Mediator,
+    estimator: &dyn RelevancyEstimator,
+    def: RelevancyDef,
+    queries: &[Query],
+    config: &CoreConfig,
+) -> EdLibrary {
+    EdLibrary::train_with(mediator, estimator, def, queries, config, |n, observe| {
+        par_map(n, observe)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::with_threads;
+    use mp_index::{DocId, Document};
 
     #[test]
     fn tiny_testbed_builds_consistently() {
@@ -247,6 +277,63 @@ mod tests {
                 sampled.mediator.summary(i),
                 again.mediator.summary(i),
                 "database {i}"
+            );
+        }
+    }
+
+    /// What a build leaves behind, read through the testbed's public
+    /// surface: every database's documents (so every postings list),
+    /// each test query's top-10 scores on every database as bits, the
+    /// library's JSON, and the golden actuals as bits.
+    type Fingerprint = (
+        Vec<Vec<Document>>,
+        Vec<Vec<Vec<u64>>>,
+        String,
+        Vec<Vec<u64>>,
+    );
+
+    fn fingerprint(tb: &Testbed) -> Fingerprint {
+        let dbs = (0..tb.n_databases()).map(|i| tb.mediator.db(i));
+        let docs = dbs
+            .clone()
+            .zip(tb.mediator.sizes())
+            .map(|(db, &size)| (0..size).map(|d| db.fetch(DocId(d))).collect())
+            .collect();
+        let top10 = tb
+            .split
+            .test
+            .queries()
+            .iter()
+            .map(|q| {
+                dbs.clone()
+                    .map(|db| {
+                        let hits = db.search(q.terms(), 10).top_docs;
+                        hits.iter().map(|h| h.score.to_bits()).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let library = mp_core::persist::library_to_json(&tb.library).expect("library serializes");
+        let golden = (0..tb.golden.n_queries())
+            .map(|q| tb.golden.actuals(q).iter().map(|a| a.to_bits()).collect())
+            .collect();
+        (docs, top10, library, golden)
+    }
+
+    #[test]
+    fn builds_the_same_testbed_on_any_thread_count() {
+        let config = TestbedConfig::tiny(6);
+        let build = |threads| with_threads(threads, || Testbed::build(config.clone()));
+        let one = fingerprint(&build(1));
+        assert!(one.0.iter().all(|docs| !docs.is_empty()));
+        for threads in [2, 3] {
+            let many = fingerprint(&build(threads));
+            assert!(one.0 == many.0, "documents differ on {threads} threads");
+            assert!(one.1 == many.1, "top-10 scores differ on {threads} threads");
+            assert!(one.2 == many.2, "library JSON differs on {threads} threads");
+            assert!(
+                one.3 == many.3,
+                "golden actuals differ on {threads} threads"
             );
         }
     }

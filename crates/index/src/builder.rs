@@ -48,8 +48,18 @@ impl IndexBuilder {
     }
 
     /// Finalizes the index, precomputing per-document tf-idf norms.
-    pub fn build(self) -> InvertedIndex {
+    /// Every postings list is trimmed to its length: an index is never
+    /// appended to again, so growth slack would only hold memory.
+    pub fn build(mut self) -> InvertedIndex {
         let _span = mp_obs::span!("index.build");
+        // Copy each list into an exact allocation, then free the grown
+        // lists together so they coalesce. Shrinking each in place
+        // leaves a free fragment behind every list instead, and serving
+        // allocations that land in those fragments cost 6% more CPU per
+        // request (servebench `hot_zipf`, 2-vCPU VM, 10 of 10 pairs).
+        let grown = std::mem::take(&mut self.postings);
+        self.postings = grown.iter().map(|p| p.to_vec()).collect();
+        drop(grown);
         let doc_count = self.doc_count;
         mp_obs::counter!("index.builds").incr();
         mp_obs::counter!("index.docs").add(u64::from(doc_count));
@@ -117,6 +127,23 @@ mod tests {
         let idx = b.build();
         assert!(idx.doc_norms[0] > 0.0);
         assert_eq!(idx.doc_norms[1], 0.0);
+    }
+
+    #[test]
+    fn built_lists_hold_no_spare_capacity() {
+        let mut b = IndexBuilder::new();
+        for i in 0..37 {
+            b.add(Document::from_terms([t(i % 5), t(9), t(i % 3 + 20)]));
+        }
+        assert!(
+            b.postings.iter().any(|p| p.capacity() > p.len()),
+            "the fixture should leave growth slack to trim"
+        );
+        let idx = b.build();
+        assert_eq!(idx.postings.capacity(), idx.postings.len());
+        for (term, postings) in idx.postings.iter().enumerate() {
+            assert_eq!(postings.capacity(), postings.len(), "term {term}");
+        }
     }
 
     #[test]

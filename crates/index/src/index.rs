@@ -54,6 +54,16 @@ pub struct InvertedIndex {
     pub(crate) forward: OnceLock<ForwardIndex>,
 }
 
+/// Equal when the postings, norms and document count are; the forward
+/// index is derived from the postings, so it stays out.
+impl PartialEq for InvertedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.doc_count == other.doc_count
+            && self.postings == other.postings
+            && self.doc_norms == other.doc_norms
+    }
+}
+
 impl InvertedIndex {
     /// Number of documents in the collection (`|db|` in the paper).
     pub fn doc_count(&self) -> u32 {

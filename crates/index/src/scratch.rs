@@ -8,9 +8,8 @@
 //! allocation-bound, so the pool keeps one `Scratch` per thread. A
 //! serve worker reuses its own across every query it serves (and across
 //! differently-sized indices: buffers only ever grow); one of mp-eval's
-//! fork-join threads lives for one per-query map, so it reuses its
-//! scratch across the queries of its chunk and starts cold on the next
-//! map.
+//! fork-join threads lives for one map, so it reuses its scratch across
+//! the queries it claims and starts cold on the next map.
 //!
 //! **Invariant:** between queries, every element of `acc` is exactly
 //! `0.0`. The kernel restores the invariant by zeroing only the
